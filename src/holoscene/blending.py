@@ -9,13 +9,36 @@ source's frequency, smoothed with the target's relative frequency, and a
 boost when a step triple was itself observed. Scores are normalized by
 the maximum so the acceptance threshold is scale-free, and scaling every
 frequency by a positive constant provably leaves the ranking unchanged.
+
+The walk runs over an index built once per ``candidate_scores`` call and
+shared by every generic source: the graph as integer CSR rows over the
+sorted terms, one step weight and one pair count per directed edge, and
+the triple counts as sorted int64 keys, looked up with ``searchsorted``
+(built only when ``max_path >= 2``). Paths grow one level at a time as
+numpy rows, and a step onto a node already on the path is dropped.
+Consecutive first steps are walked together in chunks; a chunk holds at
+most ``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does
+not grow with the degree of the source.
+
+Scores are bit-identical to a recursive depth-first walk over sorted
+neighbours, not just close to it. Each path's score is built in the same
+order of multiplications: previous score times (step weight times triple
+boost). Within a chunk, paths are sorted into depth-first pre-order by a
+lexsort over their node columns padded with -1. ``np.add.at`` then adds
+them to each target's running sum one at a time in that order, across
+chunks too. Targets are keyed in order of first visit, so a later sum over
+the returned dict also adds in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, UnknownTermError
@@ -131,54 +154,150 @@ def renormalize(fragment: OntologyGraph, vital_map: dict | None = None) -> Ontol
 # -- dK walk scoring -----------------------------------------------------------
 
 
-def _step_weight(dk: DkStatistics, a: str, b: str, mix: float) -> float:
-    observed = dk.pair(a, b) / dk.k1[a]
-    background = dk.k1[b] / dk.total_frequency
-    return mix * observed + (1.0 - mix) * background
+# A chunk of a walk takes consecutive first steps until their path bounds
+# pass this, so it holds at most this many paths plus one first step's.
+_CHUNK_PATHS = 1 << 15
 
 
-def _path_score(dk: DkStatistics, path, mix: float) -> float:
-    score = 1.0
-    for a, b in zip(path, path[1:]):
-        score *= _step_weight(dk, a, b, mix)
-    for a, b, c in zip(path, path[1:], path[2:]):
-        observed = dk.triple(a, b, c)
-        if observed:
-            score *= 1.0 + observed / dk.pair(a, b)
-    return score
+class _WalkIndex:
+    """The graph and its statistics as arrays, built once and shared by every
+    source walked with the same ``max_path`` and ``mix``.
+
+    Nodes are numbered in sorted term order and each node's neighbours are
+    stored in that order (CSR), so array order is the order the walk takes
+    them in. Every directed edge carries its step weight and its pair count;
+    triple counts are sorted int64 keys, built only when a path can take two
+    steps. ``paths`` counts the simple paths scored so far.
+    """
+
+    def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
+        self.terms = sorted(graph.nodes)
+        self.number = {term: i for i, term in enumerate(self.terms)}
+        self.max_path = max_path
+        self.paths = 0
+        freq = np.array(list(map(dk.k1.get, self.terms)), dtype=float)  # None reads nan
+        bad = np.flatnonzero(~((freq > 0) & (freq < math.inf)))
+        if len(bad):
+            term = self.terms[bad[0]]
+            value = dk.k1.get(term)
+            raise ValueError(f"term {term!r} needs a finite, positive frequency, not {value!r}")
+
+        pairs = graph._edges  # keyed by the sorted term pair
+        ends = np.fromiter(map(self.number.__getitem__, chain.from_iterable(pairs)),
+                           dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+        counts = np.fromiter(map(dk.k2.get, pairs, repeat(0)), dtype=float, count=len(pairs))
+        steps = ends[:, 0] != ends[:, 1]  # a self-loop never steps off its path
+        ends, counts = ends[steps], counts[steps]
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.argsort(src * len(self.terms) + dst)
+        src, dst = src[order], dst[order]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(self.terms)))])
+        self.indices = dst
+        self.pair = np.concatenate([counts, counts])[order]
+        self.weight = mix * (self.pair / freq[src]) + (1.0 - mix) * (freq[dst] / dk.total_frequency)
+
+        # at most this many paths run under each first step: 1 + walks of 1..max_path-1 steps
+        self.subtree = walks = np.ones(len(self.terms))
+        for _ in range(1, max_path):
+            walks = np.bincount(src, weights=walks[dst], minlength=len(self.terms))
+            self.subtree = self.subtree + walks
+
+        self.triple_keys = np.empty(0, dtype=np.int64)
+        if max_path >= 2 and dk.k3:
+            terms = chain.from_iterable(dk.k3)
+            ids = np.fromiter(map(self.number.get, terms, repeat(-1)), dtype=np.int64).reshape(-1, 3)
+            known = (ids >= 0).all(axis=1)
+            keys = self._key(ids[known, 0], ids[known, 1], ids[known, 2])
+            order = np.argsort(keys)
+            self.triple_keys = keys[order]
+            self.triple_counts = np.fromiter(dk.k3.values(), dtype=float)[known][order]
+
+    def _key(self, lo, mid, hi):
+        n = len(self.terms)
+        return (lo * n + mid) * n + hi
+
+    def _triples(self, a, b, c):
+        """Observed count of each unordered triple (a[i], b[i], c[i]), 0 if none."""
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        keys = self._key(lo, a + b + c - lo - hi, hi)
+        at = np.minimum(np.searchsorted(self.triple_keys, keys), len(self.triple_keys) - 1)
+        return np.where(self.triple_keys[at] == keys, self.triple_counts[at], 0.0)
+
+    def _extend(self, paths, score, pair):
+        """Every simple path one step longer than a row of ``paths`` (node
+        ids, one row per path), with its score and its last step's pair
+        count. Rows stay grouped by parent, neighbours in order."""
+        last = paths[:, -1]
+        start = self.indptr[last]
+        degree = self.indptr[last + 1] - start
+        parent = np.repeat(np.arange(len(paths)), degree)
+        edge = np.arange(len(parent)) + np.repeat(start - (np.cumsum(degree) - degree), degree)
+        nxt = self.indices[edge]
+        prefix = paths[parent]
+        fresh = (prefix != nxt[:, None]).all(axis=1)
+        prefix, parent, edge, nxt = prefix[fresh], parent[fresh], edge[fresh], nxt[fresh]
+        step = self.weight[edge]
+        if len(self.triple_keys):
+            observed = self._triples(prefix[:, -2], prefix[:, -1], nxt)
+            boosted = observed != 0
+            with np.errstate(divide="raise"):  # a zero pair count under a triple
+                step[boosted] *= 1.0 + observed[boosted] / pair[parent][boosted]
+        return np.column_stack([prefix, nxt]), score[parent] * step, self.pair[edge]
+
+    def _subtree(self, source, hops):
+        """Targets and scores of every path whose first step is one of the
+        edges ``hops``, in depth-first pre-order."""
+        paths = np.column_stack([np.full(len(hops), source), self.indices[hops]])
+        score, pair = self.weight[hops], self.pair[hops]
+        levels = [(paths, score)]
+        for _ in range(1, self.max_path):
+            paths, score, pair = self._extend(paths, score, pair)
+            if not len(paths):
+                break
+            levels.append((paths, score))
+        padded = np.full((sum(len(p) for p, _ in levels), self.max_path), -1, dtype=np.int64)
+        row = 0
+        for paths, _ in levels:
+            padded[row : row + len(paths), : paths.shape[1] - 1] = paths[:, 1:]
+            row += len(paths)
+        order = np.lexsort(padded.T[::-1])
+        targets = np.concatenate([p[:, -1] for p, _ in levels])[order]
+        return targets, np.concatenate([s for _, s in levels])[order]
+
+    def reach(self, source: str) -> dict:
+        """Raw reachability mass from ``source``, as ``reach_scores``."""
+        s = self.number[source]
+        mass = np.zeros(len(self.terms))
+        first = np.full(len(self.terms), -1, dtype=np.int64)  # pre-order rank of first visit
+        hops = np.arange(self.indptr[s], self.indptr[s + 1])
+        bound = self.subtree[self.indices[hops]]
+        chunk = (np.cumsum(bound) - bound) // _CHUNK_PATHS
+        groups = np.split(hops, np.flatnonzero(np.diff(chunk)) + 1)
+        seen = 0
+        for group in groups:
+            targets, scores = self._subtree(s, group)
+            np.add.at(mass, targets, scores)  # sequential, so sums add in pre-order
+            reached, at = np.unique(targets, return_index=True)
+            new = first[reached] < 0
+            first[reached[new]] = seen + at[new]
+            seen += len(targets)
+        self.paths += seen
+        visited = np.flatnonzero(first >= 0)
+        visited = visited[np.argsort(first[visited])]
+        return dict(zip([self.terms[i] for i in visited], mass[visited].tolist()))
 
 
 def reach_scores(
     graph: OntologyGraph, dk: DkStatistics, source: str, max_path: int = 3, mix: float = 0.5
 ) -> dict:
     """Raw reachability mass from ``source`` to every other node, summed
-    over all simple paths of at most ``max_path`` steps."""
+    over all simple paths of at most ``max_path`` steps, keyed in the order
+    a depth-first walk over sorted neighbours first reaches each node."""
     if source not in graph.nodes:
         raise UnknownTermError(f"term not in graph: {source!r}", [source])
-    raw: dict[str, float] = {}
-
-    def walk(path, score):
-        here = path[-1]
-        if len(path) > 1:
-            raw[here] = raw.get(here, 0.0) + score
-        if len(path) > max_path:
-            return
-        for nxt in graph.neighbors(here):
-            if nxt in path:
-                continue
-            walk(path + (nxt,), score * _segment(path, nxt))
-
-    def _segment(path, nxt):
-        # incremental step weight plus the triple boost it completes
-        weight = _step_weight(dk, path[-1], nxt, mix)
-        if len(path) >= 2:
-            observed = dk.triple(path[-2], path[-1], nxt)
-            if observed:
-                weight *= 1.0 + observed / dk.pair(path[-2], path[-1])
-        return weight
-
-    walk((source,), 1.0)
-    return raw
+    return _WalkIndex(graph, dk, max_path, mix).reach(source)
 
 
 def transition_probability(
@@ -209,18 +328,26 @@ def candidate_scores(
     dk: DkStatistics,
     max_path: int = 3,
     mix: float = 0.5,
+    counts: dict | None = None,
 ) -> dict:
     """Raw confabulation score for every non-generic node: the product of
-    per-source transition probabilities."""
+    per-source transition probabilities.
+
+    Every source walks one shared index. If ``counts`` is given, its
+    ``"walk_paths"`` entry grows by the number of simple paths scored.
+    """
     sources = sorted(generic_terms)
     missing = [t for t in sources if t not in graph.nodes]
     if missing:
         raise UnknownTermError("generic terms not in graph", missing)
+    index = _WalkIndex(graph, dk, max_path, mix)
     per_source = []
     for source in sources:
-        raw = reach_scores(graph, dk, source, max_path, mix)
+        raw = index.reach(source)
         total = sum(raw.values())
         per_source.append((raw, total))
+    if counts is not None:
+        counts["walk_paths"] = counts.get("walk_paths", 0) + index.paths
     scores = {}
     for term in sorted(graph.nodes):
         if term in generic_terms:
@@ -240,16 +367,18 @@ def confabulate(
     max_path: int = 3,
     mix: float = 0.5,
     anchored=frozenset(),
+    counts: dict | None = None,
 ) -> BlendedSpace:
     """Blend the generic space with the best-supported outside concepts.
 
     The highest-scoring candidate always joins; others join when their
     score, relative to that maximum, clears ``threshold``. ``anchored``
     marks which blend terms were mentioned outright, for provenance.
+    ``counts`` is passed on to :func:`candidate_scores`.
     """
     if not generic.shared:
         raise ValueError("confabulate requires a non-empty generic space")
-    raw = candidate_scores(generic.shared, graph, dk, max_path, mix)
+    raw = candidate_scores(generic.shared, graph, dk, max_path, mix, counts=counts)
     peak = max(raw.values(), default=0.0)
 
     accepted: dict[str, float] = {}

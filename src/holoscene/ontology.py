@@ -14,9 +14,10 @@ confabulation scoring.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from .errors import GraphFormatError, UnknownTermError, UnmappedTermError
@@ -127,14 +128,10 @@ class DkStatistics:
             mean = sum(self.k1.values()) / len(self.k1)
             if abs(mean - self.k0) > 1e-9:
                 raise ValueError("k0 must equal the mean of k1")
-        for pair in self.k2:
-            for term in pair:
-                if term not in self.k1:
-                    raise ValueError(f"k2 term {term!r} missing from k1")
-        for triple in self.k3:
-            for term in triple:
-                if term not in self.k1:
-                    raise ValueError(f"k3 term {term!r} missing from k1")
+        for order, keys in (("k2", self.k2), ("k3", self.k3)):
+            missing = set(chain.from_iterable(keys)) - self.k1.keys()
+            if missing:
+                raise ValueError(f"{order} term {min(missing)!r} missing from k1")
 
 
 # -- corpus scanning ---------------------------------------------------------
@@ -397,27 +394,49 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _first_record(path, kind: str, terms) -> int:
+    """Line number of the first ``kind`` record that names one of ``terms``."""
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        fields = raw.split()
+        if fields and fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
+            return line_no
+    raise AssertionError(f"no {kind} record names {sorted(terms)}")
+
+
 def load_graph(path):
-    """Read a graph file; returns (graph, statistics or None)."""
+    """Read a graph file; returns (graph, statistics or None).
+
+    A file with ``freq`` records carries statistics. Then every node needs
+    exactly one ``freq``, every ``freq`` and ``triple`` record must name
+    declared nodes, and every count must be finite and positive. Any breach
+    is a :class:`GraphFormatError` naming its line.
+    """
     graph = OntologyGraph()
+    node_lines: dict[str, int] = {}
     freq: dict[str, float] = {}
     k3: dict[tuple, float] = {}
     edge_lines = []
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         kind = fields[0]
         try:
             if kind == "node" and len(fields) == 3:
                 graph.add_node(fields[1], fields[2])
+                node_lines.setdefault(fields[1], line_no)
             elif kind == "edge" and len(fields) == 5:
                 edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
             elif kind == "freq" and len(fields) == 3:
-                freq[fields[1]] = float(fields[2])
+                if fields[1] in freq:
+                    raise ValueError(f"second freq record for {fields[1]!r}")
+                freq[fields[1]] = count = float(fields[2])
+                if not 0.0 < count < math.inf:
+                    raise ValueError(f"freq count must be finite and positive, not {count!r}")
             elif kind == "triple" and len(fields) == 5:
-                k3[tuple(sorted(fields[1:4]))] = float(fields[4])
+                k3[tuple(sorted(fields[1:4]))] = count = float(fields[4])
+                if not 0.0 < count < math.inf:
+                    raise ValueError(f"triple count must be finite and positive, not {count!r}")
             else:
                 raise ValueError(f"unrecognized record {kind!r}")
         except ValueError as exc:
@@ -427,11 +446,25 @@ def load_graph(path):
             graph.add_edge(src, dst, label, weight)
         except (UnknownTermError, ValueError) as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
+    if not freq:
+        return graph, None
 
-    dk = None
-    if freq:
-        k2 = {rec.pair: rec.weight for rec in graph.edges()}
-        dk = DkStatistics(k0=sum(freq.values()) / len(freq), k1=freq, k2=k2, k3=k3)
+    declared = graph.nodes.keys()
+    unmeasured = declared - freq.keys()
+    if unmeasured:
+        line_no, term = min((node_lines[t], t) for t in unmeasured)
+        raise GraphFormatError(path, line_no, f"node {term!r} has no freq record")
+    stray = freq.keys() - declared
+    if stray:
+        raise GraphFormatError(path, _first_record(path, "freq", stray), "freq for an undeclared node")
+    k2 = {pair: rec.weight for pair, rec in graph._edges.items()}
+    dk = DkStatistics(k0=sum(freq.values()) / len(freq), k1=freq, k2=k2, k3=k3)
+    try:
+        dk.validate()
+    except ValueError as exc:
+        # k1 now covers exactly the declared nodes: only a triple can name another term
+        stray = set(chain.from_iterable(k3)) - declared
+        raise GraphFormatError(path, _first_record(path, "triple", stray), str(exc)) from None
     return graph, dk
 
 

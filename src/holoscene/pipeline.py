@@ -263,6 +263,7 @@ def run_pipeline(
             max_path=config.max_path,
             mix=config.mix,
             anchored=anchored_union,
+            counts=diagnostics.counts,
         )
         blend = blending.absorb_anchored(blend, anchored_union, graph)
 
@@ -299,12 +300,12 @@ def run_pipeline(
                 }
             )
 
-    diagnostics.counts = {
+    diagnostics.counts.update({
         "sentences": len(structures),
         "graph_nodes": len(graph),
         "generic_terms": len(generic.shared),
         "blend_terms": len(blend.terms),
         "confabulated": len(blend.by_provenance(blending.CONFABULATED)),
         "memory_nodes": len(mem.nodes),
-    }
+    })
     return blend, script, diagnostics

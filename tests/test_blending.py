@@ -1,15 +1,19 @@
 """Blending tests.
 
 The walk-scoring oracle enumerates candidate paths by brute force over
-permutations of intermediate nodes, independent of the package's DFS.
+permutations of intermediate nodes, independent of the package's walk. The
+reference walk is the recursive depth-first search the package used before
+its array walk; the two must agree bit for bit, key order included.
 """
 
+import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holoscene import hrr
+from holoscene import blending, hrr
 from holoscene.blending import (
     BlendedSpace,
     GenericSpace,
@@ -22,6 +26,7 @@ from holoscene.blending import (
     encode_subgraph,
     generic_space,
     load_blend,
+    reach_scores,
     renormalize,
     save_blend,
     transition_probability,
@@ -85,6 +90,71 @@ def oracle_accepted(generic_terms, graph, dk, threshold, max_path=MAX_PATH, mix=
         return set(), scores
     argmax = min(t for t in scores if scores[t] == peak)
     return {t for t in scores if t == argmax or scores[t] / peak >= threshold}, scores
+
+
+# -- reference walk ------------------------------------------------------------
+
+
+def reference_reach(graph, dk, source, max_path=MAX_PATH, mix=MIX, paths=None):
+    """Recursive depth-first walk over sorted neighbours: sums each target's
+    path scores in pre-order and keys targets by first visit. Appends every
+    scored path to ``paths`` if given."""
+    raw = {}
+
+    def step_weight(a, b):
+        observed = dk.pair(a, b) / dk.k1[a]
+        background = dk.k1[b] / dk.total_frequency
+        return mix * observed + (1.0 - mix) * background
+
+    def segment(path, nxt):
+        # incremental step weight plus the triple boost it completes
+        weight = step_weight(path[-1], nxt)
+        if len(path) >= 2:
+            observed = dk.triple(path[-2], path[-1], nxt)
+            if observed:
+                weight *= 1.0 + observed / dk.pair(path[-2], path[-1])
+        return weight
+
+    def walk(path, score):
+        here = path[-1]
+        if len(path) > 1:
+            raw[here] = raw.get(here, 0.0) + score
+            if paths is not None:
+                paths.append(path)
+        if len(path) > max_path:
+            return
+        for nxt in graph.neighbors(here):
+            if nxt in path:
+                continue
+            walk(path + (nxt,), score * segment(path, nxt))
+
+    walk((source,), 1.0)
+    return raw
+
+
+def reference_candidates(generic_terms, graph, dk, max_path=MAX_PATH, mix=MIX):
+    per_source = []
+    for source in sorted(generic_terms):
+        raw = reference_reach(graph, dk, source, max_path, mix)
+        per_source.append((raw, sum(raw.values())))
+    scores = {}
+    for term in sorted(graph.nodes):
+        if term in generic_terms:
+            continue
+        product = 1.0
+        for raw, total in per_source:
+            product *= raw.get(term, 0.0) / total if total else 0.0
+        scores[term] = product
+    return scores
+
+
+def assert_walks_match_reference(graph, dk, sources, generic, max_path, mix=MIX):
+    for source in sources:
+        got = reach_scores(graph, dk, source, max_path, mix)
+        want = reference_reach(graph, dk, source, max_path, mix)
+        assert list(got.items()) == list(want.items())
+    got = candidate_scores(generic, graph, dk, max_path, mix)
+    assert list(got.items()) == list(reference_candidates(generic, graph, dk, max_path, mix).items())
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -406,6 +476,65 @@ def test_confabulation_matches_exhaustive_oracle(case):
     assert candidate_scores(generic, graph, dk) == candidate_scores(
         generic, graph, dk.scaled(10)
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_graph_case(), st.integers(1, 4), st.sampled_from([0.0, 0.3, MIX, 1.0]))
+def test_walk_equals_reference_exactly(case, max_path, mix):
+    edges, k1, k3, generic = case
+    graph, dk = graph_from(edges, k1, k3)
+    assert_walks_match_reference(graph, dk, sorted(graph.nodes), generic, max_path, mix)
+
+
+def seeded_graph(n=300, degree=10, seed=11):
+    """A connected random graph with fractional word frequencies and
+    triple counts on ~3,000 of its two-step paths."""
+    rng = random.Random(seed)
+    terms = [f"w{i:03d}" for i in range(n)]
+    k1 = {t: rng.randint(1, 400) / 8 for t in terms}
+    pairs = {tuple(sorted((terms[i - 1], terms[i]))) for i in range(1, n)}
+    while len(pairs) < n * degree // 2:
+        a, b = rng.sample(terms, 2)
+        pairs.add(tuple(sorted((a, b))))
+    edges = [(a, b, rng.randint(1, 6)) for a, b in sorted(pairs)]
+    neighbours = {t: [] for t in terms}
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    k3 = []
+    for _ in range(3000):
+        b = rng.choice(terms)
+        a, c = rng.sample(sorted(neighbours[b]), 2)
+        k3.append((a, b, c, rng.randint(1, 4)))
+    return graph_from(edges, k1, k3)
+
+
+def test_walk_equals_reference_on_a_300_node_graph():
+    graph, dk = seeded_graph()
+    sources = random.Random(5).sample(sorted(graph.nodes), 6)
+    assert_walks_match_reference(graph, dk, sources, frozenset(sources[:3]), max_path=3)
+
+
+def test_walk_equals_reference_across_chunks_at_max_path_8():
+    # on a near-complete 8-node graph every first step's walk bound exceeds a
+    # chunk, so each first step is walked alone and sums carry across chunks
+    terms = [f"t{i}" for i in range(8)]
+    edges = [(a, b, 1 + (i * j) % 4) for (i, a), (j, b) in combinations(enumerate(terms), 2)
+             if (i, j) != (2, 5)]
+    k3 = [(a, b, c, 1 + i % 3) for i, (a, b, c) in enumerate(combinations(terms, 3)) if i % 4 == 0]
+    graph, dk = graph_from(edges, {t: 2 + i for i, t in enumerate(terms)}, k3)
+    assert blending._WalkIndex(graph, dk, 8, MIX).subtree.min() > blending._CHUNK_PATHS
+    assert_walks_match_reference(graph, dk, terms[:3], frozenset(terms[:2]), max_path=8)
+
+
+@pytest.mark.parametrize("frequency", [None, 0, -2, float("nan"), float("inf")])
+def test_walk_rejects_a_bad_frequency_by_term(frequency):
+    graph, dk = toy_six()
+    k1 = {t: v for t, v in dk.k1.items() if t != "f"}  # "f" has no edges at all
+    if frequency is not None:
+        k1["f"] = frequency
+    with pytest.raises(ValueError, match="'f'"):
+        reach_scores(graph, replace(dk, k1=k1), "a")
 
 
 class TestBlendFile:

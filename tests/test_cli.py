@@ -103,6 +103,24 @@ class TestImagine:
         err = capsys.readouterr().err
         assert "[ontology]" in err and "bad.graph:2" in err
 
+    @pytest.mark.parametrize(
+        "record, line_no",
+        [("", 2), ("freq ball 0", 92), ("freq ball -3", 92), ("freq ball nan", 92), ("freq ball inf", 92)],
+        ids=["missing", "zero", "negative", "nan", "inf"],
+    )
+    def test_corrupt_frequency_reports_file_and_line(self, tmp_path, capsys, record, line_no):
+        lines = (DEMO / "demo.graph").read_text().splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("freq ball ")))
+        lines[at] = record
+        bad = tmp_path / "bad.graph"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "story.script.json"
+        code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(bad), "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[ontology]" in err and f"bad.graph:{line_no}:" in err
+        assert "Traceback" not in err
+
     def test_missing_text_file(self, built_graph, capsys):
         code = main(["imagine", "/nowhere/story.txt", "--ontology", str(built_graph)])
         assert code == 1

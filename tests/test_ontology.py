@@ -276,6 +276,23 @@ class TestGraphFile:
             load_graph(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "records, line_no",
+        [
+            (["freq sun 2", "freq sun 2", "freq sky 1"], 4),
+            (["freq sun 2", "freq sky 1", "freq moon 1"], 5),
+            (["freq sun 2", "freq sky 1", "triple sun sky moon 1"], 5),
+            (["freq sun 2", "freq sky 1", "triple sun sky sun 0"], 5),
+        ],
+        ids=["second-freq", "freq-undeclared", "triple-undeclared", "triple-zero"],
+    )
+    def test_corrupt_statistics_name_line(self, tmp_path, records, line_no):
+        path = tmp_path / "bad.graph"
+        path.write_text("\n".join(["node sun entity", "node sky entity"] + records) + "\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert err.value.line_no == line_no
+
     def test_dot_export(self):
         graph = build_from_corpus(["The sun shines."])
         dot = to_dot(graph, colors={"sun": "yellow"})

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from holoscene import blending
 from holoscene.errors import ConfigError, HolosceneError, StageError
 from holoscene.memory import HolographicMemory
+from holoscene.ontology import load_graph
 from holoscene.pipeline import (
     ENV_SEED,
     PipelineConfig,
@@ -17,6 +19,8 @@ from holoscene.pipeline import (
     read_corpus_dir,
     run_pipeline,
 )
+
+from test_blending import reference_reach
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
 DEMO_TEXT = (DEMO / "demo.txt").read_text()
@@ -139,6 +143,24 @@ class TestRunPipeline:
         assert diagnostics.decode_checks  # holographic round-trip ran
         for check in diagnostics.decode_checks:
             assert check["recovered"] == check["expected"]
+
+    def test_walk_counter_counts_the_reference_paths(self, monkeypatch):
+        generic_sets = []
+        walk = blending.candidate_scores
+
+        def spy(generic_terms, *args, **kwargs):
+            generic_sets.append(sorted(generic_terms))
+            return walk(generic_terms, *args, **kwargs)
+
+        monkeypatch.setattr(blending, "candidate_scores", spy)
+        config = demo_config()
+        _, _, diagnostics = run_pipeline(config, DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        graph, dk = load_graph(DEMO / "demo.graph")
+        paths = []
+        for source in generic_sets[0]:
+            reference_reach(graph, dk, source, config.max_path, config.mix, paths=paths)
+        assert len(generic_sets) == 1
+        assert diagnostics.counts["walk_paths"] == len(paths) == 3441
 
     def test_memory_observes_each_clause(self, tmp_path):
         _, _, diagnostics = run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
