@@ -8,6 +8,12 @@ the nearest known concept vector.
 Vectors are plain ``numpy.float64`` arrays. Entries are drawn i.i.d. from
 a zero-mean Gaussian with variance ``1/dim``, which puts the expected norm
 at 1 and makes correlation an approximate inverse of convolution.
+
+A :class:`Codebook` keeps its vectors as the rows of one read-only
+``(len(terms), dim)`` matrix in sorted-term order, with the row norms
+alongside. :func:`cleanup` scores a probe against every row with one
+matrix-vector product and then rescores only the near-winners with
+:func:`similarity`, so its answer is exactly that of a term-by-term scan.
 """
 
 from __future__ import annotations
@@ -117,12 +123,16 @@ class Codebook:
 
     Vectors are regenerated from ``(seed, dim, term)`` on construction;
     serialization therefore stores only the header and the term list.
+    Row ``i`` of the read-only matrix ``_rows`` is the vector of
+    ``terms[i]``; :meth:`vector` returns a view of that row.
     """
 
     terms: tuple[str, ...]
     dim: int = 512
     seed: int = 0
     _vectors: dict[str, Vector] = field(init=False, repr=False, compare=False)
+    _rows: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _norms: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __init__(self, terms: Iterable[str], dim: int = 512, seed: int = 0):
         object.__setattr__(self, "terms", tuple(sorted(set(terms))))
@@ -130,10 +140,14 @@ class Codebook:
         object.__setattr__(self, "seed", int(seed))
         if self.dim < 1:
             raise DimensionError(f"dim must be >= 1, got {dim}")
-        vectors = {t: random_vector(self.seed, self.dim, term=t) for t in self.terms}
-        for v in vectors.values():
-            v.setflags(write=False)
-        object.__setattr__(self, "_vectors", vectors)
+        rows = np.empty((len(self.terms), self.dim))
+        for i, t in enumerate(self.terms):
+            rows[i] = random_vector(self.seed, self.dim, term=t)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_vectors", dict(zip(self.terms, rows)))
+        # einsum, unlike norm(axis=1), makes no rows-sized temporary
+        object.__setattr__(self, "_norms", np.sqrt(np.einsum("ij,ij->i", rows, rows)))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -181,15 +195,32 @@ def cleanup(v, book: Codebook) -> tuple[str, float]:
 
     Returns ``(concept_id, similarity)``. Ties break to the
     lexicographically smaller id so results are reproducible.
+
+    One product ``rows @ v / (norms * |v|)`` scores every entry. It and
+    :func:`similarity` round differently, each within about ``dim * eps``
+    of the true cosine, so every entry scored within ``64 * dim * eps`` of
+    the top score is rescored with :func:`similarity` in sorted order,
+    keeping the first strict maximum. The true winner and every entry tied
+    with it are among those, so the term and the float returned are
+    exactly those of scanning all entries with :func:`similarity`. A score
+    that is not a number (a probe so large its product overflows) puts
+    every entry into the rescoring.
     """
     if len(book) == 0:
         raise EmptyCodebookError("cleanup against an empty codebook")
     v = _as_vector(v, "probe")
     if v.shape[0] != book.dim:
         raise DimensionError(f"dimension mismatch: probe {v.shape[0]} vs codebook {book.dim}")
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or not np.all(book._norms):
+        raise ZeroVectorError("similarity is undefined for an all-zero vector")
+    approx = (book._rows @ v) / (book._norms * norm)
+    tol = 64 * book.dim * np.finfo(np.float64).eps
+    near = np.flatnonzero(~(approx < approx.max() - tol))  # a nan keeps every entry
     best_term = None
     best_sim = -2.0
-    for term in book.terms:  # sorted; strict > keeps the first of any tie
+    for i in near:  # sorted; strict > keeps the first of any tie
+        term = book.terms[i]
         sim = similarity(v, book.vector(term))
         if sim > best_sim:
             best_term, best_sim = term, sim

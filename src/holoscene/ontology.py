@@ -62,8 +62,8 @@ class OntologyGraph:
                 f"edge endpoints must be nodes: {src!r}, {dst!r}",
                 [t for t in (src, dst) if t not in self.nodes],
             )
-        if weight < 0:
-            raise ValueError("edge weight must be non-negative")
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
         rec = EdgeRec(src, dst, label, weight)
         self._edges[rec.pair] = rec
         self._adjacency[src].add(dst)
@@ -406,10 +406,11 @@ def _first_record(path, kind: str, terms) -> int:
 def load_graph(path):
     """Read a graph file; returns (graph, statistics or None).
 
-    A file with ``freq`` records carries statistics. Then every node needs
-    exactly one ``freq``, every ``freq`` and ``triple`` record must name
-    declared nodes, and every count must be finite and positive. Any breach
-    is a :class:`GraphFormatError` naming its line.
+    Edge weights must be finite and non-negative. A file with ``freq``
+    records carries statistics. Then every node needs exactly one ``freq``,
+    every ``freq`` and ``triple`` record must name declared nodes, and every
+    count, edge weights (the pair counts) included, must be finite and
+    positive. Any breach is a :class:`GraphFormatError` naming its line.
     """
     graph = OntologyGraph()
     node_lines: dict[str, int] = {}
@@ -444,6 +445,8 @@ def load_graph(path):
     for line_no, src, dst, label, weight in edge_lines:
         try:
             graph.add_edge(src, dst, label, weight)
+            if weight == 0.0 and freq:
+                raise ValueError("edge weight is a pair count and must be positive, not 0.0")
         except (UnknownTermError, ValueError) as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
     if not freq:

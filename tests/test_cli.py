@@ -121,6 +121,21 @@ class TestImagine:
         assert "[ontology]" in err and f"bad.graph:{line_no}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0"])
+    def test_corrupt_edge_weight_reports_file_and_line(self, tmp_path, capsys, weight):
+        lines = (DEMO / "demo.graph").read_text().splitlines()
+        at = lines.index("edge ball beach located-on 2")
+        lines[at] = f"edge ball beach located-on {weight}"
+        bad = tmp_path / "bad.graph"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "story.script.json"
+        code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(bad), "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[ontology]" in err and f"bad.graph:{at + 1}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_text_file(self, built_graph, capsys):
         code = main(["imagine", "/nowhere/story.txt", "--ontology", str(built_graph)])
         assert code == 1

@@ -2,11 +2,13 @@
 
 The convolution/correlation oracle is a direct evaluation of the defining
 sums with explicit modular indexing, kept separate from both shipped
-kernels.
+kernels. The cleanup oracle, ``reference_cleanup``, is the term-by-term
+similarity scan that the stacked-matrix cleanup must reproduce exactly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoscene import hrr
 from holoscene.errors import (
@@ -29,6 +31,51 @@ def direct_correlate(x, z):
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def reference_cleanup(v, book):
+    """Scan every codebook entry with ``similarity``; the first strict
+    maximum in sorted-term order wins."""
+    if len(book) == 0:
+        raise EmptyCodebookError("cleanup against an empty codebook")
+    v = hrr._as_vector(v, "probe")
+    if v.shape[0] != book.dim:
+        raise DimensionError(f"dimension mismatch: probe {v.shape[0]} vs codebook {book.dim}")
+    best_term = None
+    best_sim = -2.0
+    for term in book.terms:  # sorted; strict > keeps the first of any tie
+        sim = hrr.similarity(v, book.vector(term))
+        if sim > best_sim:
+            best_term, best_sim = term, sim
+    return best_term, best_sim
+
+
+@st.composite
+def cleanup_case(draw):
+    """A codebook and a probe: Gaussian noise, the sum of two unit entries
+    (a near-tie), a scaled or negated entry, or an unbinding decode. At dim
+    1 every cosine is exactly +1 or -1, so every entry ties with others."""
+    dim = draw(st.sampled_from([1, 8, 512]))
+    size = draw(st.integers(1, 300))
+    book = hrr.Codebook([f"c{i:03d}" for i in range(size)], dim=dim, seed=draw(st.integers(0, 999)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        return book.vector(book.terms[draw(st.integers(0, size - 1))])
+
+    kind = draw(st.sampled_from(["gaussian", "near-tie", "scaled", "negated", "decode"]))
+    if kind == "gaussian":
+        probe = rng.standard_normal(dim)
+    elif kind == "near-tie":
+        probe = unit(entry()) + unit(entry())
+    elif kind == "scaled":
+        probe = entry() * draw(st.sampled_from([1e-150, 1e-8, 0.5, 3.0, 1e8, 1e150]))
+    elif kind == "negated":
+        probe = -entry()
+    else:
+        x, y = entry(), entry()
+        probe = hrr.correlate(x, hrr.convolve(x, y))
+    return book, probe
 
 
 class TestRandomVector:
@@ -186,6 +233,14 @@ class TestCodebook:
         with pytest.raises(UnknownTermError):
             book.vector("b")
 
+    def test_vectors_are_the_regenerated_vectors_and_read_only(self):
+        book = hrr.Codebook(["woman", "wear", "clothing"], dim=64, seed=7)
+        for term in book.terms:
+            v = book.vector(term)
+            assert v.tobytes() == hrr.random_vector(7, 64, term=term).tobytes()
+            with pytest.raises(ValueError):
+                v[0] = 1.0
+
     def test_save_load_roundtrip(self, tmp_path):
         book = hrr.Codebook(["woman", "beach", "ball"], dim=128, seed=5)
         path = tmp_path / "demo.codebook"
@@ -225,6 +280,49 @@ class TestCleanup:
         book = hrr.Codebook([], dim=8, seed=1)
         with pytest.raises(EmptyCodebookError):
             hrr.cleanup(np.ones(8), book)
+
+    def test_zero_probe_rejected(self):
+        book = hrr.Codebook(["a", "b"], dim=8, seed=1)
+        with pytest.raises(ZeroVectorError):
+            hrr.cleanup(np.zeros(8), book)
+
+    def test_zero_entry_rejected(self, monkeypatch):
+        monkeypatch.setattr(hrr, "random_vector", lambda seed, dim, term=None: np.zeros(dim))
+        book = hrr.Codebook(["a", "b"], dim=8, seed=1)
+        with pytest.raises(ZeroVectorError):
+            hrr.cleanup(np.ones(8), book)
+
+    def test_malformed_probes_rejected(self):
+        book = hrr.Codebook(["a", "b"], dim=8, seed=1)
+        with pytest.raises(DimensionError):
+            hrr.cleanup(np.ones(4), book)
+        with pytest.raises(ValueError):
+            hrr.cleanup(np.full(8, np.nan), book)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cleanup_case())
+    def test_matches_reference_scan_exactly(self, case):
+        book, probe = case
+        try:
+            expected = reference_cleanup(probe, book)
+        except ZeroVectorError:  # e.g. two opposite entries summed at dim 1
+            with pytest.raises(ZeroVectorError):
+                hrr.cleanup(probe, book)
+            return
+        term, sim = hrr.cleanup(probe, book)
+        assert term == expected[0]
+        assert sim == expected[1]
+        assert sim.hex() == expected[1].hex()  # the sign of a zero too
+
+    def test_overflowing_probe_matches_reference_scan(self):
+        # some products overflow to inf / inf = nan; every entry is rescored
+        book = hrr.Codebook([f"c{i:03d}" for i in range(300)], dim=512, seed=3)
+        probe = np.full(512, 1e308)
+        with np.errstate(all="ignore"):
+            assert np.isnan(book._rows @ probe / np.inf).any()
+            term, sim = hrr.cleanup(probe, book)
+            expected = reference_cleanup(probe, book)
+        assert (term, sim.hex()) == (expected[0], expected[1].hex())
 
     def test_bulk_accuracy(self, frozen_bounds):
         book = hrr.Codebook([f"t{i:03d}" for i in range(100)], dim=512, seed=2024)

@@ -276,6 +276,21 @@ class TestGraphFile:
             load_graph(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_edge_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "bad.graph"
+        path.write_text(f"node sun entity\nnode sky entity\nedge sun sky related-to {weight}\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert err.value.line_no == 3
+
+    def test_zero_edge_weight_loads_without_statistics(self, tmp_path):
+        path = tmp_path / "bare.graph"
+        path.write_text("node sun entity\nnode sky entity\nedge sun sky related-to 0\n")
+        graph, dk = load_graph(path)
+        assert dk is None
+        assert [rec.weight for rec in graph.edges()] == [0.0]
+
     @pytest.mark.parametrize(
         "records, line_no",
         [
@@ -283,8 +298,9 @@ class TestGraphFile:
             (["freq sun 2", "freq sky 1", "freq moon 1"], 5),
             (["freq sun 2", "freq sky 1", "triple sun sky moon 1"], 5),
             (["freq sun 2", "freq sky 1", "triple sun sky sun 0"], 5),
+            (["edge sun sky related-to 0", "freq sun 2", "freq sky 1"], 3),
         ],
-        ids=["second-freq", "freq-undeclared", "triple-undeclared", "triple-zero"],
+        ids=["second-freq", "freq-undeclared", "triple-undeclared", "triple-zero", "edge-zero"],
     )
     def test_corrupt_statistics_name_line(self, tmp_path, records, line_no):
         path = tmp_path / "bad.graph"

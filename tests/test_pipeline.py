@@ -144,6 +144,13 @@ class TestRunPipeline:
         for check in diagnostics.decode_checks:
             assert check["recovered"] == check["expected"]
 
+    def test_demo_decode_checks_are_pinned(self):
+        _, _, diagnostics = run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        assert [(c["probe"], c["recovered"], c["similarity"]) for c in diagnostics.decode_checks] == [
+            ("woman*walk", "beach", float.fromhex("0x1.f964646725cc4p-2")),
+            ("woman*take", "ball", float.fromhex("0x1.182af16160ab3p-1")),
+        ]
+
     def test_walk_counter_counts_the_reference_paths(self, monkeypatch):
         generic_sets = []
         walk = blending.candidate_scores
