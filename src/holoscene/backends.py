@@ -1,67 +1,17 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation, for run records.
 
-Two implementations of the hot circular convolution/correlation kernels
-ship with the package:
-
-* ``c`` -- a compiled extension evaluating the direct sums (built at
-  install time when a compiler is available),
-* ``python`` -- a numpy FFT fallback that is always available.
-
-The default is the compiled backend when importable, otherwise the
-fallback. Set ``HOLOSCENE_BACKEND=python`` or ``HOLOSCENE_BACKEND=c`` to
-force one; forcing ``c`` without the extension raises at import.
+Circular convolution and correlation have one implementation, the real-FFT
+kernels in :mod:`holoscene.hrr`. These two functions remain because the
+benchmark's machine record (``perfbench/run.py``) reports them; nothing in
+the package imports this module.
 """
-
-import os
-
-from . import _kernels_py
-
-try:
-    from . import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-_BACKENDS = {"python": _kernels_py}
-if _kernels_c is not None:
-    _BACKENDS["c"] = _kernels_c
-
-
-def available():
-    """Names of the importable backends."""
-    return sorted(_BACKENDS)
-
-
-def get(name):
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown or unavailable backend {name!r}; available: {available()}")
-    return _BACKENDS[name]
-
-
-def use(name):
-    """Switch the active backend; returns the previous backend's name."""
-    global _active
-    previous = _active.NAME
-    _active = get(name)
-    return previous
 
 
 def current():
-    return _active.NAME
+    """Name of the kernel implementation in use."""
+    return "python"
 
 
-def _default():
-    forced = os.environ.get("HOLOSCENE_BACKEND", "").strip().lower()
-    if forced in ("", "auto"):
-        return _BACKENDS.get("c", _kernels_py)
-    return get(forced)
-
-
-_active = _default()
-
-
-def convolve(x, y):
-    return _active.convolve(x, y)
-
-
-def correlate(x, z):
-    return _active.correlate(x, z)
+def available():
+    """Names of the kernel implementations that ship with the package."""
+    return ["python"]

@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import blending, memory, ontology, pipeline
-from .errors import HolosceneError
+from .errors import HolosceneError, read_text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -82,7 +82,7 @@ def _cmd_build_ontology(args) -> int:
 
 def _cmd_imagine(args) -> int:
     config = _resolve_config(args)
-    text = Path(args.text_file).read_text(encoding="utf-8")
+    text = read_text(args.text_file)
     blend, script, diagnostics = pipeline.run_pipeline(
         config, text, ontology_path=args.ontology
     )

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text reader
+that raises one of them."""
+
+from pathlib import Path
 
 
 class HolosceneError(Exception):
@@ -58,10 +61,13 @@ class VocabularyGapError(HolosceneError, ValueError):
 
 
 class GraphFormatError(HolosceneError, ValueError):
-    """A graph/blend file could not be parsed; carries the line number."""
+    """A graph or blend file, a memory snapshot or an input text could not
+    be read or parsed; carries the file and, where one applies, the line
+    number (``line_no`` is ``None`` otherwise)."""
 
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = str(path) if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line_no = line_no
 
@@ -77,3 +83,14 @@ class StageError(HolosceneError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; bytes that are not UTF-8 raise
+    :class:`GraphFormatError` at their line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(path, line_no, f"not UTF-8 text: {exc.reason}") from None

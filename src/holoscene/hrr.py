@@ -3,7 +3,8 @@
 Concepts are carried by fixed-dimension real vectors. Structure is encoded
 by circular convolution (binding) and recovered by circular correlation
 (unbinding), with a cleanup step that maps noisy decode results back onto
-the nearest known concept vector.
+the nearest known concept vector. Convolution and correlation are
+O(n log n) via real FFTs, checked against the direct sums in the tests.
 
 Vectors are plain ``numpy.float64`` arrays. Entries are drawn i.i.d. from
 a zero-mean Gaussian with variance ``1/dim``, which puts the expected norm
@@ -25,7 +26,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import backends
 from .errors import DimensionError, EmptyCodebookError, UnknownTermError, ZeroVectorError
 
 Vector = NDArray[np.float64]
@@ -80,7 +80,8 @@ def convolve(x, y) -> Vector:
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
     _check_same_dim(x, y)
-    return backends.convolve(x, y)
+    n = x.shape[0]
+    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=n)
 
 
 def correlate(x, z) -> Vector:
@@ -92,7 +93,8 @@ def correlate(x, z) -> Vector:
     x = _as_vector(x, "x")
     z = _as_vector(z, "z")
     _check_same_dim(x, z)
-    return backends.correlate(x, z)
+    n = x.shape[0]
+    return np.fft.irfft(np.conj(np.fft.rfft(x)) * np.fft.rfft(z), n=n)
 
 
 def superpose(vectors: Sequence[Vector]) -> Vector:

@@ -17,7 +17,13 @@ from enum import Enum
 import numpy as np
 
 from . import hrr
-from .errors import StaleSignalError, TimeTravelError, UnknownTermError
+from .errors import (
+    GraphFormatError,
+    StaleSignalError,
+    TimeTravelError,
+    UnknownTermError,
+    read_text,
+)
 
 
 class Level(str, Enum):
@@ -320,37 +326,44 @@ class HolographicMemory:
 
     @classmethod
     def load(cls, path) -> "HolographicMemory":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        mem = cls(
-            dim=data["dim"],
-            seed=data["seed"],
-            time_window=data["time_window"],
-            prune_threshold=data["prune_threshold"],
-            match_threshold=data["match_threshold"],
-            base_decay=data["base_decay"],
-            base_intensity=data["base_intensity"],
-        )
-        mem.clock = data["clock"]
-        mem._counter = data["counter"]
-        for rec in data["nodes"]:
-            node = ConceptNode(
-                id=rec["id"],
-                level=Level(rec["level"]),
-                vector=np.array(rec["vector"], dtype=np.float64),
-                base_intensity=rec["base_intensity"],
-                assembly_parents=set(rec["assembly_parents"]),
-                assembly_members=list(rec["assembly_members"]),
-                connection_count=rec["connection_count"],
+        """Read a snapshot written by :meth:`save`. Text that is not UTF-8
+        or not JSON, and a missing key, raise :class:`GraphFormatError`."""
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(path, exc.lineno, f"not a JSON snapshot: {exc.msg}") from None
+        try:
+            mem = cls(
+                dim=data["dim"],
+                seed=data["seed"],
+                time_window=data["time_window"],
+                prune_threshold=data["prune_threshold"],
+                match_threshold=data["match_threshold"],
+                base_decay=data["base_decay"],
+                base_intensity=data["base_intensity"],
             )
-            node.signatures = [
-                Signature(
-                    vector=np.array(s["vector"], dtype=np.float64),
-                    recorded_at=s["recorded_at"],
-                    initial_intensity=s["initial_intensity"],
-                    decay_time=s["decay_time"],
+            mem.clock = data["clock"]
+            mem._counter = data["counter"]
+            for rec in data["nodes"]:
+                node = ConceptNode(
+                    id=rec["id"],
+                    level=Level(rec["level"]),
+                    vector=np.array(rec["vector"], dtype=np.float64),
+                    base_intensity=rec["base_intensity"],
+                    assembly_parents=set(rec["assembly_parents"]),
+                    assembly_members=list(rec["assembly_members"]),
+                    connection_count=rec["connection_count"],
                 )
-                for s in rec["signatures"]
-            ]
-            mem.nodes[node.id] = node
+                node.signatures = [
+                    Signature(
+                        vector=np.array(s["vector"], dtype=np.float64),
+                        recorded_at=s["recorded_at"],
+                        initial_intensity=s["initial_intensity"],
+                        decay_time=s["decay_time"],
+                    )
+                    for s in rec["signatures"]
+                ]
+                mem.nodes[node.id] = node
+        except KeyError as exc:
+            raise GraphFormatError(path, None, f"snapshot lacks key {exc.args[0]!r}") from None
         return mem

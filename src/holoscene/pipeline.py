@@ -84,6 +84,15 @@ _FLOAT_KEYS = {"threshold", "base_decay", "prune_threshold", "match_threshold", 
 _PATH_KEYS = {"objects_path", "values_path", "functions_path", "rules_path"}
 
 
+def _number(kind, value: str, name: str):
+    """``kind(value)``, or a :class:`ConfigError` that says what ``name`` must be."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, not {value!r}") from None
+
+
 def load_config(path) -> PipelineConfig:
     """key = value file; unknown keys are rejected."""
     overrides = {}
@@ -95,9 +104,9 @@ def load_config(path) -> PipelineConfig:
         if eq != "=":
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
         if key in _INT_KEYS:
-            overrides[key] = int(value)
+            overrides[key] = _number(int, value, f"{path}:{line_no}: {key}")
         elif key in _FLOAT_KEYS:
-            overrides[key] = float(value)
+            overrides[key] = _number(float, value, f"{path}:{line_no}: {key}")
         elif key == "relations":
             overrides[key] = tuple(r.strip() for r in value.split(",") if r.strip()) or None
         elif key in _PATH_KEYS:
@@ -112,7 +121,7 @@ def apply_env_overrides(config: PipelineConfig, environ=None) -> PipelineConfig:
     env = os.environ if environ is None else environ
     updates = {}
     if env.get(ENV_SEED):
-        updates["seed"] = int(env[ENV_SEED])
+        updates["seed"] = _number(int, env[ENV_SEED], ENV_SEED)
     for var, key in ((ENV_OBJECTS, "objects_path"), (ENV_VALUES, "values_path"),
                      (ENV_FUNCTIONS, "functions_path")):
         if env.get(var):

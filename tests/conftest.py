@@ -3,19 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from holoscene import backends
-
 DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")
 def frozen_bounds():
     return json.loads((DATA / "frozen_bounds.json").read_text())
-
-
-@pytest.fixture(params=backends.available())
-def each_backend(request):
-    """Run the decorated test once per importable kernel backend."""
-    previous = backends.use(request.param)
-    yield request.param
-    backends.use(previous)

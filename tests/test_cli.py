@@ -140,6 +140,40 @@ class TestImagine:
         code = main(["imagine", "/nowhere/story.txt", "--ontology", str(built_graph)])
         assert code == 1
 
+    def test_non_utf8_text_reports_file_and_line(self, tmp_path, capsys):
+        text = tmp_path / "story.txt"
+        text.write_bytes(b"A woman walks on the beach.\nThe blue ball \xff was left.\n")
+        code = main(["imagine", str(text), "--ontology", str(DEMO / "demo.graph")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "story.txt:2: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [("dim = abc", "dim must be an integer, not 'abc'"),
+         ("mix = half", "mix must be a number, not 'half'")],
+        ids=["int", "float"],
+    )
+    def test_unparseable_config_value_reports_file_and_line(self, tmp_path, capsys, record, message):
+        config = tmp_path / "bad.config"
+        config.write_text(f"# holoscene config\n{record}\n")
+        code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+                     "-o", str(tmp_path / "s.json"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}:2: {message}" in err
+        assert "Traceback" not in err
+
+    def test_unparseable_seed_variable_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOLOSCENE_SEED", "x")
+        code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+                     "-o", str(tmp_path / "s.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: HOLOSCENE_SEED must be an integer, not 'x'" in err
+        assert "Traceback" not in err
+
 
 class TestInspectAndDot:
     def test_inspect_memory(self, built_graph, tmp_path, capsys):
@@ -161,6 +195,21 @@ class TestInspectAndDot:
         out = capsys.readouterr().out
         assert "clock 2" in out
         assert "sensory" in out and "primary" in out
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [(b'{\n  "dim": 512,\n  oops\n}\n', "snap.json:3: not a JSON snapshot"),
+         (b'{"dim": 512}\n', "snap.json: snapshot lacks key 'seed'"),
+         (b'{\n  "dim": "\xff"\n}\n', "snap.json:2: not UTF-8 text")],
+        ids=["not-json", "missing-key", "not-utf8"],
+    )
+    def test_corrupt_snapshot_reports_file(self, tmp_path, capsys, content, where):
+        snap = tmp_path / "snap.json"
+        snap.write_bytes(content)
+        assert main(["inspect-memory", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
 
     def test_export_dot_graph_and_blend(self, built_graph, tmp_path, capsys):
         blend = tmp_path / "demo.blend"

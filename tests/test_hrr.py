@@ -1,14 +1,14 @@
 """Vector algebra tests.
 
 The convolution/correlation oracle is a direct evaluation of the defining
-sums with explicit modular indexing, kept separate from both shipped
-kernels. The cleanup oracle, ``reference_cleanup``, is the term-by-term
-similarity scan that the stacked-matrix cleanup must reproduce exactly.
+sums with explicit modular indexing, kept separate from the FFT kernels.
+The cleanup oracle, ``reference_cleanup``, is the term-by-term similarity
+scan that the stacked-matrix cleanup must reproduce exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoscene import hrr
 from holoscene.errors import (
@@ -111,16 +111,16 @@ class TestRandomVector:
 
 
 class TestConvolve:
-    def test_hand_example(self, each_backend):
+    def test_hand_example(self):
         z = hrr.convolve([1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
         np.testing.assert_allclose(z, [0.0, 1.0, 2.0, 0.0], atol=1e-12)
 
-    def test_delta_is_identity(self, each_backend):
+    def test_delta_is_identity(self):
         y = hrr.random_vector(11, 64)
         np.testing.assert_allclose(hrr.convolve(hrr.delta(64), y), y, atol=1e-9)
 
     @pytest.mark.parametrize("dim", [4, 8, 512])
-    def test_matches_direct_sum(self, each_backend, dim):
+    def test_matches_direct_sum(self, dim):
         x = hrr.random_vector(1, dim, term="x")
         y = hrr.random_vector(2, dim, term="y")
         np.testing.assert_allclose(hrr.convolve(x, y), direct_convolve(x, y), atol=1e-9)
@@ -130,7 +130,7 @@ class TestConvolve:
             hrr.convolve(hrr.random_vector(1, 8), hrr.random_vector(1, 4))
 
     @pytest.mark.parametrize("dim", [4, 8, 64])
-    def test_commutative_associative_distributive(self, each_backend, dim):
+    def test_commutative_associative_distributive(self, dim):
         a = hrr.random_vector(5, dim, term="a")
         b = hrr.random_vector(5, dim, term="b")
         c = hrr.random_vector(5, dim, term="c")
@@ -146,16 +146,16 @@ class TestConvolve:
 
 
 class TestCorrelate:
-    def test_hand_example(self, each_backend):
+    def test_hand_example(self):
         y = hrr.correlate([0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0])
         np.testing.assert_allclose(y, [1.0, 2.0, 0.0, 0.0], atol=1e-12)
 
-    def test_delta_left_identity(self, each_backend):
+    def test_delta_left_identity(self):
         z = hrr.random_vector(9, 64)
         np.testing.assert_allclose(hrr.correlate(hrr.delta(64), z), z, atol=1e-9)
 
     @pytest.mark.parametrize("dim", [4, 8, 512])
-    def test_matches_direct_sum(self, each_backend, dim):
+    def test_matches_direct_sum(self, dim):
         x = hrr.random_vector(3, dim, term="x")
         z = hrr.random_vector(4, dim, term="z")
         np.testing.assert_allclose(hrr.correlate(x, z), direct_correlate(x, z), atol=1e-9)
@@ -173,6 +173,21 @@ class TestCorrelate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             hrr.correlate(hrr.random_vector(1, 8), hrr.random_vector(1, 16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 128), seed=st.integers(0, 2**32 - 1))
+@example(dim=1, seed=0)
+@example(dim=3, seed=0)
+@example(dim=7, seed=0)
+@example(dim=97, seed=0)
+@example(dim=127, seed=0)
+def test_fft_matches_direct_sums_at_every_dim(dim, seed):
+    # odd dims need irfft(..., n=n): rfft keeps n // 2 + 1 terms either way
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    np.testing.assert_allclose(hrr.convolve(x, y), direct_convolve(x, y), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hrr.correlate(x, y), direct_correlate(x, y), rtol=0, atol=1e-9)
 
 
 class TestSuperpose:
