@@ -19,12 +19,10 @@ Typical use::
 from .blending import (
     BlendedSpace,
     GenericSpace,
-    VitalRelation,
     confabulate,
     decode_probe,
     encode_subgraph,
     generic_space,
-    renormalize,
     transition_probability,
 )
 from .hrr import Codebook, cleanup, convolve, correlate, random_vector, similarity, superpose
@@ -64,7 +62,6 @@ __all__ = [
     "TermObjectMap",
     "UniversalStructure",
     "ValueMap",
-    "VitalRelation",
     "build_from_corpus",
     "build_mental_space",
     "cleanup",
@@ -82,7 +79,6 @@ __all__ = [
     "parse_text",
     "plan_scenario",
     "random_vector",
-    "renormalize",
     "run_pipeline",
     "save_graph",
     "similarity",

@@ -1,5 +1,5 @@
 """Blending: shared structure across mental spaces, holographic subgraph
-coding, vital-relation compression, and graph confabulation.
+coding, and graph confabulation.
 
 Confabulation pulls unmentioned concepts into the blend. A candidate d is
 scored by the product, over the generic-space terms g, of the probability
@@ -34,16 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import hrr
-from .errors import GraphFormatError, UnknownTermError
-from .lexicon import default_lexicon
-from .ontology import DkStatistics, OntologyGraph
+from .errors import GraphFormatError, UnknownTermError, read_text
+from .ontology import DkStatistics, OntologyGraph, _graph_records
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -51,18 +49,6 @@ EXPANDED = "expanded"
 CONFABULATED = "confabulated"
 
 DOT_COLORS = {ANCHORED: "yellow", EXPANDED: "red", CONFABULATED: "blue"}
-
-
-class VitalRelation(str, Enum):
-    TIME = "Time"
-    SPACE = "Space"
-    IDENTITY = "Identity"
-    ROLE = "Role"
-    CAUSE_EFFECT = "Cause-Effect"
-    CHANGE = "Change"
-    INTENTIONALITY = "Intentionality"
-    REPRESENTATIONS = "Representations"
-    ATTRIBUTES = "Attributes"
 
 
 @dataclass(frozen=True)
@@ -128,27 +114,6 @@ def decode_probe(trace, probe, book: hrr.Codebook):
     """Unbind ``probe`` from ``trace`` and clean the result up against the
     codebook; returns (term, similarity)."""
     return hrr.cleanup(hrr.correlate(probe, trace), book)
-
-
-def renormalize(fragment: OntologyGraph, vital_map: dict | None = None) -> OntologyGraph:
-    """Compress a fragment down to its vital relations.
-
-    Keeps only edges whose label maps to a vital relation and drops any
-    node left without edges. Idempotent by construction.
-    """
-    if vital_map is None:
-        vital_map = default_lexicon().vital_map
-    for label, name in vital_map.items():
-        if name not in VitalRelation._value2member_map_:
-            raise ValueError(f"{label!r} maps to unknown vital relation {name!r}")
-    out = OntologyGraph()
-    kept = [rec for rec in fragment.edges() if rec.label in vital_map]
-    for rec in kept:
-        for term in (rec.src, rec.dst):
-            out.add_node(term, fragment.nodes[term])
-    for rec in kept:
-        out.add_edge(rec.src, rec.dst, rec.label, rec.weight)
-    return out
 
 
 # -- dK walk scoring -----------------------------------------------------------
@@ -423,11 +388,7 @@ def absorb_anchored(blend: BlendedSpace, anchored, graph: OntologyGraph) -> Blen
 def save_blend(blend: BlendedSpace, path) -> None:
     """Graph-format file with extra ``score <term> <value> <provenance>``
     records."""
-    lines = ["# holoscene blend v1"]
-    for term in sorted(blend.subgraph.nodes):
-        lines.append(f"node {term} {blend.subgraph.nodes[term]}")
-    for rec in blend.subgraph.edges():
-        lines.append(f"edge {rec.src} {rec.dst} {rec.label} {rec.weight:g}")
+    lines = ["# holoscene blend v1", *_graph_records(blend.subgraph)]
     for term in sorted(blend.scores):
         lines.append(f"score {term} {blend.scores[term]!r} {blend.provenance[term]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -438,7 +399,7 @@ def load_blend(path) -> BlendedSpace:
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
     edge_lines = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -119,7 +119,7 @@ def _cmd_inspect_memory(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    head = Path(args.input_file).read_text(encoding="utf-8").splitlines()[:1]
+    head = read_text(args.input_file).splitlines()[:1]
     is_blend = bool(head) and "blend" in head[0]
     if is_blend:
         dot = blending.blend_to_dot(blending.load_blend(args.input_file))

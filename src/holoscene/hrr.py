@@ -123,8 +123,7 @@ def similarity(x, y) -> float:
 class Codebook:
     """Immutable map from concept ids to their random vectors.
 
-    Vectors are regenerated from ``(seed, dim, term)`` on construction;
-    serialization therefore stores only the header and the term list.
+    Vectors are regenerated from ``(seed, dim, term)`` on construction.
     Row ``i`` of the read-only matrix ``_rows`` is the vector of
     ``terms[i]``; :meth:`vector` returns a view of that row.
     """
@@ -162,34 +161,6 @@ class Codebook:
             return self._vectors[term]
         except KeyError:
             raise UnknownTermError(f"term not in codebook: {term!r}", [term]) from None
-
-    def save(self, path) -> None:
-        lines = [f"dim {self.dim}", f"seed {self.seed}"]
-        lines += [f"term {t}" for t in self.terms]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Codebook":
-        dim = seed = None
-        terms = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition(" ")
-                if key == "dim":
-                    dim = int(value)
-                elif key == "seed":
-                    seed = int(value)
-                elif key == "term":
-                    terms.append(value)
-                else:
-                    raise ValueError(f"unknown codebook record: {line!r}")
-        if dim is None or seed is None:
-            raise ValueError("codebook file lacks dim/seed header")
-        return cls(terms, dim=dim, seed=seed)
 
 
 def cleanup(v, book: Codebook) -> tuple[str, float]:

@@ -2,9 +2,8 @@
 sentence parser.
 
 All lexica are plain text files shipped as package data: stop-words, a
-verb lemma table, adjectives with their attribute types, gendered nouns,
-relation patterns and the relation-label -> vital-relation table. Callers
-may point any of them at their own files.
+verb lemma table, adjectives with their attribute types, gendered nouns
+and relation patterns. Callers may point any of them at their own files.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+
+from .errors import read_text
 
 _TOKEN_RE = re.compile(r"[a-z']+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -38,7 +39,6 @@ class Lexicon:
     adjectives: dict  # word -> attribute type
     genders: dict  # noun -> gender marker
     relation_patterns: tuple  # (compiled pattern, surface, label), longest first
-    vital_map: dict  # relation label -> vital relation name
 
     def is_verb(self, token: str) -> bool:
         return token in self.verb_lemmas
@@ -85,7 +85,7 @@ def _data_path(name: str) -> Path:
 
 def _read_lines(path) -> list:
     lines = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             lines.append(line)
@@ -137,7 +137,7 @@ def compile_patterns(lexicon: dict) -> tuple:
 
 
 def load_lexicon(
-    stopwords=None, verbs=None, adjectives=None, genders=None, relations=None, vital=None
+    stopwords=None, verbs=None, adjectives=None, genders=None, relations=None
 ) -> Lexicon:
     return Lexicon(
         stopwords=load_stopwords(stopwords or _data_path("stopwords.txt")),
@@ -145,7 +145,6 @@ def load_lexicon(
         adjectives=load_word_map(adjectives or _data_path("adjectives.txt")),
         genders=load_word_map(genders or _data_path("genders.txt")),
         relation_patterns=load_relation_patterns(relations or _data_path("relations.txt")),
-        vital_map=load_word_map(vital or _data_path("vital_relations.txt")),
     )
 
 

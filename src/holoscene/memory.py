@@ -327,7 +327,8 @@ class HolographicMemory:
     @classmethod
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`. Text that is not UTF-8
-        or not JSON, and a missing key, raise :class:`GraphFormatError`."""
+        or not JSON, a missing key and a value of the wrong kind raise
+        :class:`GraphFormatError`."""
         try:
             data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
@@ -366,4 +367,6 @@ class HolographicMemory:
                 mem.nodes[node.id] = node
         except KeyError as exc:
             raise GraphFormatError(path, None, f"snapshot lacks key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise GraphFormatError(path, None, f"bad snapshot value: {exc}") from None
         return mem

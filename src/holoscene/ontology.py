@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from pathlib import Path
 
-from .errors import GraphFormatError, UnknownTermError, UnmappedTermError
+from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_text
 from .lexicon import Lexicon, _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 
 GENERIC_RELATION = "related-to"
@@ -256,7 +256,6 @@ def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | No
 class Expansion:
     anchored: frozenset
     expanded: frozenset
-    subgraph: OntologyGraph
 
     @property
     def reached(self) -> frozenset:
@@ -295,16 +294,12 @@ def expand(
             break
         reached |= nxt
         frontier = nxt
-    return Expansion(
-        anchored=frozenset(anchors),
-        expanded=frozenset(reached - anchors),
-        subgraph=graph.induced(reached),
-    )
+    return Expansion(anchored=frozenset(anchors), expanded=frozenset(reached - anchors))
 
 
 def load_rewrite_rules(path) -> dict:
     rules: dict[str, list] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -337,7 +332,7 @@ class TermObjectMap:
     @classmethod
     def load(cls, path) -> "TermObjectMap":
         entries = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in read_text(path).splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -366,7 +361,7 @@ class ValueMap:
     @classmethod
     def load(cls, path) -> "ValueMap":
         entries = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in read_text(path).splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -378,14 +373,18 @@ class ValueMap:
 # -- graph file format ---------------------------------------------------------
 
 
+def _graph_records(graph: OntologyGraph) -> list:
+    """The ``node`` and ``edge`` lines of ``graph``, shared by the graph and
+    blend files."""
+    lines = [f"node {term} {graph.nodes[term]}" for term in sorted(graph.nodes)]
+    lines += [f"edge {rec.src} {rec.dst} {rec.label} {rec.weight:g}" for rec in graph.edges()]
+    return lines
+
+
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
     """Line-oriented graph file: node/edge records plus optional freq and
     triple records carrying the word statistics."""
-    lines = ["# holoscene graph v1"]
-    for term in sorted(graph.nodes):
-        lines.append(f"node {term} {graph.nodes[term]}")
-    for rec in graph.edges():
-        lines.append(f"edge {rec.src} {rec.dst} {rec.label} {rec.weight:g}")
+    lines = ["# holoscene graph v1", *_graph_records(graph)]
     if dk is not None:
         for term in sorted(dk.k1):
             lines.append(f"freq {term} {dk.k1[term]:g}")
@@ -396,7 +395,7 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
 
 def _first_record(path, kind: str, terms) -> int:
     """Line number of the first ``kind`` record that names one of ``terms``."""
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         fields = raw.split()
         if fields and fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
             return line_no
@@ -417,7 +416,7 @@ def load_graph(path):
     freq: dict[str, float] = {}
     k3: dict[tuple, float] = {}
     edge_lines = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue

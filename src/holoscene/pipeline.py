@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import blending, hrr, memory, ontology, scenario, textfilter
-from .errors import ConfigError, HolosceneError, StageError
+from .errors import ConfigError, HolosceneError, StageError, read_text
 from .lexicon import default_lexicon
 
 _DEMO_DIR = Path(__file__).parent / "data" / "demo"
@@ -96,7 +96,7 @@ def _number(kind, value: str, name: str):
 def load_config(path) -> PipelineConfig:
     """key = value file; unknown keys are rejected."""
     overrides = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -176,7 +176,7 @@ def read_corpus_dir(corpus_dir) -> list:
     paths = sorted(p for p in Path(corpus_dir).iterdir() if p.is_file())
     if not paths:
         raise HolosceneError(f"corpus directory {corpus_dir} has no files")
-    return [p.read_text(encoding="utf-8") for p in paths]
+    return [read_text(p) for p in paths]
 
 
 def build_ontology(corpus_dir, lexicon=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blending import BlendedSpace
-from .errors import UnmappedTermError
+from .errors import UnmappedTermError, read_text
 from .lexicon import Lexicon, default_lexicon
 from .ontology import TermObjectMap, ValueMap
 
@@ -32,7 +32,7 @@ class ActorFunction:
 def load_actor_functions(path) -> dict:
     """Parse a functions file: ``name arg:type,arg:type -> out:type``."""
     functions = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -26,7 +26,7 @@ Parsing rules, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnparseableSentenceError, VocabularyGapError
 from .lexicon import (
@@ -241,14 +241,13 @@ def parse_text(
 
 @dataclass(frozen=True)
 class MentalSpace:
-    """Per-sentence packet: the parsed frame, its terms anchored in the
-    ontology, and the neighborhood pulled in around them."""
+    """Per-clause packet: the parsed frame, its terms anchored in the
+    ontology, and the terms of the neighborhood pulled in around them."""
 
     sentence_index: int
     structure: UniversalStructure
     anchored: frozenset
     expanded: frozenset
-    subgraph: OntologyGraph = field(compare=False)
 
     @property
     def terms(self) -> frozenset:
@@ -274,5 +273,4 @@ def build_mental_space(
         structure=structure,
         anchored=expansion.anchored,
         expanded=expansion.expanded,
-        subgraph=expansion.subgraph,
     )

@@ -17,7 +17,6 @@ from holoscene import blending, hrr
 from holoscene.blending import (
     BlendedSpace,
     GenericSpace,
-    VitalRelation,
     absorb_anchored,
     blend_to_dot,
     candidate_scores,
@@ -27,7 +26,6 @@ from holoscene.blending import (
     generic_space,
     load_blend,
     reach_scores,
-    renormalize,
     save_blend,
     transition_probability,
 )
@@ -193,7 +191,6 @@ def space(index, anchored, expanded=()):
         structure=UniversalStructure(action="walk"),
         anchored=frozenset(anchored),
         expanded=frozenset(expanded),
-        subgraph=OntologyGraph(),
     )
 
 
@@ -286,59 +283,6 @@ class TestHolographicCoding:
             hit += got == b
         assert hit / 1000 > 0.95
         assert hit / 1000 == frozen_bounds["path_decode_50"]["accuracy"]
-
-
-class TestRenormalize:
-    def build(self, edges):
-        graph = OntologyGraph()
-        for a, b, label in edges:
-            graph.add_node(a)
-            graph.add_node(b)
-        for a, b, label in edges:
-            graph.add_edge(a, b, label, 1)
-        return graph
-
-    def test_generic_edges_vanish(self):
-        fragment = self.build([("sun", "sky", "related-to"), ("sky", "sea", "related-to")])
-        out = renormalize(fragment)
-        assert len(out) == 0 and not out.edges()
-
-    def test_vital_edges_survive(self):
-        fragment = self.build(
-            [("hand", "body", "part-of"), ("woman", "clothing", "wears"), ("sun", "sky", "related-to")]
-        )
-        out = renormalize(fragment)
-        assert set(out.nodes) == {"hand", "body", "woman", "clothing"}
-        assert {rec.label for rec in out.edges()} == {"part-of", "wears"}
-
-    def test_idempotent(self):
-        fragment = self.build(
-            [("hand", "body", "part-of"), ("sun", "sky", "related-to"), ("a", "b", "is-a")]
-        )
-        once = renormalize(fragment)
-        twice = renormalize(once)
-        assert twice.nodes == once.nodes
-        assert [(r.src, r.dst, r.label) for r in twice.edges()] == [
-            (r.src, r.dst, r.label) for r in once.edges()
-        ]
-
-    def test_unknown_vital_name_rejected(self):
-        fragment = self.build([("a", "b", "foo")])
-        with pytest.raises(ValueError):
-            renormalize(fragment, {"foo": "NotVital"})
-
-    def test_vital_enumeration_is_closed(self):
-        assert {v.value for v in VitalRelation} == {
-            "Time",
-            "Space",
-            "Identity",
-            "Role",
-            "Cause-Effect",
-            "Change",
-            "Intentionality",
-            "Representations",
-            "Attributes",
-        }
 
 
 class TestTransitionProbability:

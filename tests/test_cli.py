@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from holoscene.cli import main
+from holoscene.memory import HolographicMemory
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
 
@@ -211,6 +212,26 @@ class TestInspectAndDot:
         assert where in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("level", "bogus"), ("vector", ["x"]), ("nodes", 3)],
+        ids=["level", "vector", "nodes"],
+    )
+    def test_snapshot_value_of_wrong_kind_reports_file(self, tmp_path, capsys, field, value):
+        mem = HolographicMemory(dim=8)
+        mem.observe({("woman", 0)})
+        snapshot = mem.snapshot()
+        if field == "nodes":
+            snapshot["nodes"] = value
+        else:
+            snapshot["nodes"][0][field] = value
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(snapshot))
+        assert main(["inspect-memory", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {snap}: bad snapshot value" in err
+        assert "Traceback" not in err
+
     def test_export_dot_graph_and_blend(self, built_graph, tmp_path, capsys):
         blend = tmp_path / "demo.blend"
         main(
@@ -235,3 +256,61 @@ class TestInspectAndDot:
         assert main(["export-dot", str(built_graph)]) == 0
         out = capsys.readouterr().out
         assert "graph ontology {" in out
+
+
+def _spoiled(source, path, line_no):
+    """Copy ``source`` to ``path`` with a 0xff byte opening line ``line_no``."""
+    lines = Path(source).read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    Path(path).write_bytes(b"".join(lines))
+    return str(path)
+
+
+def _config_case(tmp, monkeypatch):
+    config = _spoiled(DEMO / "demo.config", tmp / "bad.config", 2)
+    return ["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+            "-o", str(tmp / "s.json"), "--config", config], "bad.config:2:"
+
+
+def _imagine_graph_case(tmp, monkeypatch):
+    graph = _spoiled(DEMO / "demo.graph", tmp / "bad.graph", 7)
+    return ["imagine", str(DEMO / "demo.txt"), "--ontology", graph,
+            "-o", str(tmp / "s.json")], "bad.graph:7:"
+
+
+def _dot_graph_case(tmp, monkeypatch):
+    return ["export-dot", _spoiled(DEMO / "demo.graph", tmp / "bad.graph", 7)], "bad.graph:7:"
+
+
+def _blend_case(tmp, monkeypatch):
+    blend = tmp / "bad.blend"
+    blend.write_bytes(b"# holoscene blend v1\nnode ball entity\nnode \xff entity\n")
+    return ["export-dot", str(blend)], "bad.blend:3:"
+
+
+def _objects_case(tmp, monkeypatch):
+    monkeypatch.setenv("HOLOSCENE_OBJECTS", _spoiled(DEMO / "demo.objects", tmp / "bad.objects", 4))
+    return ["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+            "-o", str(tmp / "s.json")], "bad.objects:4:"
+
+
+def _corpus_case(tmp, monkeypatch):
+    corpus = tmp / "corpus"
+    corpus.mkdir()
+    for doc in sorted((DEMO / "corpus").iterdir()):
+        (corpus / doc.name).write_bytes(doc.read_bytes())
+    _spoiled(DEMO / "corpus" / "scene.txt", corpus / "scene.txt", 2)
+    return ["build-ontology", str(corpus), "-o", str(tmp / "out.graph")], "scene.txt:2:"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_config_case, _imagine_graph_case, _dot_graph_case, _blend_case, _objects_case, _corpus_case],
+    ids=["config", "imagine-graph", "export-dot-graph", "blend", "objects", "corpus"],
+)
+def test_input_that_is_not_utf8_reports_file_and_line(tmp_path, capsys, monkeypatch, case):
+    argv, where = case(tmp_path, monkeypatch)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{where} not UTF-8 text" in err
+    assert "Traceback" not in err

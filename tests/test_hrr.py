@@ -256,16 +256,6 @@ class TestCodebook:
             with pytest.raises(ValueError):
                 v[0] = 1.0
 
-    def test_save_load_roundtrip(self, tmp_path):
-        book = hrr.Codebook(["woman", "beach", "ball"], dim=128, seed=5)
-        path = tmp_path / "demo.codebook"
-        book.save(path)
-        again = hrr.Codebook.load(path)
-        assert again.terms == book.terms
-        assert again.dim == book.dim and again.seed == book.seed
-        for term in book.terms:
-            assert again.vector(term).tobytes() == book.vector(term).tobytes()
-
 
 class TestCleanup:
     def test_exact_entry(self):

@@ -7,9 +7,17 @@ from pathlib import Path
 import pytest
 
 from holoscene import blending
-from holoscene.errors import ConfigError, HolosceneError, StageError
+from holoscene.blending import load_blend
+from holoscene.errors import ConfigError, GraphFormatError, HolosceneError, StageError
+from holoscene.lexicon import load_lexicon
 from holoscene.memory import HolographicMemory
-from holoscene.ontology import load_graph
+from holoscene.ontology import (
+    OntologyGraph,
+    TermObjectMap,
+    ValueMap,
+    load_graph,
+    load_rewrite_rules,
+)
 from holoscene.pipeline import (
     ENV_SEED,
     PipelineConfig,
@@ -19,6 +27,7 @@ from holoscene.pipeline import (
     read_corpus_dir,
     run_pipeline,
 )
+from holoscene.scenario import load_actor_functions
 
 from test_blending import reference_reach
 
@@ -169,6 +178,18 @@ class TestRunPipeline:
         assert len(generic_sets) == 1
         assert diagnostics.counts["walk_paths"] == len(paths) == 3441
 
+    def test_only_the_blend_builds_a_subgraph(self, monkeypatch):
+        calls = []
+        induced = OntologyGraph.induced
+
+        def counting(graph, terms):
+            calls.append(len(graph))
+            return induced(graph, terms)
+
+        monkeypatch.setattr(OntologyGraph, "induced", counting)
+        run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        assert len(calls) == 2  # confabulate, then absorb_anchored
+
     def test_memory_observes_each_clause(self, tmp_path):
         _, _, diagnostics = run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
         mem = diagnostics.memory
@@ -215,3 +236,26 @@ class TestCorpusDir:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(HolosceneError):
             read_corpus_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        load_config,
+        lambda path: read_corpus_dir(path.parent),
+        load_graph,
+        load_rewrite_rules,
+        TermObjectMap.load,
+        ValueMap.load,
+        load_blend,
+        load_actor_functions,
+        lambda path: load_lexicon(stopwords=path),
+    ],
+    ids=["config", "corpus", "graph", "rules", "objects", "values", "blend", "functions",
+         "lexicon"],
+)
+def test_every_reader_names_the_line_that_is_not_utf8(tmp_path, read):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# first line\nterm \xff\n")
+    with pytest.raises(GraphFormatError, match="input.txt:2: not UTF-8 text"):
+        read(path)
