@@ -62,9 +62,10 @@ class VocabularyGapError(HolosceneError, ValueError):
 
 class GraphFormatError(HolosceneError, ValueError):
     """An input file (a graph or blend file, a memory snapshot, an input
-    text, or any file that is not UTF-8) could not be read or parsed;
-    carries the file and, where one applies, the line number (``line_no``
-    is ``None`` otherwise)."""
+    text, a lexicon, rewrite-rule, object, value or function file, or any
+    file that is not UTF-8) could not be read or parsed; carries the file
+    and, where one applies, the line number (``line_no`` is ``None``
+    otherwise)."""
 
     def __init__(self, path, line_no, message):
         where = str(path) if line_no is None else f"{path}:{line_no}"

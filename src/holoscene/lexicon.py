@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import read_text
+from .errors import GraphFormatError, read_text
 
 _TOKEN_RE = re.compile(r"[a-z']+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -84,24 +84,26 @@ def _data_path(name: str) -> Path:
 
 
 def _read_lines(path) -> list:
+    """``(line number, stripped line)`` for each line of ``path`` that is
+    neither blank nor a ``#`` comment."""
     lines = []
-    for raw in read_text(path).splitlines():
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            lines.append(line)
+            lines.append((line_no, line))
     return lines
 
 
 def load_stopwords(path) -> frozenset:
     words = set()
-    for line in _read_lines(path):
+    for _, line in _read_lines(path):
         words.update(line.split())
     return frozenset(words)
 
 
 def load_verbs(path) -> dict:
     lemmas = {}
-    for line in _read_lines(path):
+    for _, line in _read_lines(path):
         forms = line.split()
         for form in forms:
             lemmas[form] = forms[0]
@@ -110,19 +112,21 @@ def load_verbs(path) -> dict:
 
 def load_word_map(path) -> dict:
     out = {}
-    for line in _read_lines(path):
-        word, value = line.split(None, 1)
-        out[word] = value.strip()
+    for line_no, line in _read_lines(path):
+        fields = line.split(None, 1)
+        if len(fields) != 2:
+            raise GraphFormatError(path, line_no, f"expected a word and its value, got {line!r}")
+        out[fields[0]] = fields[1]
     return out
 
 
 def load_relation_patterns(path) -> tuple:
     patterns = []
-    for line in _read_lines(path):
+    for line_no, line in _read_lines(path):
         surface, _, label = line.partition("->")
         surface, label = surface.strip(), label.strip()
         if not surface or not label:
-            raise ValueError(f"bad relation pattern line: {line!r}")
+            raise GraphFormatError(path, line_no, f"expected 'pattern -> label', got {line!r}")
         patterns.append((surface, label))
     return compile_patterns(dict(patterns))
 

@@ -5,6 +5,15 @@ whose intensity decays exponentially, get reinforced when they take part
 in new assemblies, and vanish once every signature has faded below a
 threshold. The decay time of a signature grows with the node's assembly
 connectivity, so well-connected concepts outlive one-off noise.
+
+A snapshot (version 2) is compact JSON holding the memory's scalar
+settings, one ``"vectors"`` table and the nodes. Each node's and each
+signature's ``"vector"`` is an index into that table, which stores every
+distinct vector once, or ``null``: the ``random_vector(seed, dim, id)``
+of a sensory node, written only when the vector equals it bit for bit.
+Version 1 snapshots, with every vector inline, still load. A missing key,
+a value of the wrong kind, a bad vector reference or an unknown version
+is a :class:`GraphFormatError` naming the file.
 """
 
 from __future__ import annotations
@@ -285,8 +294,49 @@ class HolographicMemory:
     # -- serialization -----------------------------------------------------
 
     def snapshot(self) -> dict:
+        """The version 2 snapshot: the scalar settings, one table of the
+        distinct vectors that cannot be regenerated, and the nodes, whose
+        vectors are row indices into that table or ``None`` for a sensory
+        node's ``random_vector(seed, dim, id)``."""
+        table: list = []
+        rows: dict[bytes, int] = {}
+
+        def ref(vector, regenerated):
+            vector = np.asarray(vector, dtype=np.float64)
+            key = vector.tobytes()
+            if key == regenerated:
+                return None
+            index = rows.get(key)
+            if index is None:
+                index = rows[key] = len(table)
+                table.append(vector.tolist())
+            return index
+
+        nodes = []
+        for node_id, n in sorted(self.nodes.items()):
+            regenerated = None
+            if n.level is Level.SENSORY:
+                regenerated = hrr.random_vector(self.seed, self.dim, term=node_id).tobytes()
+            nodes.append({
+                "id": n.id,
+                "level": n.level.value,
+                "base_intensity": n.base_intensity,
+                "connection_count": n.connection_count,
+                "assembly_parents": sorted(n.assembly_parents),
+                "assembly_members": list(n.assembly_members),
+                "vector": ref(n.vector, regenerated),
+                "signatures": [
+                    {
+                        "recorded_at": s.recorded_at,
+                        "initial_intensity": s.initial_intensity,
+                        "decay_time": s.decay_time,
+                        "vector": ref(s.vector, regenerated),
+                    }
+                    for s in n.signatures
+                ],
+            })
         return {
-            "version": 1,
+            "version": 2,
             "dim": self.dim,
             "seed": self.seed,
             "time_window": self.time_window,
@@ -296,77 +346,144 @@ class HolographicMemory:
             "base_intensity": self.base_intensity,
             "clock": self.clock,
             "counter": self._counter,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "level": n.level.value,
-                    "base_intensity": n.base_intensity,
-                    "connection_count": n.connection_count,
-                    "assembly_parents": sorted(n.assembly_parents),
-                    "assembly_members": list(n.assembly_members),
-                    "vector": n.vector.tolist(),
-                    "signatures": [
-                        {
-                            "recorded_at": s.recorded_at,
-                            "initial_intensity": s.initial_intensity,
-                            "decay_time": s.decay_time,
-                            "vector": s.vector.tolist(),
-                        }
-                        for s in n.signatures
-                    ],
-                }
-                for _, n in sorted(self.nodes.items())
-            ],
+            "vectors": table,
+            "nodes": nodes,
         }
 
     def save(self, path) -> None:
+        # json.dumps without indent runs the C encoder; json.dump would
+        # stream through the pure-Python one
+        text = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "HolographicMemory":
-        """Read a snapshot written by :meth:`save`. Text that is not UTF-8
-        or not JSON, a missing key and a value of the wrong kind raise
-        :class:`GraphFormatError`."""
+        """Read a snapshot written by :meth:`save`, or a version 1 one.
+        Text that is not UTF-8 or not JSON, a missing key, a value of the
+        wrong kind, a bad vector reference and an unknown version raise
+        :class:`GraphFormatError` naming the file."""
         try:
             data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise GraphFormatError(path, exc.lineno, f"not a JSON snapshot: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise GraphFormatError(path, None, "bad snapshot value: not a JSON object")
         try:
-            mem = cls(
-                dim=data["dim"],
-                seed=data["seed"],
-                time_window=data["time_window"],
-                prune_threshold=data["prune_threshold"],
-                match_threshold=data["match_threshold"],
-                base_decay=data["base_decay"],
-                base_intensity=data["base_intensity"],
-            )
-            mem.clock = data["clock"]
-            mem._counter = data["counter"]
-            for rec in data["nodes"]:
-                node = ConceptNode(
-                    id=rec["id"],
-                    level=Level(rec["level"]),
-                    vector=np.array(rec["vector"], dtype=np.float64),
-                    base_intensity=rec["base_intensity"],
-                    assembly_parents=set(rec["assembly_parents"]),
-                    assembly_members=list(rec["assembly_members"]),
-                    connection_count=rec["connection_count"],
-                )
-                node.signatures = [
-                    Signature(
-                        vector=np.array(s["vector"], dtype=np.float64),
-                        recorded_at=s["recorded_at"],
-                        initial_intensity=s["initial_intensity"],
-                        decay_time=s["decay_time"],
-                    )
-                    for s in rec["signatures"]
-                ]
-                mem.nodes[node.id] = node
+            if _is_int(data.get("version")) and data["version"] == 1:
+                data = _v1_to_v2(data)
+            return cls._from_snapshot(data)
         except KeyError as exc:
             raise GraphFormatError(path, None, f"snapshot lacks key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(path, None, f"bad snapshot value: {exc}") from None
+
+    @classmethod
+    def _from_snapshot(cls, data: dict) -> "HolographicMemory":
+        """The memory a version 2 snapshot describes. A missing key raises
+        ``KeyError``; a value of the wrong kind ``TypeError`` or
+        ``ValueError``."""
+        mem = cls(
+            dim=_int(data, "dim"),
+            seed=_int(data, "seed"),
+            time_window=_int(data, "time_window"),
+            prune_threshold=_number(data, "prune_threshold"),
+            match_threshold=_number(data, "match_threshold"),
+            base_decay=_number(data, "base_decay"),
+            base_intensity=_number(data, "base_intensity"),
+        )
+        mem.clock = _int(data, "clock")
+        mem._counter = _int(data, "counter")
+        version = data["version"]
+        if not _is_int(version) or version != 2:
+            raise ValueError(f"unknown snapshot version {version!r}")
+        table = [_row(values, mem.dim) for values in data["vectors"]]
+        for rec in data["nodes"]:
+            if not isinstance(rec["id"], str):
+                raise TypeError(f"node id must be a string, not {rec['id']!r}")
+            level = Level(rec["level"])
+            regenerated = None
+            if level is Level.SENSORY:
+                regenerated = hrr.random_vector(mem.seed, mem.dim, term=rec["id"])
+            node = ConceptNode(
+                id=rec["id"],
+                level=level,
+                vector=_lookup(rec["vector"], table, regenerated),
+                base_intensity=_number(rec, "base_intensity"),
+                assembly_parents=set(rec["assembly_parents"]),
+                assembly_members=list(rec["assembly_members"]),
+                connection_count=_int(rec, "connection_count"),
+            )
+            for s in rec["signatures"]:
+                decay_time = _number(s, "decay_time")
+                if decay_time <= 0:
+                    raise ValueError(f"decay_time must be positive, not {decay_time!r}")
+                node.signatures.append(Signature(
+                    vector=_lookup(s["vector"], table, regenerated),
+                    recorded_at=_int(s, "recorded_at"),
+                    initial_intensity=_number(s, "initial_intensity"),
+                    decay_time=decay_time,
+                ))
+            mem.nodes[node.id] = node
         return mem
+
+
+def _v1_to_v2(data: dict) -> dict:
+    """The version 2 shape of a version 1 snapshot: each inline vector
+    becomes a row of the vector table."""
+    table: list = []
+
+    def row(values) -> int:
+        table.append(values)
+        return len(table) - 1
+
+    nodes = [
+        {
+            **rec,
+            "vector": row(rec["vector"]),
+            "signatures": [{**s, "vector": row(s["vector"])} for s in rec["signatures"]],
+        }
+        for rec in data["nodes"]
+    ]
+    return {**data, "version": 2, "vectors": table, "nodes": nodes}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(record: dict, key: str) -> int:
+    value = record[key]
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _number(record: dict, key: str) -> float:
+    value = record[key]
+    if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return value
+
+
+def _row(values, dim: int) -> hrr.Vector:
+    """One row of the vector table: a list of ``dim`` finite numbers."""
+    if (isinstance(values, list) and len(values) == dim
+            and all(type(x) in (float, int) for x in values)):
+        vector = np.array(values, dtype=np.float64)
+        if np.isfinite(vector).all():
+            return vector
+    raise ValueError(f"vector table row is not {dim} finite numbers")
+
+
+def _lookup(ref, table: list, regenerated) -> hrr.Vector:
+    """The vector a snapshot reference names: a table row, or for ``None``
+    the regenerated vector of a sensory node (``regenerated`` is ``None``
+    on any other node)."""
+    if ref is None:
+        if regenerated is None:
+            raise ValueError("null vector reference on a node that is not sensory")
+        return regenerated
+    if not _is_int(ref) or not 0 <= ref < len(table):
+        raise ValueError(f"vector reference {ref!r} is not a row of the {len(table)}-row table")
+    return table[ref]

@@ -21,7 +21,14 @@ from itertools import chain, combinations
 from pathlib import Path
 
 from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_text
-from .lexicon import Lexicon, _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
+from .lexicon import (
+    Lexicon,
+    _TOKEN_RE,
+    _read_lines,
+    compile_patterns,
+    default_lexicon,
+    split_sentences,
+)
 
 GENERIC_RELATION = "related-to"
 
@@ -299,14 +306,11 @@ def expand(
 
 def load_rewrite_rules(path) -> dict:
     rules: dict[str, list] = {}
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _read_lines(path):
         src, _, dst = line.partition("->")
         src, dst = src.strip(), dst.strip()
         if not src or not dst:
-            raise ValueError(f"bad rewrite rule: {line!r}")
+            raise GraphFormatError(path, line_no, f"expected 'term -> term', got {line!r}")
         rules.setdefault(src, []).append(dst)
     return rules
 
@@ -332,12 +336,11 @@ class TermObjectMap:
     @classmethod
     def load(cls, path) -> "TermObjectMap":
         entries = {}
-        for raw in read_text(path).splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            term, obj = line.split(None, 1)
-            entries[term] = obj.strip()
+        for line_no, line in _read_lines(path):
+            fields = line.split(None, 1)
+            if len(fields) != 2:
+                raise GraphFormatError(path, line_no, f"expected a term and its asset, got {line!r}")
+            entries[fields[0]] = fields[1]
         return cls(entries)
 
 
@@ -361,12 +364,17 @@ class ValueMap:
     @classmethod
     def load(cls, path) -> "ValueMap":
         entries = {}
-        for raw in read_text(path).splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fuzzy, attribute, value = line.split()
-            entries[(fuzzy, attribute)] = float(value)
+        for line_no, line in _read_lines(path):
+            fields = line.split()
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected a term, an attribute and a value, got {line!r}")
+                value = float(fields[2])
+                if not math.isfinite(value):
+                    raise ValueError(f"value must be a finite number, not {fields[2]!r}")
+            except ValueError as exc:
+                raise GraphFormatError(path, line_no, str(exc)) from None
+            entries[(fields[0], fields[1])] = value
         return cls(entries)
 
 

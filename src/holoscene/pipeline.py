@@ -285,8 +285,11 @@ def run_pipeline(
         )
 
     with _StageTimer(diagnostics, "holographic-check"):
+        # Codebook sorts and de-duplicates its terms; edges() would sort
+        # every edge only to list a handful of labels
+        labels = {rec.label for rec in graph._edges.values()}
         book = hrr.Codebook(
-            list(graph.nodes) + [rec.label for rec in graph.edges()],
+            [*graph.nodes, *labels],
             dim=config.dim,
             seed=config.seed,
         )

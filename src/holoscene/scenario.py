@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blending import BlendedSpace
-from .errors import UnmappedTermError, read_text
-from .lexicon import Lexicon, default_lexicon
+from .errors import GraphFormatError, UnmappedTermError
+from .lexicon import Lexicon, _read_lines, default_lexicon
 from .ontology import TermObjectMap, ValueMap
 
 
@@ -32,16 +32,13 @@ class ActorFunction:
 def load_actor_functions(path) -> dict:
     """Parse a functions file: ``name arg:type,arg:type -> out:type``."""
     functions = {}
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _read_lines(path):
         head, _, out = line.partition("->")
         if not out.strip():
-            raise ValueError(f"function line lacks a free output: {line!r}")
+            raise GraphFormatError(path, line_no, f"function line lacks a free output: {line!r}")
         outs = out.strip().split(",")
         if len(outs) != 1:
-            raise ValueError(f"exactly one free output required: {line!r}")
+            raise GraphFormatError(path, line_no, f"exactly one free output required: {line!r}")
         name, _, args = head.strip().partition(" ")
         bound = []
         for piece in args.split(","):

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from holoscene import lexicon
 from holoscene.cli import main
 from holoscene.memory import HolographicMemory
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
+V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
 
 
 @pytest.fixture()
@@ -232,6 +234,51 @@ class TestInspectAndDot:
         assert f"error: {snap}: bad snapshot value" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("level", "bogus"), ("vector", ["x"]), ("nodes", 3)],
+        ids=["level", "vector", "nodes"],
+    )
+    def test_v1_snapshot_value_of_wrong_kind_reports_file(self, tmp_path, capsys, field, value):
+        snapshot = json.loads(V1_FIXTURE.read_text())
+        if field == "nodes":
+            snapshot["nodes"] = value
+        else:
+            snapshot["nodes"][0][field] = value
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(snapshot))
+        assert main(["inspect-memory", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {snap}: bad snapshot value" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("recorded_at", "x"), ("decay_time", 0), ("initial_intensity", None)],
+    )
+    def test_snapshot_numeric_value_of_wrong_kind_reports_file(self, tmp_path, capsys, key, value):
+        mem = HolographicMemory(dim=8)
+        mem.observe({("woman", 0)})
+        snapshot = mem.snapshot()
+        snapshot["nodes"][0]["signatures"][0][key] = value
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(snapshot))
+        assert main(["inspect-memory", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {snap}: bad snapshot value: {key} must be" in err
+        assert "Traceback" not in err
+
+    def test_demo_snapshot_stores_each_vector_once(self, tmp_path):
+        mem = tmp_path / "mem.json"
+        assert main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+                     "-o", str(tmp_path / "s.json"), "--memory-out", str(mem)]) == 0
+        snapshot = json.loads(mem.read_text())
+        refs = [ref for rec in snapshot["nodes"]
+                for ref in [rec["vector"]] + [s["vector"] for s in rec["signatures"]]]
+        assert snapshot["version"] == 2
+        assert 0 < len(snapshot["vectors"]) < len(refs)
+        assert None in refs
+
     def test_export_dot_graph_and_blend(self, built_graph, tmp_path, capsys):
         blend = tmp_path / "demo.blend"
         main(
@@ -313,4 +360,65 @@ def test_input_that_is_not_utf8_reports_file_and_line(tmp_path, capsys, monkeypa
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{where} not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def _malformed(source, path, record):
+    """Copy ``source`` to ``path`` with ``record`` appended as a last line;
+    returns the ``FILE:LINE:`` that names it."""
+    text = Path(source).read_text() if source else "# written by a test\n"
+    Path(path).write_text(text + record + "\n")
+    return f"{Path(path).name}:{text.count(chr(10)) + 1}:"
+
+
+def _imagine(tmp, *extra):
+    return ["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+            "-o", str(tmp / "s.json"), *extra]
+
+
+def _env_case(variable, source, record):
+    def case(tmp, monkeypatch):
+        path = tmp / Path(source).name
+        where = _malformed(source, path, record)
+        monkeypatch.setenv(variable, str(path))
+        return _imagine(tmp), where
+    return case
+
+
+def _rules_case(tmp, monkeypatch):
+    where = _malformed(None, tmp / "bad.rules", "rock-region ->")
+    config = tmp / "bad.config"
+    config.write_text("rules_path = bad.rules\n")
+    return _imagine(tmp, "--config", str(config)), where
+
+
+def _lexicon_case(name, record):
+    def case(tmp, monkeypatch):
+        data_path = lexicon._data_path
+        path = tmp / name
+        where = _malformed(data_path(name), path, record)
+        monkeypatch.setattr(lexicon, "_data_path", lambda n: path if n == name else data_path(n))
+        lexicon.default_lexicon.cache_clear()
+        return _imagine(tmp), where
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_env_case("HOLOSCENE_OBJECTS", DEMO / "demo.objects", "woman"),
+     _env_case("HOLOSCENE_VALUES", DEMO / "demo.values", "tall height"),
+     _env_case("HOLOSCENE_FUNCTIONS", DEMO / "demo.functions", "take actor:human"),
+     _rules_case,
+     _lexicon_case("adjectives.txt", "blue"),
+     _lexicon_case("relations.txt", "part of")],
+    ids=["objects", "values", "functions", "rewrite-rules", "word-map", "relation-patterns"],
+)
+def test_malformed_line_reports_file_and_line(tmp_path, capsys, monkeypatch, case):
+    argv, where = case(tmp_path, monkeypatch)
+    try:
+        assert main(argv) == 1
+    finally:
+        lexicon.default_lexicon.cache_clear()
+    err = capsys.readouterr().err
+    assert where in err
     assert "Traceback" not in err

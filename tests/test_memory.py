@@ -1,15 +1,20 @@
 """Concept memory tests: decay law, emergence, assembly, reinforcement,
 pruning and snapshot round-trips."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from holoscene.errors import StaleSignalError, TimeTravelError, UnknownTermError
+from holoscene.errors import GraphFormatError, StaleSignalError, TimeTravelError, UnknownTermError
 from holoscene.memory import ConceptNode, HolographicMemory, Level, Signature, intensity
 
 from holoscene import hrr
+
+V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
 
 
 def make_sig(s1=1.0, d=10.0, at=0):
@@ -273,6 +278,94 @@ class TestPrune:
         assert p[0] in mem.nodes and p[2] in mem.nodes
 
 
+def assert_same_memory(a, b):
+    """Every setting, node field and signature equal; vectors bit for bit."""
+    settings_ = ("dim", "seed", "time_window", "prune_threshold", "match_threshold",
+                 "base_decay", "base_intensity", "clock", "_counter")
+    assert [getattr(a, k) for k in settings_] == [getattr(b, k) for k in settings_]
+    assert sorted(a.nodes) == sorted(b.nodes)
+    for node_id, node in a.nodes.items():
+        twin = b.nodes[node_id]
+        assert (twin.id, twin.level, twin.base_intensity, twin.connection_count) == (
+            node.id, node.level, node.base_intensity, node.connection_count)
+        assert twin.assembly_parents == node.assembly_parents
+        assert twin.assembly_members == node.assembly_members
+        assert np.array_equal(twin.vector, node.vector)
+        assert len(twin.signatures) == len(node.signatures)
+        for s, t in zip(node.signatures, twin.signatures):
+            assert (s.recorded_at, s.initial_intensity, s.decay_time) == (
+                t.recorded_at, t.initial_intensity, t.decay_time)
+            assert np.array_equal(s.vector, t.vector)
+
+
+def fixture_memory():
+    """The memory that ``tests/data/memory_v1.json`` holds, written there by
+    the version 1 writer."""
+    mem = HolographicMemory(dim=16, seed=3)
+    mem.observe([("a", 0), ("b", 0)])
+    mem.observe([("c", 1), ("d", 1)])
+    mem.observe([("a", 2), ("b", 2)])
+    mem.assemble([n.id for n in mem.nodes.values() if n.level is Level.PRIMARY], 3)
+    mem.prune(4)
+    return mem
+
+
+_SENSORS = ("a", "b", "c", "d", "e")
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"),
+                  st.lists(st.tuples(st.sampled_from(_SENSORS), st.integers(0, 2)),
+                           min_size=1, max_size=3),
+                  st.integers(0, 2)),
+        st.tuples(st.just("assemble"), st.lists(st.integers(0, 40), min_size=2, max_size=3),
+                  st.integers(0, 2)),
+        st.tuples(st.just("reinforce"), st.integers(0, 40), st.integers(0, 2)),
+        st.tuples(st.just("prune"), st.integers(0, 30)),
+    ),
+    max_size=12,
+)
+# two primaries, their secondary, then a higher node over the secondary
+_TO_HIGHER = [
+    ("observe", [("a", 0), ("b", 0)], 0),
+    ("observe", [("c", 0), ("d", 0)], 1),
+    ("assemble", [3, 4], 1),
+    ("assemble", [3, 5], 1),
+    ("reinforce", 0, 1),
+    ("prune", 5),
+]
+
+
+def replay(ops):
+    """Apply ``_OPS``-style operations; node indices wrap over the sorted
+    living ids, and each operation moves the clock forward by its last
+    field."""
+    mem = HolographicMemory(dim=16, seed=5)
+    for kind, *args in ops:
+        now = mem.clock + args[-1]
+        ids = sorted(mem.nodes)
+        if kind == "observe":
+            mem.observe([(sensor, now + dt) for sensor, dt in args[0]])
+        elif kind == "assemble" and ids:
+            members = {ids[i % len(ids)] for i in args[0]}
+            if len(members) >= 2:
+                mem.assemble(members, now)
+        elif kind == "reinforce" and ids:
+            mem.reinforce(ids[args[0] % len(ids)], now)
+        elif kind == "prune":
+            mem.prune(now)
+    return mem
+
+
+def write_snapshot(tmp_path, snapshot):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snapshot))
+    return path
+
+
+def node_record(snapshot, node_id):
+    return next(rec for rec in snapshot["nodes"] if rec["id"] == node_id)
+
+
 class TestSnapshot:
     def test_roundtrip_lossless(self, tmp_path):
         mem = fresh()
@@ -287,19 +380,173 @@ class TestSnapshot:
         path2 = tmp_path / "mem2.json"
         again.save(path2)
         assert path.read_bytes() == path2.read_bytes()
-        assert again.clock == mem.clock
-        assert set(again.nodes) == set(mem.nodes)
-        for node_id, node in mem.nodes.items():
-            twin = again.nodes[node_id]
-            assert twin.level is node.level
-            assert twin.connection_count == node.connection_count
-            assert twin.assembly_parents == node.assembly_parents
-            assert np.array_equal(twin.vector, node.vector)
-            assert len(twin.signatures) == len(node.signatures)
-            for s, t in zip(node.signatures, twin.signatures):
-                assert (s.recorded_at, s.initial_intensity, s.decay_time) == (
-                    t.recorded_at,
-                    t.initial_intensity,
-                    t.decay_time,
-                )
-                assert np.array_equal(s.vector, t.vector)
+        assert_same_memory(mem, again)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ops=_OPS)
+    @example(ops=_TO_HIGHER)
+    def test_roundtrip_over_random_operations(self, tmp_path_factory, ops):
+        mem = replay(ops)
+        path = tmp_path_factory.mktemp("snap") / "mem.json"
+        mem.save(path)
+        again = HolographicMemory.load(path)
+        assert_same_memory(mem, again)
+        saved = path.read_bytes()
+        again.save(path)
+        assert path.read_bytes() == saved
+
+    def test_replayed_operations_reach_the_higher_level(self):
+        levels = {n.level for n in replay(_TO_HIGHER).nodes.values()}
+        assert levels == set(Level)
+
+    def test_each_vector_stored_once_and_sensory_vectors_regenerated(self):
+        mem = fixture_memory()
+        snapshot = mem.snapshot()
+        rows = [tuple(row) for row in snapshot["vectors"]]
+        assert len(set(rows)) == len(rows)
+        for rec in snapshot["nodes"]:
+            refs = [rec["vector"]] + [s["vector"] for s in rec["signatures"]]
+            if rec["level"] == "sensory":
+                assert refs == [None] * len(refs)
+            else:
+                assert all(isinstance(ref, int) for ref in refs)
+        # a primary node's first signature is its pattern
+        primary = node_record(snapshot, "c0001")
+        assert primary["signatures"][0]["vector"] == primary["vector"]
+
+    def test_sensory_vector_that_is_not_regenerable_goes_in_the_table(self, tmp_path):
+        mem = fresh(dim=8)
+        mem.observe([("a", 0)])
+        mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
+        snapshot = mem.snapshot()
+        rec = node_record(snapshot, "a")
+        assert rec["vector"] == 0 and rec["signatures"][0]["vector"] is None
+        path = tmp_path / "mem.json"
+        mem.save(path)
+        assert_same_memory(mem, HolographicMemory.load(path))
+
+    def test_save_writes_compact_json(self, tmp_path):
+        path = tmp_path / "mem.json"
+        fixture_memory().save(path)
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert ", " not in text and ": " not in text
+        assert json.loads(text)["version"] == 2
+
+
+class TestVersion1:
+    def test_fixture_loads_into_the_memory_it_holds(self, tmp_path):
+        assert json.loads(V1_FIXTURE.read_text())["version"] == 1
+        mem = fixture_memory()
+        loaded = HolographicMemory.load(V1_FIXTURE)
+        assert_same_memory(mem, loaded)
+        levels = {n.level for n in loaded.nodes.values()}
+        assert levels == {Level.SENSORY, Level.PRIMARY, Level.SECONDARY}
+        mem.save(tmp_path / "original.json")
+        loaded.save(tmp_path / "converted.json")
+        assert (tmp_path / "original.json").read_bytes() == (tmp_path / "converted.json").read_bytes()
+
+
+def _v2_snapshot():
+    """A version 2 snapshot (dim 8): sensory a and b, primary c0001 with
+    table row 0 as its vector and its one signature."""
+    mem = fresh(dim=8)
+    mem.observe([("a", 0), ("b", 0)])
+    return mem.snapshot()
+
+
+class TestVersion2Rejections:
+    @pytest.mark.parametrize("ref", ["0", True, 0.0, [0]], ids=["str", "bool", "float", "list"])
+    @pytest.mark.parametrize("where", ["node", "signature"])
+    def test_reference_that_is_not_an_int(self, tmp_path, ref, where):
+        snapshot = _v2_snapshot()
+        rec = node_record(snapshot, "c0001")
+        (rec if where == "node" else rec["signatures"][0])["vector"] = ref
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: vector reference"):
+            HolographicMemory.load(path)
+
+    @pytest.mark.parametrize("ref", [1, -1, 10**30])
+    def test_reference_out_of_range(self, tmp_path, ref):
+        snapshot = _v2_snapshot()
+        assert len(snapshot["vectors"]) == 1
+        node_record(snapshot, "c0001")["vector"] = ref
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"is not a row of the 1-row table"):
+            HolographicMemory.load(path)
+
+    @pytest.mark.parametrize("where", ["node", "signature"])
+    def test_null_reference_on_a_node_that_is_not_sensory(self, tmp_path, where):
+        snapshot = _v2_snapshot()
+        rec = node_record(snapshot, "c0001")
+        (rec if where == "node" else rec["signatures"][0])["vector"] = None
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: null vector"):
+            HolographicMemory.load(path)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda row: row.pop(), lambda row: row.append(0.5), lambda row: row.__setitem__(3, "0.5"),
+         lambda row: row.__setitem__(3, float("nan")), lambda row: row.__setitem__(3, float("inf")),
+         lambda row: row.__setitem__(3, True), lambda row: row.__setitem__(3, None)],
+        ids=["short", "long", "str", "nan", "inf", "bool", "null"],
+    )
+    def test_table_row_that_is_not_dim_finite_numbers(self, tmp_path, spoil):
+        snapshot = _v2_snapshot()
+        spoil(snapshot["vectors"][0])
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"vector table row is not 8 finite numbers"):
+            HolographicMemory.load(path)
+
+    def test_table_row_that_is_not_a_list(self, tmp_path):
+        snapshot = _v2_snapshot()
+        snapshot["vectors"][0] = {"0": 0.5}
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"vector table row is not 8 finite numbers"):
+            HolographicMemory.load(path)
+
+    @pytest.mark.parametrize("version", [3, 0, "2", True, 2.0])
+    def test_unknown_version(self, tmp_path, version):
+        snapshot = _v2_snapshot()
+        snapshot["version"] = version
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: unknown snapshot version"):
+            HolographicMemory.load(path)
+
+    def test_top_level_that_is_not_an_object(self, tmp_path):
+        path = write_snapshot(tmp_path, [_v2_snapshot()])
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: not a JSON object"):
+            HolographicMemory.load(path)
+
+
+def _set_top(snapshot, key, value):
+    snapshot[key] = value
+
+
+def _set_node(snapshot, key, value):
+    node_record(snapshot, "c0001")[key] = value
+
+
+def _set_signature(snapshot, key, value):
+    node_record(snapshot, "c0001")["signatures"][0][key] = value
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
+@pytest.mark.parametrize(
+    "where, key, value",
+    [(_set_top, "clock", "4"), (_set_top, "counter", 3.0), (_set_top, "dim", True),
+     (_set_top, "base_intensity", "x"), (_set_top, "base_decay", float("inf")),
+     (_set_node, "connection_count", None), (_set_node, "base_intensity", float("nan")),
+     (_set_signature, "recorded_at", "x"), (_set_signature, "recorded_at", 1.5),
+     (_set_signature, "initial_intensity", [1.0]), (_set_signature, "decay_time", float("-inf")),
+     (_set_signature, "decay_time", 0.0)],
+    ids=["clock", "counter", "dim", "base_intensity", "base_decay", "connection_count",
+         "node_base_intensity", "recorded_at-str", "recorded_at-float", "initial_intensity",
+         "decay_time-inf", "decay_time-zero"],
+)
+def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, value):
+    snapshot = json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
+    where(snapshot, key, value)
+    path = write_snapshot(tmp_path, snapshot)
+    with pytest.raises(GraphFormatError, match=rf"snap.json: bad snapshot value: {key} must be"):
+        HolographicMemory.load(path)
