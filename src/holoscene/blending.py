@@ -395,6 +395,9 @@ def save_blend(blend: BlendedSpace, path) -> None:
 
 
 def load_blend(path) -> BlendedSpace:
+    """Read a blend file. A second ``node``, ``edge`` or ``score`` record
+    for the same term or term pair is a :class:`GraphFormatError` at its
+    line, as is any record that does not parse."""
     subgraph = OntologyGraph()
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
@@ -406,12 +409,16 @@ def load_blend(path) -> BlendedSpace:
         fields = line.split()
         try:
             if fields[0] == "node" and len(fields) == 3:
+                if fields[1] in subgraph.nodes:
+                    raise ValueError(f"second node record for {fields[1]!r}")
                 subgraph.add_node(fields[1], fields[2])
             elif fields[0] == "edge" and len(fields) == 5:
                 edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
             elif fields[0] == "score" and len(fields) == 4:
                 if fields[3] not in (ANCHORED, EXPANDED, CONFABULATED):
                     raise ValueError(f"unknown provenance {fields[3]!r}")
+                if fields[1] in scores:
+                    raise ValueError(f"second score record for {fields[1]!r}")
                 scores[fields[1]] = float(fields[2])
                 provenance[fields[1]] = fields[3]
             else:

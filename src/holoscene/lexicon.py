@@ -38,7 +38,7 @@ class Lexicon:
     verb_lemmas: dict  # surface form -> lemma (lemmas map to themselves)
     adjectives: dict  # word -> attribute type
     genders: dict  # noun -> gender marker
-    relation_patterns: tuple  # (compiled pattern, surface, label), longest first
+    relation_patterns: tuple  # compile_patterns output: (regex, surface, label), longest first
 
     def is_verb(self, token: str) -> bool:
         return token in self.verb_lemmas

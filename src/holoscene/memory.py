@@ -12,8 +12,9 @@ signature's ``"vector"`` is an index into that table, which stores every
 distinct vector once, or ``null``: the ``random_vector(seed, dim, id)``
 of a sensory node, written only when the vector equals it bit for bit.
 Version 1 snapshots, with every vector inline, still load. A missing key,
-a value of the wrong kind, a bad vector reference or an unknown version
-is a :class:`GraphFormatError` naming the file.
+a value of the wrong kind, an assembly link that is not the id of a node
+of the snapshot, a bad vector reference or an unknown version is a
+:class:`GraphFormatError` naming the file.
 """
 
 from __future__ import annotations
@@ -361,8 +362,9 @@ class HolographicMemory:
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`, or a version 1 one.
         Text that is not UTF-8 or not JSON, a missing key, a value of the
-        wrong kind, a bad vector reference and an unknown version raise
-        :class:`GraphFormatError` naming the file."""
+        wrong kind, an assembly link that names no node, a bad vector
+        reference and an unknown version raise :class:`GraphFormatError`
+        naming the file."""
         try:
             data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
@@ -410,8 +412,8 @@ class HolographicMemory:
                 level=level,
                 vector=_lookup(rec["vector"], table, regenerated),
                 base_intensity=_number(rec, "base_intensity"),
-                assembly_parents=set(rec["assembly_parents"]),
-                assembly_members=list(rec["assembly_members"]),
+                assembly_parents=set(_ids(rec, "assembly_parents")),
+                assembly_members=_ids(rec, "assembly_members"),
                 connection_count=_int(rec, "connection_count"),
             )
             for s in rec["signatures"]:
@@ -425,6 +427,10 @@ class HolographicMemory:
                     decay_time=decay_time,
                 ))
             mem.nodes[node.id] = node
+        for node in mem.nodes.values():
+            for link in [*sorted(node.assembly_parents), *node.assembly_members]:
+                if link not in mem.nodes:
+                    raise ValueError(f"assembly link {link!r} of node {node.id!r} names no node")
         return mem
 
 
@@ -464,6 +470,13 @@ def _number(record: dict, key: str) -> float:
     if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, not {value!r}")
     return value
+
+
+def _ids(record: dict, key: str) -> list:
+    value = record[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{key} must be a list of node ids, not {value!r}")
+    return list(value)
 
 
 def _row(values, dim: int) -> hrr.Vector:

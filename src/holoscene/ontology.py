@@ -10,15 +10,21 @@ Alongside the graph, word statistics are extracted at four orders: average
 word frequency, per-word frequency, pair frequency over 2-sentence
 windows, and triple frequency over 3-sentence windows. These drive the
 confabulation scoring.
+
+Each window's sorted term pairs (or triples) are counted with one
+``Counter.update``, in C. A sentence is searched only for the relation
+patterns whose surface it contains, and tokenised a second time, to find
+the labelled pairs, only when one of them matches.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_text
 from .lexicon import (
@@ -33,8 +39,10 @@ from .lexicon import (
 GENERIC_RELATION = "related-to"
 
 
-@dataclass(frozen=True)
-class EdgeRec:
+class EdgeRec(NamedTuple):
+    """One edge; an immutable tuple, which is cheaper to build than a frozen
+    dataclass."""
+
     src: str
     dst: str
     label: str
@@ -51,7 +59,7 @@ class OntologyGraph:
     def __init__(self):
         self.nodes: dict[str, str] = {}
         self._edges: dict[tuple, EdgeRec] = {}
-        self._adjacency: dict[str, set] = {}
+        self._adjacency: defaultdict[str, set] = defaultdict(set)
 
     def __contains__(self, term: str) -> bool:
         return term in self.nodes
@@ -61,20 +69,29 @@ class OntologyGraph:
 
     def add_node(self, term: str, semantic_type: str = "entity") -> None:
         self.nodes.setdefault(term, semantic_type)
-        self._adjacency.setdefault(term, set())
 
     def add_edge(self, src: str, dst: str, label: str, weight: float) -> None:
-        if src not in self.nodes or dst not in self.nodes:
-            raise UnknownTermError(
-                f"edge endpoints must be nodes: {src!r}, {dst!r}",
-                [t for t in (src, dst) if t not in self.nodes],
-            )
-        if not 0.0 <= weight < math.inf:
-            raise ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
-        rec = EdgeRec(src, dst, label, weight)
-        self._edges[rec.pair] = rec
-        self._adjacency[src].add(dst)
-        self._adjacency[dst].add(src)
+        self.add_edges([(src, dst, label, weight)])
+
+    def add_edges(self, records) -> None:
+        """Add ``(src, dst, label, weight)`` records in order; the one writer
+        of the edge tables. Both ends must be nodes, the weight finite and
+        non-negative, and a term pair holds at most one edge."""
+        nodes, edges, adjacency = self.nodes, self._edges, self._adjacency
+        for src, dst, label, weight in records:
+            if src not in nodes or dst not in nodes:
+                raise UnknownTermError(
+                    f"edge endpoints must be nodes: {src!r}, {dst!r}",
+                    [t for t in (src, dst) if t not in nodes],
+                )
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
+            pair = (src, dst) if src <= dst else (dst, src)
+            if pair in edges:
+                raise ValueError(f"second edge between {pair[0]!r} and {pair[1]!r}")
+            edges[pair] = EdgeRec(src, dst, label, weight)
+            adjacency[src].add(dst)
+            adjacency[dst].add(src)
 
     def edges(self) -> list:
         return [self._edges[k] for k in sorted(self._edges)]
@@ -97,9 +114,7 @@ class OntologyGraph:
         for term in sorted(keep):
             if term in self.nodes:
                 sub.add_node(term, self.nodes[term])
-        for rec in self.edges():
-            if rec.src in keep and rec.dst in keep:
-                sub.add_edge(rec.src, rec.dst, rec.label, rec.weight)
+        sub.add_edges(rec for rec in self.edges() if rec.src in keep and rec.dst in keep)
         return sub
 
 
@@ -144,10 +159,6 @@ class DkStatistics:
 # -- corpus scanning ---------------------------------------------------------
 
 
-def _sentence_term_lists(document: str, lex: Lexicon) -> list:
-    return [lex.content_terms(s) for s in split_sentences(document)]
-
-
 def _pair_windows(term_lists) -> list:
     sets = [set(t) for t in term_lists]
     if not sets:
@@ -170,8 +181,24 @@ def _triple_windows(term_lists) -> list:
 
 
 def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
-    """(src, dst, label) for each relation pattern between two content terms."""
+    """(src, dst, label) for each relation pattern between two content terms.
+
+    ``patterns`` come from ``compile_patterns``, so each regex matches only
+    where its surface occurs: a pattern whose surface is not in the
+    sentence is not searched, and a sentence no pattern matches is not
+    tokenised."""
     lowered = sentence.lower()
+    spans = []
+    for regex, surface, label in patterns:  # already longest-first
+        if surface not in lowered:
+            continue
+        for m in regex.finditer(lowered):
+            if any(m.start() < e and s < m.end() for s, e, _ in spans):
+                continue
+            spans.append((m.start(), m.end(), label))
+    if not spans:
+        return []
+
     tokens = []
     for m in _TOKEN_RE.finditer(lowered):
         token = m.group(0)
@@ -180,13 +207,6 @@ def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
         term = lex.normalize(token)
         if term and term not in lex.stopwords:
             tokens.append((m.start(), m.end(), term))
-
-    spans = []
-    for regex, _, label in patterns:  # already longest-first
-        for m in regex.finditer(lowered):
-            if any(m.start() < e and s < m.end() for s, e, _ in spans):
-                continue
-            spans.append((m.start(), m.end(), label))
 
     out = []
     for start, end, label in sorted(spans):
@@ -210,24 +230,26 @@ def build_from_corpus(corpus, relation_lexicon=None, lexicon: Lexicon | None = N
     else:
         patterns = compile_patterns(relation_lexicon)
 
-    graph = OntologyGraph()
+    terms_seen: dict[str, None] = {}
     pair_counts: Counter = Counter()
     labels: dict[tuple, tuple] = {}
     for document in corpus:
-        term_lists = _sentence_term_lists(document, lex)
-        for terms in term_lists:
-            for term in terms:
-                graph.add_node(term, lex.semantic_type(term))
+        sentences = split_sentences(document)
+        term_lists = [lex.content_terms(s) for s in sentences]
+        terms_seen.update(dict.fromkeys(chain.from_iterable(term_lists)))
         for window in _pair_windows(term_lists):
-            for a, b in combinations(sorted(window), 2):
-                pair_counts[(a, b)] += 1
-        for sentence in split_sentences(document):
+            pair_counts.update(combinations(sorted(window), 2))
+        for sentence in sentences:
             for src, dst, label in _match_relations(sentence, patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
-    for (a, b), count in sorted(pair_counts.items()):
-        src, dst, label = labels.get((a, b), (a, b, GENERIC_RELATION))
-        graph.add_edge(src, dst, label, count)
+    graph = OntologyGraph()
+    for term in terms_seen:
+        graph.add_node(term, lex.semantic_type(term))
+    graph.add_edges(
+        (*labels.get(pair, (*pair, GENERIC_RELATION)), count)
+        for pair, count in sorted(pair_counts.items())
+    )
     return graph
 
 
@@ -238,15 +260,13 @@ def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | No
     k2: Counter = Counter()
     k3: Counter = Counter()
     for document in corpus:
-        term_lists = _sentence_term_lists(document, lex)
+        term_lists = [lex.content_terms(s) for s in split_sentences(document)]
         for terms in term_lists:
             k1.update(terms)
         for window in _pair_windows(term_lists):
-            for a, b in combinations(sorted(window), 2):
-                k2[(a, b)] += 1
+            k2.update(combinations(sorted(window), 2))
         for window in _triple_windows(term_lists):
-            for a, b, c in combinations(sorted(window), 3):
-                k3[(a, b, c)] += 1
+            k3.update(combinations(sorted(window), 3))
     k0 = sum(k1.values()) / len(k1) if k1 else 0.0
     stats = DkStatistics(k0=k0, k1=dict(k1), k2=dict(k2), k3=dict(k3))
     if graph is not None:
@@ -413,11 +433,13 @@ def _first_record(path, kind: str, terms) -> int:
 def load_graph(path):
     """Read a graph file; returns (graph, statistics or None).
 
-    Edge weights must be finite and non-negative. A file with ``freq``
-    records carries statistics. Then every node needs exactly one ``freq``,
-    every ``freq`` and ``triple`` record must name declared nodes, and every
-    count, edge weights (the pair counts) included, must be finite and
-    positive. Any breach is a :class:`GraphFormatError` naming its line.
+    A term has at most one ``node`` record, a term pair one ``edge`` and a
+    sorted term triple one ``triple``. Edge weights must be finite and
+    non-negative. A file with ``freq`` records carries statistics. Then
+    every node needs exactly one ``freq``, every ``freq`` and ``triple``
+    record must name declared nodes, and every count, edge weights (the
+    pair counts) included, must be finite and positive. Any breach is a
+    :class:`GraphFormatError` naming its line.
     """
     graph = OntologyGraph()
     node_lines: dict[str, int] = {}
@@ -431,8 +453,10 @@ def load_graph(path):
         kind = fields[0]
         try:
             if kind == "node" and len(fields) == 3:
+                if fields[1] in node_lines:
+                    raise ValueError(f"second node record for {fields[1]!r}")
                 graph.add_node(fields[1], fields[2])
-                node_lines.setdefault(fields[1], line_no)
+                node_lines[fields[1]] = line_no
             elif kind == "edge" and len(fields) == 5:
                 edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
             elif kind == "freq" and len(fields) == 3:
@@ -442,7 +466,10 @@ def load_graph(path):
                 if not 0.0 < count < math.inf:
                     raise ValueError(f"freq count must be finite and positive, not {count!r}")
             elif kind == "triple" and len(fields) == 5:
-                k3[tuple(sorted(fields[1:4]))] = count = float(fields[4])
+                triple = tuple(sorted(fields[1:4]))
+                if triple in k3:
+                    raise ValueError(f"second triple record for {' '.join(triple)!r}")
+                k3[triple] = count = float(fields[4])
                 if not 0.0 < count < math.inf:
                     raise ValueError(f"triple count must be finite and positive, not {count!r}")
             else:

@@ -40,6 +40,8 @@ def load_actor_functions(path) -> dict:
         if len(outs) != 1:
             raise GraphFormatError(path, line_no, f"exactly one free output required: {line!r}")
         name, _, args = head.strip().partition(" ")
+        if not name:
+            raise GraphFormatError(path, line_no, f"function line lacks a name: {line!r}")
         bound = []
         for piece in args.split(","):
             piece = piece.strip()

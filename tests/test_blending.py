@@ -504,3 +504,19 @@ class TestBlendFile:
         with pytest.raises(GraphFormatError) as err:
             load_blend(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "records, line_no",
+        [(["node a entity", "node b entity", "node a attribute"], 3),
+         (["node a entity", "node b entity", "edge a b related-to 2", "edge b a part-of 5"], 4),
+         (["node a entity", "score a 1.0 anchored", "score a 0.5 confabulated"], 3)],
+        ids=["node", "edge", "score"],
+    )
+    def test_second_record_names_line(self, tmp_path, records, line_no):
+        from holoscene.errors import GraphFormatError
+
+        path = tmp_path / "bad.blend"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(GraphFormatError, match="second") as err:
+            load_blend(path)
+        assert err.value.line_no == line_no

@@ -268,6 +268,23 @@ class TestInspectAndDot:
         assert f"error: {snap}: bad snapshot value: {key} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["v1", "v2"])
+    @pytest.mark.parametrize("value", ["c0001", ["c0001", 7], ["c0001", "c9999"]],
+                             ids=["string", "number", "unknown-id"])
+    def test_snapshot_assembly_link_that_is_not_a_node_id_reports_file(
+        self, tmp_path, capsys, source, value
+    ):
+        snapshot = json.loads(V1_FIXTURE.read_text())
+        if source == "v2":
+            snapshot = HolographicMemory.load(V1_FIXTURE).snapshot()
+        next(rec for rec in snapshot["nodes"] if rec["id"] == "c0003")["assembly_members"] = value
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(snapshot))
+        assert main(["inspect-memory", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {snap}: bad snapshot value" in err
+        assert "Traceback" not in err
+
     def test_demo_snapshot_stores_each_vector_once(self, tmp_path):
         mem = tmp_path / "mem.json"
         assert main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
@@ -408,10 +425,12 @@ def _lexicon_case(name, record):
     [_env_case("HOLOSCENE_OBJECTS", DEMO / "demo.objects", "woman"),
      _env_case("HOLOSCENE_VALUES", DEMO / "demo.values", "tall height"),
      _env_case("HOLOSCENE_FUNCTIONS", DEMO / "demo.functions", "take actor:human"),
+     _env_case("HOLOSCENE_FUNCTIONS", DEMO / "demo.functions", "-> hand:position"),
      _rules_case,
      _lexicon_case("adjectives.txt", "blue"),
      _lexicon_case("relations.txt", "part of")],
-    ids=["objects", "values", "functions", "rewrite-rules", "word-map", "relation-patterns"],
+    ids=["objects", "values", "functions", "functions-no-name", "rewrite-rules", "word-map",
+         "relation-patterns"],
 )
 def test_malformed_line_reports_file_and_line(tmp_path, capsys, monkeypatch, case):
     argv, where = case(tmp_path, monkeypatch)

@@ -550,3 +550,28 @@ def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, v
     path = write_snapshot(tmp_path, snapshot)
     with pytest.raises(GraphFormatError, match=rf"snap.json: bad snapshot value: {key} must be"):
         HolographicMemory.load(path)
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
+@pytest.mark.parametrize(
+    "node_id, key, value",
+    [("c0003", "assembly_members", "c0001"), ("c0003", "assembly_members", ["c0001", 2]),
+     ("c0001", "assembly_parents", {"c0003": 1}), ("c0003", "assembly_members", ["c0001", "c9999"]),
+     ("c0001", "assembly_parents", ["zz"])],
+    ids=["members-string", "members-number", "parents-object", "members-unknown-id",
+         "parents-unknown-id"],
+)
+def test_assembly_link_that_is_not_a_node_id_is_rejected(tmp_path, source, node_id, key, value):
+    snapshot = json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
+    node_record(snapshot, node_id)[key] = value
+    path = write_snapshot(tmp_path, snapshot)
+    with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: .*(node ids|names no node)"):
+        HolographicMemory.load(path)
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
+def test_assembly_links_load_as_written(tmp_path, source):
+    snapshot = json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
+    mem = HolographicMemory.load(write_snapshot(tmp_path, snapshot))
+    assert mem.nodes["c0003"].assembly_members == ["c0001", "c0002"]
+    assert mem.nodes["c0001"].assembly_parents == {"c0003"}

@@ -2,19 +2,31 @@
 
 The counting oracle below recomputes word, pair and triple frequencies by
 scanning window membership per candidate tuple, structurally unlike the
-package's per-window combination counting.
+package's per-window combination counting. ``reference_build``,
+``reference_dk`` and ``reference_match_relations`` keep the corpus scan as
+it was before windows were counted in C and sentences were skipped by
+relation surface, so the faster scan is pinned to it record for record.
 """
 
+import tempfile
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoscene.errors import GraphFormatError, UnknownTermError, UnmappedTermError
-from holoscene.lexicon import default_lexicon, split_sentences
+from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
+    GENERIC_RELATION,
     DkStatistics,
+    OntologyGraph,
     TermObjectMap,
     ValueMap,
+    _match_relations,
+    _pair_windows,
+    _triple_windows,
     build_from_corpus,
     expand,
     extract_dk,
@@ -26,6 +38,129 @@ from holoscene.ontology import (
 
 DATA = Path(__file__).parent / "data"
 TOY_CORPUS = [(DATA / "toy_corpus.txt").read_text()]
+DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
+DEMO_CORPUS = [p.read_text() for p in sorted((DEMO / "corpus").iterdir())]
+
+
+def reference_match_relations(sentence, patterns, lex):
+    """The relation matcher that tokenises every sentence and searches it
+    for every pattern."""
+    lowered = sentence.lower()
+    tokens = []
+    for m in _TOKEN_RE.finditer(lowered):
+        token = m.group(0)
+        if token in lex.stopwords:
+            continue
+        term = lex.normalize(token)
+        if term and term not in lex.stopwords:
+            tokens.append((m.start(), m.end(), term))
+
+    spans = []
+    for regex, _, label in patterns:
+        for m in regex.finditer(lowered):
+            if any(m.start() < e and s < m.end() for s, e, _ in spans):
+                continue
+            spans.append((m.start(), m.end(), label))
+
+    out = []
+    for start, end, label in sorted(spans):
+        before = [t for s, e, t in tokens if e <= start]
+        after = [t for s, e, t in tokens if s >= end]
+        if before and after and before[-1] != after[0]:
+            out.append((before[-1], after[0], label))
+    return out
+
+
+def reference_build(corpus, relation_lexicon=None):
+    """The graph scan one window and one sentence at a time: a ``+= 1`` per
+    pair, every pattern searched in every tokenised sentence, ``add_node``
+    per term occurrence and one ``add_edge`` per edge."""
+    lex = default_lexicon()
+    patterns = lex.relation_patterns if relation_lexicon is None else compile_patterns(relation_lexicon)
+    graph = OntologyGraph()
+    pair_counts = Counter()
+    labels = {}
+    for document in corpus:
+        term_lists = [lex.content_terms(s) for s in split_sentences(document)]
+        for terms in term_lists:
+            for term in terms:
+                graph.add_node(term, lex.semantic_type(term))
+        for window in _pair_windows(term_lists):
+            for a, b in combinations(sorted(window), 2):
+                pair_counts[(a, b)] += 1
+        for sentence in split_sentences(document):
+            for src, dst, label in reference_match_relations(sentence, patterns, lex):
+                labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
+    for (a, b), count in sorted(pair_counts.items()):
+        src, dst, label = labels.get((a, b), (a, b, GENERIC_RELATION))
+        graph.add_edge(src, dst, label, count)
+    return graph
+
+
+def reference_dk(corpus):
+    """The statistics scan with a ``+= 1`` per pair and per triple."""
+    lex = default_lexicon()
+    k1, k2, k3 = Counter(), Counter(), Counter()
+    for document in corpus:
+        term_lists = [lex.content_terms(s) for s in split_sentences(document)]
+        for terms in term_lists:
+            k1.update(terms)
+        for window in _pair_windows(term_lists):
+            for a, b in combinations(sorted(window), 2):
+                k2[(a, b)] += 1
+        for window in _triple_windows(term_lists):
+            for a, b, c in combinations(sorted(window), 3):
+                k3[(a, b, c)] += 1
+    k0 = sum(k1.values()) / len(k1) if k1 else 0.0
+    return DkStatistics(k0=k0, k1=dict(k1), k2=dict(k2), k3=dict(k3))
+
+
+def assert_scan_matches_reference(corpus, relation_lexicon=None):
+    graph = build_from_corpus(corpus, relation_lexicon)
+    want = reference_build(corpus, relation_lexicon)
+    assert list(graph.nodes.items()) == list(want.nodes.items())
+    assert list(graph._edges.items()) == list(want._edges.items())
+    assert graph.edges() == want.edges()
+    dk = extract_dk(corpus, graph)
+    want_dk = reference_dk(corpus)
+    for order in ("k1", "k2", "k3"):
+        assert list(getattr(dk, order).items()) == list(getattr(want_dk, order).items())
+    assert dk.k0 == want_dk.k0
+    with tempfile.TemporaryDirectory() as tmp:
+        got_path, want_path = Path(tmp, "got.graph"), Path(tmp, "want.graph")
+        save_graph(graph, got_path, dk)
+        save_graph(want, want_path, want_dk)
+        assert got_path.read_bytes() == want_path.read_bytes()
+
+
+# stop-words, verbs, adjectives, possessives, sentence ends and every
+# relation surface (some capitalised, some before a comma), plus words that
+# hold a surface inside them
+_SCAN_WORDS = (
+    "the", "a", "is", "of", "with", "The", "ball", "Ball", "woman", "woman's", "girl's",
+    "beach", "sand", "head", "body", "kick", "kicks", "wore", "takes", "blue", "big",
+    "fast", "part", "parts", "nearby", "neared", "hasten", "onto", "near", "has", "have",
+    "wear", "wears", "on", "in", "at", "is a", "part of", "used for", "causes", "becomes",
+    "expressed by", "Near", "Has", "Part Of", "near,", "on,", "beach,", ".", "!", "?",
+)
+_CORPORA = st.lists(st.lists(st.sampled_from(_SCAN_WORDS), max_size=40).map(" ".join), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_CORPORA, st.sampled_from([None, {}, {"Part of": "part-of", "of the": "of", "near": "near", "by": "by"}]))
+def test_scan_matches_reference_on_random_corpora(corpus, relation_lexicon):
+    assert_scan_matches_reference(corpus, relation_lexicon)
+    lex = default_lexicon()
+    patterns = (lex.relation_patterns if relation_lexicon is None
+                else compile_patterns(relation_lexicon))
+    for sentence in (s for doc in corpus for s in split_sentences(doc)):
+        want = reference_match_relations(sentence, patterns, lex)
+        assert _match_relations(sentence, patterns, lex) == want
+
+
+@pytest.mark.parametrize("corpus", [TOY_CORPUS, DEMO_CORPUS], ids=["toy", "demo"])
+def test_scan_matches_reference_on_shipped_corpora(corpus):
+    assert_scan_matches_reference(corpus)
 
 
 def oracle_counts(corpus):
@@ -85,6 +220,33 @@ class TestBuildFromCorpus:
         assert set(graph.nodes) == {"head", "body"}
         rec = graph.edge_between("head", "body")
         assert (rec.src, rec.dst, rec.label, rec.weight) == ("head", "body", "part-of", 1)
+
+    @pytest.mark.parametrize(
+        "sentence", ["The ball is nearby the sand.", "The head parts of the body."]
+    )
+    def test_pattern_inside_a_longer_word_labels_nothing(self, sentence):
+        graph = build_from_corpus([sentence])
+        assert graph.edges()
+        assert {rec.label for rec in graph.edges()} == {GENERIC_RELATION}
+        assert _match_relations(sentence, default_lexicon().relation_patterns, default_lexicon()) == []
+
+    def test_sentence_with_two_patterns_labels_both_pairs(self):
+        graph = build_from_corpus(["The head is part of the body near the beach."])
+        labelled = {(r.src, r.dst, r.label) for r in graph.edges() if r.label != GENERIC_RELATION}
+        assert labelled == {("head", "body", "part-of"), ("body", "beach", "near")}
+        assert graph.edge_between("head", "beach").label == GENERIC_RELATION
+
+    def test_overlapping_patterns_keep_the_longest(self):
+        corpus = ["The ball is part of the sand."]
+        graph = build_from_corpus(corpus, {"of the": "of", "part of": "part-of"})
+        assert graph.edge_between("ball", "sand").label == "part-of"
+        assert_scan_matches_reference(corpus, {"of the": "of", "part of": "part-of"})
+
+    @pytest.mark.parametrize("corpus", [["Ball sand near."], ["Near ball sand."], ["Ball near ball."]])
+    def test_pattern_between_no_two_content_terms_labels_nothing(self, corpus):
+        graph = build_from_corpus(corpus)
+        assert {rec.label for rec in graph.edges()} <= {GENERIC_RELATION}
+        assert_scan_matches_reference(corpus)
 
     def test_empty_corpus(self):
         graph = build_from_corpus([])
@@ -306,6 +468,20 @@ class TestGraphFile:
         path = tmp_path / "bad.graph"
         path.write_text("\n".join(["node sun entity", "node sky entity"] + records) + "\n")
         with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "records, line_no",
+        [(["node sky attribute"], 3),
+         (["edge sun sky related-to 2", "edge sky sun part-of 5"], 4),
+         (["freq sun 2", "freq sky 1", "triple sun sky sun 1", "triple sun sun sky 7"], 6)],
+        ids=["node", "edge", "triple"],
+    )
+    def test_second_record_names_line(self, tmp_path, records, line_no):
+        path = tmp_path / "bad.graph"
+        path.write_text("\n".join(["node sun entity", "node sky entity"] + records) + "\n")
+        with pytest.raises(GraphFormatError, match="second") as err:
             load_graph(path)
         assert err.value.line_no == line_no
 
