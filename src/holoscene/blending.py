@@ -397,11 +397,13 @@ def save_blend(blend: BlendedSpace, path) -> None:
 def load_blend(path) -> BlendedSpace:
     """Read a blend file. A second ``node``, ``edge`` or ``score`` record
     for the same term or term pair is a :class:`GraphFormatError` at its
-    line, as is any record that does not parse."""
+    line, as is any record that does not parse and any score that is not a
+    number in [0, 1] for a ``node`` of the file."""
     subgraph = OntologyGraph()
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
     edge_lines = []
+    score_lines = []
     for line_no, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -419,8 +421,11 @@ def load_blend(path) -> BlendedSpace:
                     raise ValueError(f"unknown provenance {fields[3]!r}")
                 if fields[1] in scores:
                     raise ValueError(f"second score record for {fields[1]!r}")
-                scores[fields[1]] = float(fields[2])
+                scores[fields[1]] = score = float(fields[2])
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"score must be a number in [0, 1], not {fields[2]!r}")
                 provenance[fields[1]] = fields[3]
+                score_lines.append((line_no, fields[1]))
             else:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
@@ -430,6 +435,9 @@ def load_blend(path) -> BlendedSpace:
             subgraph.add_edge(src, dst, label, weight)
         except (UnknownTermError, ValueError) as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
+    for line_no, term in score_lines:
+        if term not in subgraph.nodes:
+            raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")
     return BlendedSpace(scores=scores, provenance=provenance, subgraph=subgraph)
 
 

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_build_ontology(args) -> int:
     graph, dk = pipeline.build_ontology(args.corpus_dir)
     ontology.save_graph(graph, args.output, dk)
-    print(f"wrote {args.output}: {len(graph)} nodes, {len(graph.edges())} edges")
+    print(f"wrote {args.output}: {len(graph)} nodes, {len(graph._edges)} edges")
     return 0
 
 

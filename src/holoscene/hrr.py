@@ -30,6 +30,8 @@ from .errors import DimensionError, EmptyCodebookError, UnknownTermError, ZeroVe
 
 Vector = NDArray[np.float64]
 
+_MAX_DIM = 1 << 20  # the largest dimension a configuration or a memory snapshot may set
+
 
 def _as_vector(v, name: str = "vector") -> Vector:
     arr = np.asarray(v, dtype=np.float64)

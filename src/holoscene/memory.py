@@ -365,10 +365,13 @@ class HolographicMemory:
         wrong kind, an assembly link that names no node, a bad vector
         reference and an unknown version raise :class:`GraphFormatError`
         naming the file."""
+        text = read_text(path)
         try:
-            data = json.loads(read_text(path))
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(path, exc.lineno, f"not a JSON snapshot: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+            raise GraphFormatError(path, None, f"not a JSON snapshot: {exc}") from None
         if not isinstance(data, dict):
             raise GraphFormatError(path, None, "bad snapshot value: not a JSON object")
         try:
@@ -394,6 +397,8 @@ class HolographicMemory:
             base_decay=_number(data, "base_decay"),
             base_intensity=_number(data, "base_intensity"),
         )
+        if not 1 <= mem.dim <= hrr._MAX_DIM:  # checked before a vector is regenerated
+            raise ValueError(f"dim must be in [1, {hrr._MAX_DIM}], not {mem.dim!r}")
         mem.clock = _int(data, "clock")
         mem._counter = _int(data, "counter")
         version = data["version"]

@@ -54,12 +54,15 @@ class EdgeRec(NamedTuple):
 
 
 class OntologyGraph:
-    """Undirected term graph; labeled edges keep their source direction."""
+    """Undirected term graph; labeled edges keep their source direction.
+
+    ``_edges`` keys each edge by its sorted term pair; ``_adjacency`` holds
+    one row per term, ``{neighbour: EdgeRec}``, for the reads by term."""
 
     def __init__(self):
         self.nodes: dict[str, str] = {}
         self._edges: dict[tuple, EdgeRec] = {}
-        self._adjacency: defaultdict[str, set] = defaultdict(set)
+        self._adjacency: defaultdict[str, dict] = defaultdict(dict)
 
     def __contains__(self, term: str) -> bool:
         return term in self.nodes
@@ -89,32 +92,29 @@ class OntologyGraph:
             pair = (src, dst) if src <= dst else (dst, src)
             if pair in edges:
                 raise ValueError(f"second edge between {pair[0]!r} and {pair[1]!r}")
-            edges[pair] = EdgeRec(src, dst, label, weight)
-            adjacency[src].add(dst)
-            adjacency[dst].add(src)
+            edges[pair] = adjacency[src][dst] = adjacency[dst][src] = EdgeRec(src, dst, label, weight)
 
     def edges(self) -> list:
         return [self._edges[k] for k in sorted(self._edges)]
 
     def edge_between(self, a: str, b: str) -> EdgeRec | None:
-        return self._edges.get(tuple(sorted((a, b))))
+        return self._adjacency.get(a, {}).get(b)
 
     def neighbors(self, term: str, relations=None) -> list:
         """Sorted neighbor terms, optionally restricted to edge labels."""
-        out = []
-        for other in sorted(self._adjacency.get(term, ())):
-            rec = self.edge_between(term, other)
-            if relations is None or rec.label in relations:
-                out.append(other)
-        return out
+        row = self._adjacency.get(term, {})
+        return sorted(other for other, rec in row.items() if relations is None or rec.label in relations)
 
     def induced(self, terms) -> "OntologyGraph":
+        """The kept terms that are nodes, and the edges among them, each
+        added in sorted order; only the kept terms' rows are read."""
         sub = OntologyGraph()
-        keep = set(terms)
-        for term in sorted(keep):
-            if term in self.nodes:
-                sub.add_node(term, self.nodes[term])
-        sub.add_edges(rec for rec in self.edges() if rec.src in keep and rec.dst in keep)
+        keep = sorted(set(terms) & self.nodes.keys())
+        for term in keep:
+            sub.add_node(term, self.nodes[term])
+        for term in keep:
+            row = self._adjacency.get(term, {})
+            sub.add_edges(row[other] for other in sorted(row.keys() & sub.nodes.keys()) if term <= other)
         return sub
 
 
@@ -159,25 +159,13 @@ class DkStatistics:
 # -- corpus scanning ---------------------------------------------------------
 
 
-def _pair_windows(term_lists) -> list:
-    sets = [set(t) for t in term_lists]
-    if not sets:
-        return []
-    if len(sets) == 1:
-        return [sets[0]]
-    return [sets[i] | sets[i + 1] for i in range(len(sets) - 1)]
-
-
-def _triple_windows(term_lists) -> list:
-    sets = [set(t) for t in term_lists]
-    if not sets:
-        return []
-    if len(sets) <= 2:
-        merged = set()
-        for s in sets:
-            merged |= s
-        return [merged]
-    return [sets[i] | sets[i + 1] | sets[i + 2] for i in range(len(sets) - 2)]
+def _count_windows(term_lists, width: int, counts: Counter) -> None:
+    """Add to ``counts`` the sorted ``width``-term combinations of each window
+    of ``width`` consecutive sentences, or of the one window of all the
+    sentences when there are fewer."""
+    for start in range(max(1, len(term_lists) - width + 1)):
+        window = set(chain.from_iterable(term_lists[start:start + width]))
+        counts.update(combinations(sorted(window), width))
 
 
 def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
@@ -237,8 +225,7 @@ def build_from_corpus(corpus, relation_lexicon=None, lexicon: Lexicon | None = N
         sentences = split_sentences(document)
         term_lists = [lex.content_terms(s) for s in sentences]
         terms_seen.update(dict.fromkeys(chain.from_iterable(term_lists)))
-        for window in _pair_windows(term_lists):
-            pair_counts.update(combinations(sorted(window), 2))
+        _count_windows(term_lists, 2, pair_counts)
         for sentence in sentences:
             for src, dst, label in _match_relations(sentence, patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
@@ -261,12 +248,9 @@ def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | No
     k3: Counter = Counter()
     for document in corpus:
         term_lists = [lex.content_terms(s) for s in split_sentences(document)]
-        for terms in term_lists:
-            k1.update(terms)
-        for window in _pair_windows(term_lists):
-            k2.update(combinations(sorted(window), 2))
-        for window in _triple_windows(term_lists):
-            k3.update(combinations(sorted(window), 3))
+        k1.update(chain.from_iterable(term_lists))
+        _count_windows(term_lists, 2, k2)
+        _count_windows(term_lists, 3, k3)
     k0 = sum(k1.values()) / len(k1) if k1 else 0.0
     stats = DkStatistics(k0=k0, k1=dict(k1), k2=dict(k2), k3=dict(k3))
     if graph is not None:
@@ -494,15 +478,14 @@ def load_graph(path):
     stray = freq.keys() - declared
     if stray:
         raise GraphFormatError(path, _first_record(path, "freq", stray), "freq for an undeclared node")
+    # k1 now covers exactly the declared nodes and k2 the edges: only a
+    # triple can name a term without statistics
+    stray = set(chain.from_iterable(k3)) - declared
+    if stray:
+        raise GraphFormatError(path, _first_record(path, "triple", stray),
+                               f"k3 term {min(stray)!r} missing from k1")
     k2 = {pair: rec.weight for pair, rec in graph._edges.items()}
-    dk = DkStatistics(k0=sum(freq.values()) / len(freq), k1=freq, k2=k2, k3=k3)
-    try:
-        dk.validate()
-    except ValueError as exc:
-        # k1 now covers exactly the declared nodes: only a triple can name another term
-        stray = set(chain.from_iterable(k3)) - declared
-        raise GraphFormatError(path, _first_record(path, "triple", stray), str(exc)) from None
-    return graph, dk
+    return graph, DkStatistics(k0=sum(freq.values()) / len(freq), k1=freq, k2=k2, k3=k3)
 
 
 def to_dot(graph: OntologyGraph, colors: dict | None = None, name: str = "ontology") -> str:

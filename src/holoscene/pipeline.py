@@ -60,7 +60,7 @@ class PipelineConfig:
     rules_path: str | None = None
 
     _RANGES = {
-        "dim": (1, 1 << 20),
+        "dim": (1, hrr._MAX_DIM),
         "depth": (0, 64),
         "threshold": (0.0, 2.0),
         "base_decay": (1e-9, 1e9),
@@ -110,8 +110,10 @@ def load_config(path) -> PipelineConfig:
         elif key == "relations":
             overrides[key] = tuple(r.strip() for r in value.split(",") if r.strip()) or None
         elif key in _PATH_KEYS:
-            base = Path(path).parent
-            overrides[key] = str((base / value).resolve()) if value else None
+            try:
+                overrides[key] = str((Path(path).parent / value).resolve()) if value else None
+            except ValueError as exc:  # a NUL byte, which no path can hold
+                raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
         else:
             raise ConfigError(f"{path}:{line_no}: unknown configuration key {key!r}")
     return PipelineConfig(**overrides).validate()

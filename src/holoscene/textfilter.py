@@ -148,11 +148,8 @@ def parse_sentence(
     if verb in BE_FORMS:
         nxt = after[0] if after else None
         if nxt is not None and lex.is_verb(nxt) and nxt not in BE_FORMS:
-            if nxt.endswith("ing"):
-                action = lex.lemma(nxt)  # progressive keeps the subject active
-            else:
-                action = lex.lemma(nxt)
-                passive = True
+            action = lex.lemma(nxt)
+            passive = not nxt.endswith("ing")  # progressive keeps the subject active
             after = after[1:]
         else:
             action = "be"

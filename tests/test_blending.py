@@ -520,3 +520,18 @@ class TestBlendFile:
         with pytest.raises(GraphFormatError, match="second") as err:
             load_blend(path)
         assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "record",
+        ["score a nan anchored", "score a inf anchored", "score a -0.5 confabulated",
+         "score a 1.5 expanded", "score b 0.5 confabulated"],
+        ids=["nan", "inf", "negative", "above-one", "no-node"],
+    )
+    def test_score_outside_unit_interval_or_without_node_names_line(self, tmp_path, record):
+        from holoscene.errors import GraphFormatError
+
+        path = tmp_path / "bad.blend"
+        path.write_text("\n".join(["node a entity", "score c 1.0 anchored", record, "node c entity"]) + "\n")
+        with pytest.raises(GraphFormatError) as err:
+            load_blend(path)
+        assert err.value.line_no == 3

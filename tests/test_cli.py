@@ -42,6 +42,12 @@ class TestBuildOntology:
     def test_matches_committed_fixture(self, built_graph):
         assert built_graph.read_bytes() == (DEMO / "demo.graph").read_bytes()
 
+    def test_printed_edge_count_is_the_file_edge_count(self, tmp_path, capsys):
+        out = tmp_path / "demo.graph"
+        assert main(["build-ontology", str(DEMO / "corpus"), "-o", str(out)]) == 0
+        edges = sum(1 for line in out.read_text().splitlines() if line.startswith("edge "))
+        assert f" nodes, {edges} edges" in capsys.readouterr().out
+
 
 class TestImagine:
     def test_writes_script_and_blend(self, built_graph, tmp_path, capsys):
@@ -166,6 +172,17 @@ class TestImagine:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: {config}:2: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["objects_path", "values_path", "functions_path", "rules_path"])
+    def test_nul_byte_in_config_path_reports_file_and_line(self, tmp_path, capsys, key):
+        config = tmp_path / "bad.config"
+        config.write_text(f"# holoscene config\n{key} = a\0b\n")
+        code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+                     "-o", str(tmp_path / "s.json"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}:2: {key}:" in err
         assert "Traceback" not in err
 
     def test_unparseable_seed_variable_is_named(self, tmp_path, capsys, monkeypatch):

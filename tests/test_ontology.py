@@ -25,8 +25,6 @@ from holoscene.ontology import (
     TermObjectMap,
     ValueMap,
     _match_relations,
-    _pair_windows,
-    _triple_windows,
     build_from_corpus,
     expand,
     extract_dk,
@@ -71,6 +69,17 @@ def reference_match_relations(sentence, patterns, lex):
     return out
 
 
+def reference_windows(term_lists, width):
+    """The merged term sets of every ``width`` consecutive sentences; one set
+    of all the sentences when there are fewer, none when there are none."""
+    sets = [set(terms) for terms in term_lists]
+    if not sets:
+        return []
+    if len(sets) <= width:
+        return [set().union(*sets)]
+    return [set().union(*sets[i : i + width]) for i in range(len(sets) - width + 1)]
+
+
 def reference_build(corpus, relation_lexicon=None):
     """The graph scan one window and one sentence at a time: a ``+= 1`` per
     pair, every pattern searched in every tokenised sentence, ``add_node``
@@ -85,7 +94,7 @@ def reference_build(corpus, relation_lexicon=None):
         for terms in term_lists:
             for term in terms:
                 graph.add_node(term, lex.semantic_type(term))
-        for window in _pair_windows(term_lists):
+        for window in reference_windows(term_lists, 2):
             for a, b in combinations(sorted(window), 2):
                 pair_counts[(a, b)] += 1
         for sentence in split_sentences(document):
@@ -105,10 +114,10 @@ def reference_dk(corpus):
         term_lists = [lex.content_terms(s) for s in split_sentences(document)]
         for terms in term_lists:
             k1.update(terms)
-        for window in _pair_windows(term_lists):
+        for window in reference_windows(term_lists, 2):
             for a, b in combinations(sorted(window), 2):
                 k2[(a, b)] += 1
-        for window in _triple_windows(term_lists):
+        for window in reference_windows(term_lists, 3):
             for a, b, c in combinations(sorted(window), 3):
                 k3[(a, b, c)] += 1
     k0 = sum(k1.values()) / len(k1) if k1 else 0.0
@@ -499,3 +508,31 @@ class TestDkScaled:
         assert big.k0 == pytest.approx(10 * dk.k0)
         assert all(big.k1[t] == 10 * dk.k1[t] for t in dk.k1)
         big.validate()
+
+
+_TERMS = st.sampled_from(["ball", "beach", "hand", "sand", "sun", "woman"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_TERMS, _TERMS, st.sampled_from(["related-to", "near"]),
+                          st.integers(0, 3))), st.sets(_TERMS | st.just("moon")))
+def test_edge_rows_match_the_edge_table(records, keep):
+    graph = OntologyGraph()
+    for term in ["woman", "sun", "sand", "hand", "beach", "ball"]:
+        graph.add_node(term, "entity")
+    seen = set()
+    for src, dst, label, weight in records:
+        if frozenset((src, dst)) not in seen:
+            seen.add(frozenset((src, dst)))
+            graph.add_edge(src, dst, label, weight)
+    for a in graph.nodes:
+        want = sorted(b for b in graph.nodes if tuple(sorted((a, b))) in graph._edges)
+        assert graph.neighbors(a) == want
+        assert graph.neighbors(a, {"near"}) == [b for b in want if graph.edge_between(a, b).label == "near"]
+        for b in graph.nodes:
+            assert graph.edge_between(a, b) is graph._edges.get(tuple(sorted((a, b))))
+    # the induced subgraph as a filter over every edge, in sorted pair order
+    sub = graph.induced(keep)
+    assert list(sub.nodes.items()) == [(t, "entity") for t in sorted(keep) if t in graph.nodes]
+    assert list(sub._edges.values()) == [rec for rec in graph.edges()
+                                         if rec.src in keep and rec.dst in keep]

@@ -1,0 +1,232 @@
+"""Property tests for every input file parser.
+
+Each parser reads arbitrary bytes and well-formed records with fields
+replaced, dropped or repeated. Whatever it reads, it either loads or raises
+a :class:`HolosceneError`; nothing else may escape. The CLI commands that
+read these files exit 0 or 1, never with a traceback, and exit 1 whenever
+the parser refuses the file.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from holoscene import lexicon
+from holoscene.blending import load_blend
+from holoscene.cli import main
+from holoscene.errors import HolosceneError
+from holoscene.memory import HolographicMemory
+from holoscene.ontology import TermObjectMap, ValueMap, load_graph, load_rewrite_rules
+from holoscene.pipeline import load_config
+from holoscene.scenario import load_actor_functions
+
+DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
+V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
+
+GRAPH = """# holoscene graph v1
+node ball entity
+node beach entity
+node sand entity
+edge ball beach located-on 2
+edge beach sand related-to 1
+freq ball 2
+freq beach 3
+freq sand 1
+triple ball beach sand 1"""
+
+BLEND = """# holoscene blend v1
+node ball entity
+node beach entity
+edge ball beach located-on 2
+score ball 1.0 anchored
+score beach 0.25 confabulated"""
+
+CONFIG = "\n".join(
+    [line for line in (DEMO / "demo.config").read_text().splitlines() if "=" in line]
+    + [f"{key}_path = {DEMO / f'demo.{key}'}" for key in ("objects", "values", "functions")]
+    + ["rules_path = rules.txt"]
+)
+
+TABLES = {
+    "stopwords": (lexicon.load_stopwords, "a about above\nbe been"),
+    "verbs": (lexicon.load_verbs, "walk walks walked walking\ntake takes took taken taking"),
+    "word-map": (lexicon.load_word_map, "blue color\nwoman female"),
+    "relation-patterns": (lexicon.load_relation_patterns, "part of -> part-of\nhas -> has-a"),
+    "rewrite-rules": (load_rewrite_rules, "beach -> sand\nball -> hand"),
+    "objects": (TermObjectMap.load, (DEMO / "demo.objects").read_text()),
+    "values": (ValueMap.load, (DEMO / "demo.values").read_text()),
+    "functions": (load_actor_functions, (DEMO / "demo.functions").read_text()),
+}
+
+_FIELDS = st.sampled_from(
+    ["", "x", "0", "-1", "2", "0.5", "1e999", "nan", "inf", "\x00", "a\x00b", "#", "->", ":", ",",
+     "=", "node", "score", "ball"]
+) | st.text(max_size=6)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one to three of its lines changed: a space-separated
+    field replaced or appended, a NUL byte put in, or the line dropped or
+    repeated."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["field", "field", "field", "nul", "drop", "repeat"]))
+        if action == "drop":
+            del lines[at]
+        elif action == "repeat":
+            lines.insert(at, lines[at])
+        elif action == "nul":
+            i = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:i] + "\x00" + lines[at][i:]
+        else:
+            fields = lines[at].split(" ")
+            i = draw(st.integers(0, len(fields)))
+            fields[i:i + 1] = [draw(_FIELDS)]
+            lines[at] = " ".join(fields)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def inputs(text):
+    return st.binary(max_size=200) | mutated(text)
+
+
+@contextlib.contextmanager
+def written(data: bytes, name: str = "input"):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, name)
+        path.write_bytes(data)
+        yield path
+
+
+def refuses(load, path) -> bool:
+    """Whether ``load`` refuses ``path``; any error but a
+    :class:`HolosceneError` escapes and fails the test."""
+    try:
+        load(path)
+    except HolosceneError:
+        return True
+    return False
+
+
+def run_cli(argv, refused: bool) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error:")
+    if refused:
+        assert code == 1
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+CLI_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(inputs(GRAPH))
+def test_graph_parser_raises_only_typed_errors(data):
+    with written(b"# holoscene graph v1\n" + data) as path:
+        refused = refuses(load_graph, path)
+        run_cli(["export-dot", str(path)], refused)
+
+
+@PROPERTY
+@given(inputs(BLEND))
+def test_blend_parser_raises_only_typed_errors(data):
+    with written(b"# holoscene blend v1\n" + data) as path:
+        refused = refuses(load_blend, path)
+        run_cli(["export-dot", str(path)], refused)
+
+
+@PROPERTY
+@given(inputs(CONFIG))
+@example(b"objects_path = a\x00b\n")
+def test_config_parser_raises_only_typed_errors(data):
+    with written(data) as path:
+        refuses(load_config, path)
+
+
+@CLI_PROPERTY
+@given(inputs(CONFIG))
+@example(b"values_path = a\x00b\n")
+def test_imagine_with_any_config_exits_without_traceback(data):
+    with written(data, "story.config") as path:
+        path.with_name("rules.txt").write_text("beach -> sand\n")
+        refused = refuses(load_config, path)
+        run_cli(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
+                 "-o", str(path.with_name("s.json")), "--config", str(path)], refused)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@PROPERTY
+@given(data=st.data())
+def test_table_parsers_raise_only_typed_errors(name, data):
+    load, text = TABLES[name]
+    with written(data.draw(inputs(text))) as path:
+        refuses(load, path)
+
+
+def _snapshot_v2():
+    mem = HolographicMemory(dim=4)
+    mem.observe({("woman", 0), ("ball", 0)})
+    mem.observe({("woman", 1)})
+    return mem.snapshot()
+
+
+SNAPSHOTS = [_snapshot_v2(), json.loads(V1_FIXTURE.read_text())]
+_JSON_VALUES = st.sampled_from(
+    [None, True, False, -1, 0, 1, 2, 1.5, 2 ** 40, -(2 ** 40), float("nan"), float("inf"),
+     "x", "", "sensory", "woman", [], {}, [None], [0.5, 0.5, 0.5, 0.5], {"id": "x"}]
+)
+
+
+def _places(value, at=()):
+    """The key paths of every value nested in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield at + (key,)
+        yield from _places(inner, at + (key,))
+
+
+@st.composite
+def mutated_snapshot(draw):
+    """A snapshot, version 2 or 1, with one to three values replaced or
+    their keys deleted; half of them top-level values."""
+    snapshot = json.loads(json.dumps(draw(st.sampled_from(SNAPSHOTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(_places(snapshot))
+        place = draw(st.sampled_from([p for p in places if len(p) == 1]) | st.sampled_from(places))
+        holder = snapshot
+        for key in place[:-1]:
+            holder = holder[key]
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[place[-1]]
+        else:
+            holder[place[-1]] = draw(_JSON_VALUES)
+    return json.dumps(snapshot).encode("utf-8")
+
+
+@PROPERTY
+@given(st.binary(max_size=200) | mutated_snapshot())
+@example(b"1" * 5000)
+@example(b"[" * 100_000)
+@example(json.dumps({**SNAPSHOTS[0], "dim": 2 ** 40}).encode())
+def test_snapshot_parser_raises_only_typed_errors(data):
+    with written(data) as path:
+        refused = refuses(HolographicMemory.load, path)
+        run_cli(["inspect-memory", str(path)], refused)
