@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hrr
-from .errors import GraphFormatError, UnknownTermError, read_text
-from .ontology import DkStatistics, OntologyGraph, _graph_records
+from .errors import GraphFormatError, UnknownTermError, read_lines
+from .ontology import DkStatistics, OntologyGraph, _add_edge_records, _graph_records
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -49,6 +49,8 @@ EXPANDED = "expanded"
 CONFABULATED = "confabulated"
 
 DOT_COLORS = {ANCHORED: "yellow", EXPANDED: "red", CONFABULATED: "blue"}
+
+BLEND_HEADER = "# holoscene blend v1"  # a file that starts with it is read as a blend
 
 
 @dataclass(frozen=True)
@@ -388,7 +390,7 @@ def absorb_anchored(blend: BlendedSpace, anchored, graph: OntologyGraph) -> Blen
 def save_blend(blend: BlendedSpace, path) -> None:
     """Graph-format file with extra ``score <term> <value> <provenance>``
     records."""
-    lines = ["# holoscene blend v1", *_graph_records(blend.subgraph)]
+    lines = [BLEND_HEADER, *_graph_records(blend.subgraph)]
     for term in sorted(blend.scores):
         lines.append(f"score {term} {blend.scores[term]!r} {blend.provenance[term]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -404,10 +406,7 @@ def load_blend(path) -> BlendedSpace:
     provenance: dict[str, str] = {}
     edge_lines = []
     score_lines = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in read_lines(path):
         fields = line.split()
         try:
             if fields[0] == "node" and len(fields) == 3:
@@ -430,11 +429,7 @@ def load_blend(path) -> BlendedSpace:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
-    for line_no, src, dst, label, weight in edge_lines:
-        try:
-            subgraph.add_edge(src, dst, label, weight)
-        except (UnknownTermError, ValueError) as exc:
-            raise GraphFormatError(path, line_no, str(exc)) from None
+    _add_edge_records(subgraph, path, edge_lines, positive=False)
     for line_no, term in score_lines:
         if term not in subgraph.nodes:
             raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")

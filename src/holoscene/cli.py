@@ -9,9 +9,10 @@ Subcommands:
   a DOT rendering and a memory snapshot).
 * ``inspect-memory <snapshot>`` -- summarize a saved concept memory.
 * ``export-dot <graph_file|blend_file> [-o out.dot]`` -- render either
-  file kind to DOT (blends get provenance colors).
+  file kind to DOT (a file that starts with the blend header is a blend
+  and gets provenance colors).
 
-``--config FILE`` and ``--seed N`` work everywhere; ``HOLOSCENE_SEED``
+Only ``imagine`` takes ``--config FILE`` and ``--seed N``; ``HOLOSCENE_SEED``
 and the ``HOLOSCENE_OBJECTS/VALUES/FUNCTIONS`` environment variables
 override paths and seed between config file and flags.
 """
@@ -25,11 +26,6 @@ from pathlib import Path
 
 from . import blending, memory, ontology, pipeline
 from .errors import HolosceneError, read_text
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    parser.add_argument("--seed", type=int, help="override the random seed")
 
 
 def _resolve_config(args) -> pipeline.PipelineConfig:
@@ -50,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build-ontology", help="build a graph file from a corpus directory")
     p_build.add_argument("corpus_dir")
     p_build.add_argument("-o", "--output", required=True, metavar="GRAPH_FILE")
-    _add_common(p_build)
 
     p_imagine = sub.add_parser("imagine", help="turn a text file into a scene script")
     p_imagine.add_argument("text_file")
@@ -60,16 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_imagine.add_argument("--dot-out", metavar="DOT_FILE", help="also write a colored DOT of the blend")
     p_imagine.add_argument("--memory-out", metavar="SNAPSHOT", help="also write the concept memory snapshot")
     p_imagine.add_argument("-v", "--verbose", action="store_true", help="print diagnostics")
-    _add_common(p_imagine)
+    p_imagine.add_argument("--config", metavar="FILE", help="key = value configuration file")
+    p_imagine.add_argument("--seed", type=int, help="override the random seed")
 
     p_mem = sub.add_parser("inspect-memory", help="summarize a memory snapshot")
     p_mem.add_argument("snapshot")
-    _add_common(p_mem)
 
     p_dot = sub.add_parser("export-dot", help="render a graph or blend file to DOT")
     p_dot.add_argument("input_file")
     p_dot.add_argument("-o", "--output", metavar="DOT_FILE")
-    _add_common(p_dot)
     return parser
 
 
@@ -119,9 +113,7 @@ def _cmd_inspect_memory(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    head = read_text(args.input_file).splitlines()[:1]
-    is_blend = bool(head) and "blend" in head[0]
-    if is_blend:
+    if read_text(args.input_file).startswith(blending.BLEND_HEADER):
         dot = blending.blend_to_dot(blending.load_blend(args.input_file))
     else:
         graph, _ = ontology.load_graph(args.input_file)

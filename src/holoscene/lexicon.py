@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import GraphFormatError, read_text
+from .errors import GraphFormatError, read_lines
 
 _TOKEN_RE = re.compile(r"[a-z']+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -83,27 +83,16 @@ def _data_path(name: str) -> Path:
     return Path(resources.files("holoscene").joinpath("data", name))
 
 
-def _read_lines(path) -> list:
-    """``(line number, stripped line)`` for each line of ``path`` that is
-    neither blank nor a ``#`` comment."""
-    lines = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((line_no, line))
-    return lines
-
-
 def load_stopwords(path) -> frozenset:
     words = set()
-    for _, line in _read_lines(path):
+    for _, line in read_lines(path):
         words.update(line.split())
     return frozenset(words)
 
 
 def load_verbs(path) -> dict:
     lemmas = {}
-    for _, line in _read_lines(path):
+    for _, line in read_lines(path):
         forms = line.split()
         for form in forms:
             lemmas[form] = forms[0]
@@ -112,7 +101,7 @@ def load_verbs(path) -> dict:
 
 def load_word_map(path) -> dict:
     out = {}
-    for line_no, line in _read_lines(path):
+    for line_no, line in read_lines(path):
         fields = line.split(None, 1)
         if len(fields) != 2:
             raise GraphFormatError(path, line_no, f"expected a word and its value, got {line!r}")
@@ -120,15 +109,19 @@ def load_word_map(path) -> dict:
     return out
 
 
+def read_arrows(path, shape: str):
+    """``(left, right)`` for each ``left -> right`` line of ``path``; a line
+    without both sides is a :class:`GraphFormatError` that names ``shape``."""
+    for line_no, line in read_lines(path):
+        left, _, right = line.partition("->")
+        left, right = left.strip(), right.strip()
+        if not left or not right:
+            raise GraphFormatError(path, line_no, f"expected {shape!r}, got {line!r}")
+        yield left, right
+
+
 def load_relation_patterns(path) -> tuple:
-    patterns = []
-    for line_no, line in _read_lines(path):
-        surface, _, label = line.partition("->")
-        surface, label = surface.strip(), label.strip()
-        if not surface or not label:
-            raise GraphFormatError(path, line_no, f"expected 'pattern -> label', got {line!r}")
-        patterns.append((surface, label))
-    return compile_patterns(dict(patterns))
+    return compile_patterns(dict(read_arrows(path, "pattern -> label")))
 
 
 def compile_patterns(lexicon: dict) -> tuple:

@@ -26,15 +26,8 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_text
-from .lexicon import (
-    Lexicon,
-    _TOKEN_RE,
-    _read_lines,
-    compile_patterns,
-    default_lexicon,
-    split_sentences,
-)
+from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines
+from .lexicon import Lexicon, _TOKEN_RE, default_lexicon, load_word_map, read_arrows, split_sentences
 
 GENERIC_RELATION = "related-to"
 
@@ -205,18 +198,15 @@ def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
     return out
 
 
-def build_from_corpus(corpus, relation_lexicon=None, lexicon: Lexicon | None = None) -> OntologyGraph:
+def build_from_corpus(corpus, lexicon: Lexicon | None = None) -> OntologyGraph:
     """Vocabulary graph with co-occurrence edge weights over a corpus.
 
     ``corpus`` is a list of document strings; sentences split on .!? and
-    windows never cross document boundaries. ``relation_lexicon`` maps a
-    surface pattern to an edge label; unmatched pairs get "related-to".
+    windows never cross document boundaries. The lexicon's relation
+    patterns map a surface pattern to an edge label; unmatched pairs get
+    "related-to".
     """
     lex = lexicon or default_lexicon()
-    if relation_lexicon is None:
-        patterns = lex.relation_patterns
-    else:
-        patterns = compile_patterns(relation_lexicon)
 
     terms_seen: dict[str, None] = {}
     pair_counts: Counter = Counter()
@@ -227,7 +217,7 @@ def build_from_corpus(corpus, relation_lexicon=None, lexicon: Lexicon | None = N
         terms_seen.update(dict.fromkeys(chain.from_iterable(term_lists)))
         _count_windows(term_lists, 2, pair_counts)
         for sentence in sentences:
-            for src, dst, label in _match_relations(sentence, patterns, lex):
+            for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
     graph = OntologyGraph()
@@ -310,11 +300,7 @@ def expand(
 
 def load_rewrite_rules(path) -> dict:
     rules: dict[str, list] = {}
-    for line_no, line in _read_lines(path):
-        src, _, dst = line.partition("->")
-        src, dst = src.strip(), dst.strip()
-        if not src or not dst:
-            raise GraphFormatError(path, line_no, f"expected 'term -> term', got {line!r}")
+    for src, dst in read_arrows(path, "term -> term"):
         rules.setdefault(src, []).append(dst)
     return rules
 
@@ -339,13 +325,7 @@ class TermObjectMap:
 
     @classmethod
     def load(cls, path) -> "TermObjectMap":
-        entries = {}
-        for line_no, line in _read_lines(path):
-            fields = line.split(None, 1)
-            if len(fields) != 2:
-                raise GraphFormatError(path, line_no, f"expected a term and its asset, got {line!r}")
-            entries[fields[0]] = fields[1]
-        return cls(entries)
+        return cls(load_word_map(path))
 
 
 @dataclass(frozen=True)
@@ -368,7 +348,7 @@ class ValueMap:
     @classmethod
     def load(cls, path) -> "ValueMap":
         entries = {}
-        for line_no, line in _read_lines(path):
+        for line_no, line in read_lines(path):
             fields = line.split()
             try:
                 if len(fields) != 3:
@@ -393,6 +373,20 @@ def _graph_records(graph: OntologyGraph) -> list:
     return lines
 
 
+def _add_edge_records(graph: OntologyGraph, path, records, positive: bool) -> None:
+    """Add the ``(line number, src, dst, label, weight)`` edge records that
+    a graph or blend file put aside until its nodes were read. A record
+    :class:`OntologyGraph.add_edges` refuses, or a zero weight when
+    ``positive``, is a :class:`GraphFormatError` at its line."""
+    for line_no, src, dst, label, weight in records:
+        try:
+            graph.add_edge(src, dst, label, weight)
+            if weight == 0.0 and positive:
+                raise ValueError("edge weight is a pair count and must be positive, not 0.0")
+        except (UnknownTermError, ValueError) as exc:
+            raise GraphFormatError(path, line_no, str(exc)) from None
+
+
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
     """Line-oriented graph file: node/edge records plus optional freq and
     triple records carrying the word statistics."""
@@ -407,9 +401,9 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
 
 def _first_record(path, kind: str, terms) -> int:
     """Line number of the first ``kind`` record that names one of ``terms``."""
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        fields = raw.split()
-        if fields and fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        if fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
             return line_no
     raise AssertionError(f"no {kind} record names {sorted(terms)}")
 
@@ -430,10 +424,8 @@ def load_graph(path):
     freq: dict[str, float] = {}
     k3: dict[tuple, float] = {}
     edge_lines = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+    for line_no, line in read_lines(path):
+        fields = line.split()
         kind = fields[0]
         try:
             if kind == "node" and len(fields) == 3:
@@ -460,13 +452,7 @@ def load_graph(path):
                 raise ValueError(f"unrecognized record {kind!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
-    for line_no, src, dst, label, weight in edge_lines:
-        try:
-            graph.add_edge(src, dst, label, weight)
-            if weight == 0.0 and freq:
-                raise ValueError("edge weight is a pair count and must be positive, not 0.0")
-        except (UnknownTermError, ValueError) as exc:
-            raise GraphFormatError(path, line_no, str(exc)) from None
+    _add_edge_records(graph, path, edge_lines, positive=bool(freq))
     if not freq:
         return graph, None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import blending, hrr, memory, ontology, scenario, textfilter
-from .errors import ConfigError, HolosceneError, StageError, read_text
+from .errors import ConfigError, HolosceneError, StageError, read_lines, read_text
 from .lexicon import default_lexicon
 
 _DEMO_DIR = Path(__file__).parent / "data" / "demo"
@@ -96,10 +96,7 @@ def _number(kind, value: str, name: str):
 def load_config(path) -> PipelineConfig:
     """key = value file; unknown keys are rejected."""
     overrides = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in read_lines(path):
         key, eq, value = (piece.strip() for piece in line.partition("="))
         if eq != "=":
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")

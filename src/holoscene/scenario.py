@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blending import BlendedSpace
-from .errors import GraphFormatError, UnmappedTermError
-from .lexicon import Lexicon, _read_lines, default_lexicon
+from .errors import GraphFormatError, UnmappedTermError, read_lines
+from .lexicon import Lexicon, default_lexicon
 from .ontology import TermObjectMap, ValueMap
 
 
@@ -32,7 +32,7 @@ class ActorFunction:
 def load_actor_functions(path) -> dict:
     """Parse a functions file: ``name arg:type,arg:type -> out:type``."""
     functions = {}
-    for line_no, line in _read_lines(path):
+    for line_no, line in read_lines(path):
         head, _, out = line.partition("->")
         if not out.strip():
             raise GraphFormatError(path, line_no, f"function line lacks a free output: {line!r}")

@@ -73,9 +73,9 @@ class UniversalStructure:
         return [t for t in out if not (t in seen or seen.add(t))]
 
 
-def _resolve_pronoun(pronoun: str, context, lex: Lexicon, horizon: int) -> str | None:
+def _resolve_pronoun(pronoun: str, context, lex: Lexicon) -> str | None:
     wanted = PRONOUNS[pronoun]
-    for structure in list(context)[-horizon:][::-1]:
+    for structure in list(context)[-CONTEXT_HORIZON:][::-1]:
         for candidate in (structure.active_actor, structure.passive_actor):
             if candidate is None or candidate in PRONOUNS:
                 continue
@@ -85,8 +85,8 @@ def _resolve_pronoun(pronoun: str, context, lex: Lexicon, horizon: int) -> str |
     return None
 
 
-def _recent_active(context, horizon: int) -> str | None:
-    for structure in list(context)[-horizon:][::-1]:
+def _recent_active(context) -> str | None:
+    for structure in list(context)[-CONTEXT_HORIZON:][::-1]:
         if structure.active_actor is not None:
             return structure.active_actor
     return None
@@ -95,10 +95,9 @@ def _recent_active(context, horizon: int) -> str | None:
 class _NounPhrase:
     """Accumulates articles/adjectives until a head noun appears."""
 
-    def __init__(self, lex: Lexicon, context, horizon: int):
+    def __init__(self, lex: Lexicon, context):
         self.lex = lex
         self.context = context
-        self.horizon = horizon
         self.head: str | None = None
         self.pending: list = []
         self.attributes: list = []
@@ -111,7 +110,7 @@ class _NounPhrase:
             self.pending.append(token)
             return False
         if token in PRONOUNS:
-            self.head = _resolve_pronoun(token, self.context, self.lex, self.horizon)
+            self.head = _resolve_pronoun(token, self.context, self.lex)
         else:
             self.head = self.lex.normalize(token)
         if self.head is not None:
@@ -121,12 +120,7 @@ class _NounPhrase:
         return True
 
 
-def parse_sentence(
-    text: str,
-    context=(),
-    lexicon: Lexicon | None = None,
-    horizon: int = CONTEXT_HORIZON,
-) -> UniversalStructure:
+def parse_sentence(text: str, context=(), lexicon: Lexicon | None = None) -> UniversalStructure:
     """Parse one clause into a UniversalStructure.
 
     ``context`` holds the structures of prior sentences, newest last; it
@@ -157,7 +151,7 @@ def parse_sentence(
     # subject
     before = tokens[:verb_idx]
     existential = before and before[-1] == "there"
-    subject_np = _NounPhrase(lex, context, horizon)
+    subject_np = _NounPhrase(lex, context)
     subject: str | None = None
     if not existential:
         for token in before:
@@ -166,8 +160,8 @@ def parse_sentence(
     attributes = list(subject_np.attributes)
 
     # object and location
-    object_np = _NounPhrase(lex, context, horizon)
-    location_np = _NounPhrase(lex, context, horizon)
+    object_np = _NounPhrase(lex, context)
+    location_np = _NounPhrase(lex, context)
     obj: str | None = None
     location: str | None = None
     in_location = False
@@ -194,7 +188,7 @@ def parse_sentence(
     else:
         active, passive_actor = subject, obj
         if active is None and not before:
-            active = _recent_active(context, horizon)
+            active = _recent_active(context)
 
     return UniversalStructure(
         action=action,
@@ -224,15 +218,13 @@ def split_clauses(sentence: str, lexicon: Lexicon | None = None) -> list:
     return clauses or [sentence]
 
 
-def parse_text(
-    text: str, lexicon: Lexicon | None = None, horizon: int = CONTEXT_HORIZON
-) -> list:
+def parse_text(text: str, lexicon: Lexicon | None = None) -> list:
     """Parse a whole text into structures, threading context through."""
     lex = lexicon or default_lexicon()
     structures: list = []
     for sentence in split_sentences(text):
         for clause in split_clauses(sentence, lex):
-            structures.append(parse_sentence(clause, structures, lex, horizon))
+            structures.append(parse_sentence(clause, structures, lex))
     return structures
 
 

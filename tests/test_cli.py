@@ -31,6 +31,17 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert main(["dream"]) == 2
 
+    @pytest.mark.parametrize("option", [["--config", "x"], ["--seed", "99"]], ids=["config", "seed"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["build-ontology", "corpus", "-o", "g.graph"], ["inspect-memory", "m.json"],
+         ["export-dot", "g.graph"]],
+        ids=["build-ontology", "inspect-memory", "export-dot"],
+    )
+    def test_only_imagine_takes_config_and_seed(self, capsys, argv, option):
+        assert main(argv + option) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBuildOntology:
     def test_writes_graph_file(self, built_graph):
@@ -337,6 +348,17 @@ class TestInspectAndDot:
         assert main(["export-dot", str(built_graph)]) == 0
         out = capsys.readouterr().out
         assert "graph ontology {" in out
+
+    def test_export_dot_reads_a_graph_that_names_a_blender(self, tmp_path, capsys):
+        # only the header save_blend writes makes a file a blend, not the
+        # word "blend" on its first line
+        graph = tmp_path / "g.graph"
+        graph.write_text("node blender entity\nnode sun entity\nedge blender sun related-to 1\n"
+                         "freq blender 1\nfreq sun 1\n")
+        assert main(["export-dot", str(graph)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("graph ontology {")
+        assert '"blender" -- "sun"' in out
 
 
 def _spoiled(source, path, line_no):

@@ -10,6 +10,7 @@ relation surface, so the faster scan is pinned to it record for record.
 
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -80,12 +81,20 @@ def reference_windows(term_lists, width):
     return [set().union(*sets[i : i + width]) for i in range(len(sets) - width + 1)]
 
 
-def reference_build(corpus, relation_lexicon=None):
+def with_patterns(relation_lexicon):
+    """The default lexicon, with its relation patterns replaced by the
+    pattern -> label map ``relation_lexicon`` unless that is None."""
+    lex = default_lexicon()
+    if relation_lexicon is None:
+        return lex
+    return replace(lex, relation_patterns=compile_patterns(relation_lexicon))
+
+
+def reference_build(corpus, lex):
     """The graph scan one window and one sentence at a time: a ``+= 1`` per
     pair, every pattern searched in every tokenised sentence, ``add_node``
     per term occurrence and one ``add_edge`` per edge."""
-    lex = default_lexicon()
-    patterns = lex.relation_patterns if relation_lexicon is None else compile_patterns(relation_lexicon)
+    patterns = lex.relation_patterns
     graph = OntologyGraph()
     pair_counts = Counter()
     labels = {}
@@ -125,8 +134,9 @@ def reference_dk(corpus):
 
 
 def assert_scan_matches_reference(corpus, relation_lexicon=None):
-    graph = build_from_corpus(corpus, relation_lexicon)
-    want = reference_build(corpus, relation_lexicon)
+    lex = with_patterns(relation_lexicon)
+    graph = build_from_corpus(corpus, lexicon=lex)
+    want = reference_build(corpus, lex)
     assert list(graph.nodes.items()) == list(want.nodes.items())
     assert list(graph._edges.items()) == list(want._edges.items())
     assert graph.edges() == want.edges()
@@ -159,12 +169,10 @@ _CORPORA = st.lists(st.lists(st.sampled_from(_SCAN_WORDS), max_size=40).map(" ".
 @given(_CORPORA, st.sampled_from([None, {}, {"Part of": "part-of", "of the": "of", "near": "near", "by": "by"}]))
 def test_scan_matches_reference_on_random_corpora(corpus, relation_lexicon):
     assert_scan_matches_reference(corpus, relation_lexicon)
-    lex = default_lexicon()
-    patterns = (lex.relation_patterns if relation_lexicon is None
-                else compile_patterns(relation_lexicon))
+    lex = with_patterns(relation_lexicon)
     for sentence in (s for doc in corpus for s in split_sentences(doc)):
-        want = reference_match_relations(sentence, patterns, lex)
-        assert _match_relations(sentence, patterns, lex) == want
+        want = reference_match_relations(sentence, lex.relation_patterns, lex)
+        assert _match_relations(sentence, lex.relation_patterns, lex) == want
 
 
 @pytest.mark.parametrize("corpus", [TOY_CORPUS, DEMO_CORPUS], ids=["toy", "demo"])
@@ -225,7 +233,7 @@ def oracle_counts(corpus):
 
 class TestBuildFromCorpus:
     def test_relation_pattern_labels_edge(self):
-        graph = build_from_corpus(["head is part of body."], {"part of": "part-of"})
+        graph = build_from_corpus(["head is part of body."], lexicon=with_patterns({"part of": "part-of"}))
         assert set(graph.nodes) == {"head", "body"}
         rec = graph.edge_between("head", "body")
         assert (rec.src, rec.dst, rec.label, rec.weight) == ("head", "body", "part-of", 1)
@@ -247,7 +255,7 @@ class TestBuildFromCorpus:
 
     def test_overlapping_patterns_keep_the_longest(self):
         corpus = ["The ball is part of the sand."]
-        graph = build_from_corpus(corpus, {"of the": "of", "part of": "part-of"})
+        graph = build_from_corpus(corpus, lexicon=with_patterns({"of the": "of", "part of": "part-of"}))
         assert graph.edge_between("ball", "sand").label == "part-of"
         assert_scan_matches_reference(corpus, {"of the": "of", "part of": "part-of"})
 
@@ -263,7 +271,7 @@ class TestBuildFromCorpus:
 
     def test_weights_are_hand_counted_cooccurrences(self):
         corpus = ["The sun shines. The sun warms the sand. Waves reach the sand."]
-        graph = build_from_corpus(corpus, {})
+        graph = build_from_corpus(corpus, lexicon=with_patterns({}))
         # windows: {sun, shine, warm, sand}, {sun, warm, sand, waves, reach}
         assert graph.edge_between("sand", "sun").weight == 2
         assert graph.edge_between("shine", "sun").weight == 1

@@ -4,7 +4,9 @@ Each parser reads arbitrary bytes and well-formed records with fields
 replaced, dropped or repeated. Whatever it reads, it either loads or raises
 a :class:`HolosceneError`; nothing else may escape. The CLI commands that
 read these files exit 0 or 1, never with a traceback, and exit 1 whenever
-the parser refuses the file.
+the parser refuses the file. Every line-oriented parser reads its lines the
+same way: blank lines, ``#`` comments and CRLF ends change neither what it
+loads nor the line its errors name.
 """
 
 import contextlib
@@ -17,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holoscene import lexicon
-from holoscene.blending import load_blend
+from holoscene.blending import BlendedSpace, load_blend
 from holoscene.cli import main
 from holoscene.errors import HolosceneError
 from holoscene.memory import HolographicMemory
-from holoscene.ontology import TermObjectMap, ValueMap, load_graph, load_rewrite_rules
+from holoscene.ontology import OntologyGraph, TermObjectMap, ValueMap, load_graph, load_rewrite_rules
 from holoscene.pipeline import load_config
 from holoscene.scenario import load_actor_functions
 
@@ -61,6 +63,15 @@ TABLES = {
     "objects": (TermObjectMap.load, (DEMO / "demo.objects").read_text()),
     "values": (ValueMap.load, (DEMO / "demo.values").read_text()),
     "functions": (load_actor_functions, (DEMO / "demo.functions").read_text()),
+}
+
+LINE_PARSERS = {**TABLES, "graph": (load_graph, GRAPH), "blend": (load_blend, BLEND),
+                "config": (load_config, CONFIG)}
+# a line each parser refuses; any line is a stop-word or verb record
+MALFORMED = {
+    "word-map": "blue", "relation-patterns": "part of", "rewrite-rules": "beach ->",
+    "objects": "woman", "values": "tall height", "functions": "take actor:human",
+    "graph": "edge ball", "blend": "score ball", "config": "dim 5",
 }
 
 _FIELDS = st.sampled_from(
@@ -174,6 +185,50 @@ def test_table_parsers_raise_only_typed_errors(name, data):
     load, text = TABLES[name]
     with written(data.draw(inputs(text))) as path:
         refuses(load, path)
+
+
+def _decorated(text: str) -> bytes:
+    """``text`` with a blank line, a line of spaces and an indented ``#``
+    comment before each of its lines, and CRLF line ends; its line ``n``
+    becomes line ``4 * n``."""
+    lines = []
+    for line in text.splitlines():
+        lines += ["", "  \t", "   # a comment", line]
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+def _view(loaded):
+    """``loaded`` with each graph in it replaced by its nodes and edges,
+    which compare by value."""
+    if isinstance(loaded, OntologyGraph):
+        return loaded.nodes, loaded.edges()
+    if isinstance(loaded, BlendedSpace):
+        return loaded, _view(loaded.subgraph)
+    if isinstance(loaded, tuple):
+        return tuple(_view(item) for item in loaded)
+    return loaded
+
+
+@pytest.mark.parametrize("name", sorted(LINE_PARSERS))
+def test_line_parsers_skip_blanks_comments_and_crlf_alike(tmp_path, name):
+    load, text = LINE_PARSERS[name]
+    plain, decorated = tmp_path / "plain", tmp_path / "decorated"
+    plain.write_text(text + "\n")
+    decorated.write_bytes(_decorated(text))
+    assert _view(load(decorated)) == _view(load(plain))
+    if name not in MALFORMED:
+        return
+    text += "\n" + MALFORMED[name]
+    plain.write_text(text + "\n")
+    decorated.write_bytes(_decorated(text))
+    line_no = len(text.splitlines())
+    messages = []
+    for path, where in ((plain, f"{plain}:{line_no}: "), (decorated, f"{decorated}:{4 * line_no}: ")):
+        with pytest.raises(HolosceneError) as err:
+            load(path)
+        assert str(err.value).startswith(where)
+        messages.append(str(err.value)[len(where):])
+    assert messages[0] == messages[1]
 
 
 def _snapshot_v2():
