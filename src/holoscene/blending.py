@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hrr
-from .errors import GraphFormatError, UnknownTermError, read_lines
+from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
 from .ontology import DkStatistics, OntologyGraph, _add_edge_records, _graph_records
 from .textfilter import MentalSpace
 
@@ -132,9 +132,10 @@ class _WalkIndex:
 
     Nodes are numbered in sorted term order and each node's neighbours are
     stored in that order (CSR), so array order is the order the walk takes
-    them in. Every directed edge carries its step weight and its pair count;
-    triple counts are sorted int64 keys, built only when a path can take two
-    steps. ``paths`` counts the simple paths scored so far.
+    them in. Every directed edge carries its step weight and its pair count,
+    which is the graph's edge weight; triple counts are sorted int64 keys,
+    built only when a path can take two steps. ``paths`` counts the simple
+    paths scored so far.
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
@@ -149,10 +150,10 @@ class _WalkIndex:
             value = dk.k1.get(term)
             raise ValueError(f"term {term!r} needs a finite, positive frequency, not {value!r}")
 
-        pairs = graph._edges  # keyed by the sorted term pair
-        ends = np.fromiter(map(self.number.__getitem__, chain.from_iterable(pairs)),
-                           dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-        counts = np.fromiter(map(dk.k2.get, pairs, repeat(0)), dtype=float, count=len(pairs))
+        edges = graph._edges  # keyed by the sorted term pair
+        ends = np.fromiter(map(self.number.__getitem__, chain.from_iterable(edges)),
+                           dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
+        counts = np.fromiter((rec.weight for rec in edges.values()), dtype=float, count=len(edges))
         steps = ends[:, 0] != ends[:, 1]  # a self-loop never steps off its path
         ends, counts = ends[steps], counts[steps]
         src = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -341,10 +342,11 @@ def confabulate(
     The highest-scoring candidate always joins; others join when their
     score, relative to that maximum, clears ``threshold``. ``anchored``
     marks which blend terms were mentioned outright, for provenance.
-    ``counts`` is passed on to :func:`candidate_scores`.
+    ``counts`` is passed on to :func:`candidate_scores`. An empty generic
+    space raises :class:`NoSharedTermError`.
     """
     if not generic.shared:
-        raise ValueError("confabulate requires a non-empty generic space")
+        raise NoSharedTermError("the clauses share no term, so there is nothing to blend")
     raw = candidate_scores(generic.shared, graph, dk, max_path, mix, counts=counts)
     peak = max(raw.values(), default=0.0)
 

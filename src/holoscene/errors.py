@@ -60,6 +60,11 @@ class VocabularyGapError(HolosceneError, ValueError):
         self.terms = tuple(sorted(terms))
 
 
+class NoSharedTermError(HolosceneError, ValueError):
+    """The clauses of a text share no term, so their blend has no generic
+    space."""
+
+
 class GraphFormatError(HolosceneError, ValueError):
     """An input file (a graph or blend file, a memory snapshot, an input
     text, a lexicon, rewrite-rule, object, value or function file, or any
@@ -102,7 +107,9 @@ def read_lines(path):
     """``(line number, stripped line)`` for each line of ``path`` that is
     neither blank nor a ``#`` comment: the one line reader of every
     line-oriented input file."""
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    # split on "\n" alone, as read_text counts lines; splitlines() would also
+    # break at \x0c, \x85, \u2028 and others
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if line and line[0] != "#":  # not startswith: ~6 ms slower on a 41,694-line graph
             yield line_no, line

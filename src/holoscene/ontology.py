@@ -6,10 +6,12 @@ the raw number of such windows. When a relation pattern (e.g. "part of")
 appears between two terms, the pair's edge carries that label instead of
 the generic "related-to".
 
-Alongside the graph, word statistics are extracted at four orders: average
-word frequency, per-word frequency, pair frequency over 2-sentence
-windows, and triple frequency over 3-sentence windows. These drive the
-confabulation scoring.
+The word statistics that drive the confabulation scoring come at four
+orders. Per-word frequency (order 1) and triple frequency over 3-sentence
+windows (order 3) are counted by ``extract_dk``; the average word
+frequency (order 0) is the mean of order 1. The pair frequency over
+2-sentence windows (order 2) is the edge weight, which only
+``build_from_corpus`` counts.
 
 Each window's sorted term pairs (or triples) are counted with one
 ``Counter.update``, in C. A sentence is searched only for the relation
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -113,15 +115,12 @@ class OntologyGraph:
 
 @dataclass(frozen=True)
 class DkStatistics:
-    """Word statistics at orders 0-3 (average, single, pair, triple)."""
+    """Word statistics at orders 1 and 3 (single and triple), with order 0
+    (average) derived from order 1. Order 2, the pair counts, is the graph's
+    edge weights."""
 
-    k0: float
     k1: dict
-    k2: dict  # sorted (a, b) -> window count
     k3: dict  # sorted (a, b, c) -> window count
-
-    def pair(self, a: str, b: str) -> float:
-        return self.k2.get(tuple(sorted((a, b))), 0)
 
     def triple(self, a: str, b: str, c: str) -> float:
         return self.k3.get(tuple(sorted((a, b, c))), 0)
@@ -130,23 +129,9 @@ class DkStatistics:
     def total_frequency(self) -> float:
         return sum(self.k1.values())
 
-    def scaled(self, factor: float) -> "DkStatistics":
-        return DkStatistics(
-            k0=self.k0 * factor,
-            k1={k: v * factor for k, v in self.k1.items()},
-            k2={k: v * factor for k, v in self.k2.items()},
-            k3={k: v * factor for k, v in self.k3.items()},
-        )
-
-    def validate(self) -> None:
-        if self.k1:
-            mean = sum(self.k1.values()) / len(self.k1)
-            if abs(mean - self.k0) > 1e-9:
-                raise ValueError("k0 must equal the mean of k1")
-        for order, keys in (("k2", self.k2), ("k3", self.k3)):
-            missing = set(chain.from_iterable(keys)) - self.k1.keys()
-            if missing:
-                raise ValueError(f"{order} term {min(missing)!r} missing from k1")
+    @property
+    def k0(self) -> float:
+        return self.total_frequency / len(self.k1) if self.k1 else 0.0
 
 
 # -- corpus scanning ---------------------------------------------------------
@@ -231,18 +216,17 @@ def build_from_corpus(corpus, lexicon: Lexicon | None = None) -> OntologyGraph:
 
 
 def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None) -> DkStatistics:
-    """Word statistics over the same windows the graph was built from."""
+    """Word and triple frequencies over the same sentences the graph was
+    built from; the pair counts are ``graph``'s edge weights. If ``graph``
+    is given, every counted term must be one of its nodes."""
     lex = lexicon or default_lexicon()
     k1: Counter = Counter()
-    k2: Counter = Counter()
     k3: Counter = Counter()
     for document in corpus:
         term_lists = [lex.content_terms(s) for s in split_sentences(document)]
         k1.update(chain.from_iterable(term_lists))
-        _count_windows(term_lists, 2, k2)
         _count_windows(term_lists, 3, k3)
-    k0 = sum(k1.values()) / len(k1) if k1 else 0.0
-    stats = DkStatistics(k0=k0, k1=dict(k1), k2=dict(k2), k3=dict(k3))
+    stats = DkStatistics(k1=dict(k1), k3=dict(k3))
     if graph is not None:
         missing = [t for t in stats.k1 if t not in graph.nodes]
         if missing:
@@ -464,14 +448,13 @@ def load_graph(path):
     stray = freq.keys() - declared
     if stray:
         raise GraphFormatError(path, _first_record(path, "freq", stray), "freq for an undeclared node")
-    # k1 now covers exactly the declared nodes and k2 the edges: only a
-    # triple can name a term without statistics
+    # k1 now covers exactly the declared nodes, and the edges join declared
+    # nodes: only a triple can name a term without statistics
     stray = set(chain.from_iterable(k3)) - declared
     if stray:
         raise GraphFormatError(path, _first_record(path, "triple", stray),
                                f"k3 term {min(stray)!r} missing from k1")
-    k2 = {pair: rec.weight for pair, rec in graph._edges.items()}
-    return graph, DkStatistics(k0=sum(freq.values()) / len(freq), k1=freq, k2=k2, k3=k3)
+    return graph, DkStatistics(k1=freq, k3=k3)
 
 
 def to_dot(graph: OntologyGraph, colors: dict | None = None, name: str = "ontology") -> str:

@@ -219,12 +219,15 @@ def split_clauses(sentence: str, lexicon: Lexicon | None = None) -> list:
 
 
 def parse_text(text: str, lexicon: Lexicon | None = None) -> list:
-    """Parse a whole text into structures, threading context through."""
+    """Parse a whole text into structures, threading context through. A
+    text with no clause (only punctuation, say) is unparseable."""
     lex = lexicon or default_lexicon()
     structures: list = []
     for sentence in split_sentences(text):
         for clause in split_clauses(sentence, lex):
             structures.append(parse_sentence(clause, structures, lex))
+    if not structures:
+        raise UnparseableSentenceError(text)
     return structures
 
 

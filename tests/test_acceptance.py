@@ -17,7 +17,7 @@ from holoscene.memory import HolographicMemory
 from holoscene.ontology import build_from_corpus, extract_dk
 from holoscene.pipeline import load_config, run_pipeline
 
-from test_blending import graph_from, oracle_accepted, oracle_transition, random_graph_case
+from test_blending import graph_from, oracle_accepted, oracle_transition, random_graph_case, scaled
 from test_hrr import direct_convolve, direct_correlate
 from test_ontology import oracle_counts
 
@@ -117,13 +117,12 @@ def test_criterion_5_dk_statistics_exact():
     dk = extract_dk(corpus, graph)
     k0, k1, k2, k3 = oracle_counts(corpus)
     assert dk.k1 == k1
-    assert dk.k2 == k2
     assert dk.k3 == k3
     assert dk.k0 == k0
     edge_weights = {rec.pair: rec.weight for rec in graph.edges()}
     assert edge_weights == k2
-    report(5, f"k0/k1/k2/k3 on the 20-sentence corpus equal the brute-force oracle exactly "
-              f"({len(k1)} words, {len(k2)} pairs, {len(k3)} triples)")
+    report(5, f"k0/k1/k3 and the edge weights (k2) on the 20-sentence corpus equal the "
+              f"brute-force oracle exactly ({len(k1)} words, {len(k2)} pairs, {len(k3)} triples)")
 
 
 counter = {"cases": 0}
@@ -142,7 +141,7 @@ def test_criterion_6_confabulation_matches_oracle(case):
     blend = confabulate(GenericSpace(generic, frozenset()), graph, dk, threshold=0.3)
     accepted, _ = oracle_accepted(generic, graph, dk, 0.3)
     assert blend.by_provenance("confabulated") == accepted
-    assert candidate_scores(generic, graph, dk) == candidate_scores(generic, graph, dk.scaled(10))
+    assert candidate_scores(generic, graph, dk) == candidate_scores(generic, *scaled(graph, dk, 10))
     counter["cases"] += 1
 
 

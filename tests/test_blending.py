@@ -29,7 +29,7 @@ from holoscene.blending import (
     save_blend,
     transition_probability,
 )
-from holoscene.errors import UnknownTermError
+from holoscene.errors import NoSharedTermError, UnknownTermError
 from holoscene.ontology import DkStatistics, OntologyGraph
 from holoscene.textfilter import MentalSpace, UniversalStructure
 
@@ -40,13 +40,18 @@ MAX_PATH = 3
 # -- oracle --------------------------------------------------------------------
 
 
-def oracle_path_score(dk, path, mix=MIX):
+def pair(graph, a, b):
+    """The pair count of the edge a-b: its weight."""
+    return graph.edge_between(a, b).weight
+
+
+def oracle_path_score(graph, dk, path, mix=MIX):
     score = 1.0
     for a, b in zip(path, path[1:]):
-        score *= mix * (dk.pair(a, b) / dk.k1[a]) + (1 - mix) * (dk.k1[b] / dk.total_frequency)
+        score *= mix * (pair(graph, a, b) / dk.k1[a]) + (1 - mix) * (dk.k1[b] / dk.total_frequency)
     for a, b, c in zip(path, path[1:], path[2:]):
         if dk.triple(a, b, c):
-            score *= 1 + dk.triple(a, b, c) / dk.pair(a, b)
+            score *= 1 + dk.triple(a, b, c) / pair(graph, a, b)
     return score
 
 
@@ -60,7 +65,7 @@ def oracle_raw(graph, dk, src, max_path=MAX_PATH, mix=MIX):
             for mids in permutations(pool, length - 1):
                 path = (src, *mids, dst)
                 if all(graph.edge_between(a, b) for a, b in zip(path, path[1:])):
-                    total += oracle_path_score(dk, path, mix)
+                    total += oracle_path_score(graph, dk, path, mix)
         if total:
             raw[dst] = total
     return raw
@@ -100,7 +105,7 @@ def reference_reach(graph, dk, source, max_path=MAX_PATH, mix=MIX, paths=None):
     raw = {}
 
     def step_weight(a, b):
-        observed = dk.pair(a, b) / dk.k1[a]
+        observed = pair(graph, a, b) / dk.k1[a]
         background = dk.k1[b] / dk.total_frequency
         return mix * observed + (1.0 - mix) * background
 
@@ -110,7 +115,7 @@ def reference_reach(graph, dk, source, max_path=MAX_PATH, mix=MIX, paths=None):
         if len(path) >= 2:
             observed = dk.triple(path[-2], path[-1], nxt)
             if observed:
-                weight *= 1.0 + observed / dk.pair(path[-2], path[-1])
+                weight *= 1.0 + observed / pair(graph, path[-2], path[-1])
         return weight
 
     def walk(path, score):
@@ -162,13 +167,26 @@ def graph_from(edges, k1, k3=()):
     graph = OntologyGraph()
     for term in sorted(k1):
         graph.add_node(term)
-    k2 = {}
     for a, b, w in edges:
         graph.add_edge(a, b, "related-to", w)
-        k2[tuple(sorted((a, b)))] = w
     k3_map = {tuple(sorted(t[:3])): t[3] for t in k3}
-    dk = DkStatistics(k0=sum(k1.values()) / len(k1), k1=dict(k1), k2=k2, k3=k3_map)
-    return graph, dk
+    return graph, DkStatistics(k1=dict(k1), k3=k3_map)
+
+
+def reweighted(graph, weight):
+    """A copy of ``graph`` in which each edge ``rec`` weighs ``weight(rec)``."""
+    copy = OntologyGraph()
+    for term, semantic_type in graph.nodes.items():
+        copy.add_node(term, semantic_type)
+    copy.add_edges(rec._replace(weight=weight(rec)) for rec in graph._edges.values())
+    return copy
+
+
+def scaled(graph, dk, factor):
+    """Copies of ``graph`` and ``dk`` with every count times ``factor``:
+    k1, k3 and the edge weights, which are the pair counts."""
+    return reweighted(graph, lambda rec: rec.weight * factor), DkStatistics(
+        k1={t: v * factor for t, v in dk.k1.items()}, k3={t: v * factor for t, v in dk.k3.items()})
 
 
 def toy_six():
@@ -337,14 +355,14 @@ class TestConfabulate:
 
     def test_empty_generic_space_rejected(self):
         graph, dk = toy_six()
-        with pytest.raises(ValueError):
+        with pytest.raises(NoSharedTermError, match="share no term") as err:
             confabulate(GenericSpace(frozenset(), frozenset()), graph, dk, 0.1)
+        assert isinstance(err.value, ValueError)
 
     def test_scaling_counts_leaves_scores_identical(self):
         graph, dk = toy_six()
         raw = candidate_scores({"a", "b"}, graph, dk)
-        scaled = candidate_scores({"a", "b"}, graph, dk.scaled(10))
-        assert raw == scaled
+        assert raw == candidate_scores({"a", "b"}, *scaled(graph, dk, 10))
 
     def test_score_monotone_under_generic_removal(self):
         graph, dk = toy_six()
@@ -417,9 +435,7 @@ def test_confabulation_matches_exhaustive_oracle(case):
     want, _ = oracle_accepted(generic, graph, dk, 0.3)
     assert blend.by_provenance("confabulated") == want
     # ranking is invariant under scaling every statistic
-    assert candidate_scores(generic, graph, dk) == candidate_scores(
-        generic, graph, dk.scaled(10)
-    )
+    assert candidate_scores(generic, graph, dk) == candidate_scores(generic, *scaled(graph, dk, 10))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -469,6 +485,20 @@ def test_walk_equals_reference_across_chunks_at_max_path_8():
     graph, dk = graph_from(edges, {t: 2 + i for i, t in enumerate(terms)}, k3)
     assert blending._WalkIndex(graph, dk, 8, MIX).subtree.min() > blending._CHUNK_PATHS
     assert_walks_match_reference(graph, dk, terms[:3], frozenset(terms[:2]), max_path=8)
+
+
+def test_walk_reads_each_pair_count_from_its_edge():
+    # the same statistics over a graph with one heavier edge: the walk must
+    # move exactly as the reference and the oracle, both reading edge weights
+    graph, dk = toy_six()
+    heavier = reweighted(graph, lambda rec: 7 if rec.pair == ("b", "c") else rec.weight)
+    generic = frozenset({"a", "d"})
+    before, after = candidate_scores(generic, graph, dk), candidate_scores(generic, heavier, dk)
+    assert after != before
+    assert list(after.items()) == list(reference_candidates(generic, heavier, dk).items())
+    _, want = oracle_accepted(generic, heavier, dk, 0.3)
+    assert after == pytest.approx(want, abs=1e-12)
+    assert before == pytest.approx(oracle_accepted(generic, graph, dk, 0.3)[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("frequency", [None, 0, -2, float("nan"), float("inf")])

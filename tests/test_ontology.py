@@ -116,21 +116,17 @@ def reference_build(corpus, lex):
 
 
 def reference_dk(corpus):
-    """The statistics scan with a ``+= 1`` per pair and per triple."""
+    """The statistics scan with a ``+= 1`` per triple."""
     lex = default_lexicon()
-    k1, k2, k3 = Counter(), Counter(), Counter()
+    k1, k3 = Counter(), Counter()
     for document in corpus:
         term_lists = [lex.content_terms(s) for s in split_sentences(document)]
         for terms in term_lists:
             k1.update(terms)
-        for window in reference_windows(term_lists, 2):
-            for a, b in combinations(sorted(window), 2):
-                k2[(a, b)] += 1
         for window in reference_windows(term_lists, 3):
             for a, b, c in combinations(sorted(window), 3):
                 k3[(a, b, c)] += 1
-    k0 = sum(k1.values()) / len(k1) if k1 else 0.0
-    return DkStatistics(k0=k0, k1=dict(k1), k2=dict(k2), k3=dict(k3))
+    return DkStatistics(k1=dict(k1), k3=dict(k3))
 
 
 def assert_scan_matches_reference(corpus, relation_lexicon=None):
@@ -142,7 +138,7 @@ def assert_scan_matches_reference(corpus, relation_lexicon=None):
     assert graph.edges() == want.edges()
     dk = extract_dk(corpus, graph)
     want_dk = reference_dk(corpus)
-    for order in ("k1", "k2", "k3"):
+    for order in ("k1", "k3"):
         assert list(getattr(dk, order).items()) == list(getattr(want_dk, order).items())
     assert dk.k0 == want_dk.k0
     with tempfile.TemporaryDirectory() as tmp:
@@ -310,25 +306,25 @@ class TestExtractDk:
     def test_matches_oracle_exactly_on_toy_corpus(self):
         graph = build_from_corpus(TOY_CORPUS)
         dk = extract_dk(TOY_CORPUS, graph)
-        k0, k1, k2, k3 = oracle_counts(TOY_CORPUS)
+        k0, k1, _, k3 = oracle_counts(TOY_CORPUS)
         assert dk.k1 == k1
-        assert dk.k2 == k2
         assert dk.k3 == k3
         assert dk.k0 == k0
 
     def test_k0_is_mean_of_k1(self):
         dk = extract_dk(TOY_CORPUS)
         assert dk.k0 == pytest.approx(sum(dk.k1.values()) / len(dk.k1))
-        dk.validate()
+        assert {t for triple in dk.k3 for t in triple} <= dk.k1.keys()
 
     def test_projection_consistency_on_single_window_corpus(self):
         # one 2-sentence document: pair and triple windows coincide
-        dk = extract_dk(["The girl kicks the ball. The ball flies."])
-        dk.validate()
+        corpus = ["The girl kicks the ball. The ball flies."]
+        dk = extract_dk(corpus)
+        assert {t for triple in dk.k3 for t in triple} <= dk.k1.keys()
         projected = set()
         for a, b, c in dk.k3:
             projected.update({(a, b), (a, c), (b, c)})
-        assert projected == set(dk.k2)
+        assert projected == set(build_from_corpus(corpus)._edges)
 
     def test_stats_must_cover_graph(self):
         graph = build_from_corpus(["The sun shines."])
@@ -430,7 +426,6 @@ class TestGraphFile:
             (r.src, r.dst, r.label, r.weight) for r in graph.edges()
         ]
         assert loaded_dk.k1 == dk.k1
-        assert loaded_dk.k2 == dk.k2
         assert loaded_dk.k3 == dk.k3
         assert loaded_dk.k0 == pytest.approx(dk.k0)
 
@@ -512,10 +507,11 @@ class TestGraphFile:
 class TestDkScaled:
     def test_scaling_multiplies_all_orders(self):
         dk = extract_dk(TOY_CORPUS)
-        big = dk.scaled(10)
+        big = DkStatistics(k1={t: 10 * v for t, v in dk.k1.items()},
+                           k3={t: 10 * v for t, v in dk.k3.items()})
         assert big.k0 == pytest.approx(10 * dk.k0)
-        assert all(big.k1[t] == 10 * dk.k1[t] for t in dk.k1)
-        big.validate()
+        assert big.total_frequency == 10 * dk.total_frequency
+        assert all(big.triple(*t) == 10 * dk.triple(*t) for t in dk.k3)
 
 
 _TERMS = st.sampled_from(["ball", "beach", "hand", "sand", "sun", "woman"])

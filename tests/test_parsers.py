@@ -6,12 +6,15 @@ a :class:`HolosceneError`; nothing else may escape. The CLI commands that
 read these files exit 0 or 1, never with a traceback, and exit 1 whenever
 the parser refuses the file. Every line-oriented parser reads its lines the
 same way: blank lines, ``#`` comments and CRLF ends change neither what it
-loads nor the line its errors name.
+loads nor the line its errors name, and only a line feed ends a line.
+``imagine`` on random texts over the demo vocabulary fails, if at all, with
+a typed error in every stage.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,10 +24,10 @@ from hypothesis import example, given, settings, strategies as st
 from holoscene import lexicon
 from holoscene.blending import BlendedSpace, load_blend
 from holoscene.cli import main
-from holoscene.errors import HolosceneError
+from holoscene.errors import GraphFormatError, HolosceneError, StageError
 from holoscene.memory import HolographicMemory
 from holoscene.ontology import OntologyGraph, TermObjectMap, ValueMap, load_graph, load_rewrite_rules
-from holoscene.pipeline import load_config
+from holoscene.pipeline import PipelineConfig, load_config, run_pipeline
 from holoscene.scenario import load_actor_functions
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
@@ -229,6 +232,57 @@ def test_line_parsers_skip_blanks_comments_and_crlf_alike(tmp_path, name):
         assert str(err.value).startswith(where)
         messages.append(str(err.value)[len(where):])
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_only_newlines_number_lines(tmp_path, name, separator):
+    # other line breaks that str.splitlines knows, at the end of the first
+    # line, shift no later line's number
+    load, text = LINE_PARSERS[name]
+    first, *rest = text.splitlines()
+    path = tmp_path / "input"
+    path.write_text("\n".join([first + separator, *rest, MALFORMED[name]]) + "\n")
+    with pytest.raises(HolosceneError, match=f"^{re.escape(str(path))}:{len(rest) + 2}: "):
+        load(path)
+
+
+def test_export_dot_names_the_line_after_a_form_feed(tmp_path, capsys):
+    path = tmp_path / "ff.graph"
+    path.write_text("node a entity\x0c\nnode b entity\nbogus record\n")
+    assert main(["export-dot", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: unrecognized record 'bogus'\n"
+
+
+def test_a_term_holding_a_next_line_fails_at_its_own_line(tmp_path):
+    # split at \x85, "node sand en" would load and "tity" fail a line later
+    path = tmp_path / "nel.graph"
+    path.write_text(GRAPH.replace("node sand entity", "node sand en\x85tity") + "\n")
+    with pytest.raises(GraphFormatError, match="unrecognized record 'node'") as err:
+        load_graph(path)
+    assert err.value.line_no == 4
+
+
+_STORY_WORDS = sorted(set(re.findall(r"\w+", (DEMO / "demo.txt").read_text() + (DEMO / "demo_alt.txt").read_text()))
+                      | {"and", "is", "left", "hand", "sand", "kicks", "A"})
+_STORIES = st.lists(st.sampled_from(_STORY_WORDS + [".", ".", ",", "!", "?"]), max_size=14).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_STORIES)
+@example("..")
+@example("blue takes kicks on ball. The woman left is A")
+def test_imagine_on_any_story_fails_only_with_typed_errors(text):
+    # a failing stage wraps a typed error, never a bare one
+    try:
+        run_pipeline(PipelineConfig(), text, ontology_path=DEMO / "demo.graph")
+    except StageError as exc:
+        assert isinstance(exc.cause, HolosceneError), repr(exc.cause)
+    except HolosceneError:
+        pass
+    with written(text.encode("utf-8"), "story.txt") as path:
+        run_cli(["imagine", str(path), "--ontology", str(DEMO / "demo.graph"),
+                 "-o", str(path.with_name("s.json"))], refused=False)
 
 
 def _snapshot_v2():

@@ -8,7 +8,14 @@ import pytest
 
 from holoscene import blending
 from holoscene.blending import load_blend
-from holoscene.errors import ConfigError, GraphFormatError, HolosceneError, StageError
+from holoscene.errors import (
+    ConfigError,
+    GraphFormatError,
+    HolosceneError,
+    NoSharedTermError,
+    StageError,
+    UnparseableSentenceError,
+)
 from holoscene.lexicon import load_lexicon
 from holoscene.memory import HolographicMemory
 from holoscene.ontology import (
@@ -134,6 +141,20 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(demo_config(), "The green door.", ontology_path=DEMO / "demo.graph")
         assert err.value.stage == "parse"
+
+    def test_text_with_no_clause_is_a_parse_stage_error(self):
+        with pytest.raises(StageError) as err:
+            run_pipeline(demo_config(), "..", ontology_path=DEMO / "demo.graph")
+        assert err.value.stage == "parse"
+        assert isinstance(err.value.cause, UnparseableSentenceError)
+
+    def test_clauses_sharing_no_term_fail_as_a_typed_error(self):
+        text = "blue takes kicks on ball. The woman left is A"
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig(), text, ontology_path=DEMO / "demo.graph")
+        assert isinstance(err.value.cause, NoSharedTermError)
+        assert isinstance(err.value.cause, ValueError)
+        assert "share no term" in str(err.value)
 
     def test_vocabulary_gap_is_a_spaces_stage_error(self):
         with pytest.raises(StageError) as err:
