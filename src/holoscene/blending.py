@@ -13,9 +13,9 @@ frequency by a positive constant provably leaves the ranking unchanged.
 The walk runs over an index built once per ``candidate_scores`` call and
 shared by every generic source: the graph as integer CSR rows over the
 sorted terms, one step weight and one pair count per directed edge, and
-the triple counts as sorted int64 keys, looked up with ``searchsorted``
-(built only when ``max_path >= 2``). Paths grow one level at a time as
-numpy rows, and a step onto a node already on the path is dropped.
+the triple counts as the statistics' sorted int64 codes, looked up with
+``searchsorted`` (only when ``max_path >= 2``). Paths grow one level at a
+time as numpy rows, and a step onto a node already on the path is dropped.
 Consecutive first steps are walked together in chunks; a chunk holds at
 most ``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does
 not grow with the degree of the source.
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
-from .ontology import DkStatistics, OntologyGraph, _add_edge_records, _graph_records
+from .ontology import DkStatistics, OntologyGraph, _add_edge_records, _graph_records, triple_code
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -133,9 +133,10 @@ class _WalkIndex:
     Nodes are numbered in sorted term order and each node's neighbours are
     stored in that order (CSR), so array order is the order the walk takes
     them in. Every directed edge carries its step weight and its pair count,
-    which is the graph's edge weight; triple counts are sorted int64 keys,
-    built only when a path can take two steps. ``paths`` counts the simple
-    paths scored so far.
+    which is the graph's edge weight. Triple counts are the statistics'
+    sorted int64 codes, renumbered over the graph's terms only when those
+    are not ``k1``'s, and read only when a path can take two steps.
+    ``paths`` counts the simple paths scored so far.
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
@@ -173,23 +174,18 @@ class _WalkIndex:
 
         self.triple_keys = np.empty(0, dtype=np.int64)
         if max_path >= 2 and dk.k3:
-            terms = chain.from_iterable(dk.k3)
-            ids = np.fromiter(map(self.number.get, terms, repeat(-1)), dtype=np.int64).reshape(-1, 3)
-            known = (ids >= 0).all(axis=1)
-            keys = self._key(ids[known, 0], ids[known, 1], ids[known, 2])
-            order = np.argsort(keys)
-            self.triple_keys = keys[order]
-            self.triple_counts = np.fromiter(dk.k3.values(), dtype=float)[known][order]
-
-    def _key(self, lo, mid, hi):
-        n = len(self.terms)
-        return (lo * n + mid) * n + hi
+            self.triple_keys, self.triple_counts = dk.k3.codes, dk.k3.counts
+            if dk.k3.terms != self.terms:  # renumber over the graph's terms, dropping the rest
+                ids = np.fromiter(map(self.number.get, dk.k3.terms, repeat(-1)), dtype=np.int64,
+                                  count=len(dk.k3.terms))[np.stack(dk.k3.ids())]
+                known = (ids >= 0).all(axis=0)
+                # both term lists are sorted, so the renumbered codes stay sorted
+                self.triple_keys = triple_code(*ids[:, known], len(self.terms))
+                self.triple_counts = self.triple_counts[known]
 
     def _triples(self, a, b, c):
         """Observed count of each unordered triple (a[i], b[i], c[i]), 0 if none."""
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        keys = self._key(lo, a + b + c - lo - hi, hi)
+        keys = triple_code(a, b, c, len(self.terms))
         at = np.minimum(np.searchsorted(self.triple_keys, keys), len(self.triple_keys) - 1)
         return np.where(self.triple_keys[at] == keys, self.triple_counts[at], 0.0)
 
@@ -406,7 +402,7 @@ def load_blend(path) -> BlendedSpace:
     subgraph = OntologyGraph()
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
-    edge_lines = []
+    edge_lines, edge_records = [], []
     score_lines = []
     for line_no, line in read_lines(path):
         fields = line.split()
@@ -416,7 +412,8 @@ def load_blend(path) -> BlendedSpace:
                     raise ValueError(f"second node record for {fields[1]!r}")
                 subgraph.add_node(fields[1], fields[2])
             elif fields[0] == "edge" and len(fields) == 5:
-                edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
+                edge_records.append((fields[1], fields[2], fields[3], float(fields[4])))
+                edge_lines.append(line_no)
             elif fields[0] == "score" and len(fields) == 4:
                 if fields[3] not in (ANCHORED, EXPANDED, CONFABULATED):
                     raise ValueError(f"unknown provenance {fields[3]!r}")
@@ -431,7 +428,7 @@ def load_blend(path) -> BlendedSpace:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
-    _add_edge_records(subgraph, path, edge_lines, positive=False)
+    _add_edge_records(subgraph, path, edge_lines, edge_records)
     for line_no, term in score_lines:
         if term not in subgraph.nodes:
             raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")

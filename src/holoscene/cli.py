@@ -25,7 +25,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import blending, memory, ontology, pipeline
-from .errors import HolosceneError, read_text
+from .errors import (
+    GraphFormatError,
+    HolosceneError,
+    StageError,
+    UnparseableSentenceError,
+    read_text,
+)
 
 
 def _resolve_config(args) -> pipeline.PipelineConfig:
@@ -77,9 +83,15 @@ def _cmd_build_ontology(args) -> int:
 def _cmd_imagine(args) -> int:
     config = _resolve_config(args)
     text = read_text(args.text_file)
-    blend, script, diagnostics = pipeline.run_pipeline(
-        config, text, ontology_path=args.ontology
-    )
+    try:
+        blend, script, diagnostics = pipeline.run_pipeline(
+            config, text, ontology_path=args.ontology
+        )
+    except StageError as exc:
+        if not isinstance(exc.cause, UnparseableSentenceError):
+            raise
+        where = GraphFormatError(args.text_file, exc.cause.line_no, exc.cause)
+        raise StageError(exc.stage, where) from exc
     output = args.output or str(Path(args.text_file).with_suffix(".script.json"))
     script.save(output)
     if args.blend_out:

@@ -44,7 +44,10 @@ class StaleSignalError(HolosceneError, ValueError):
 
 
 class UnparseableSentenceError(HolosceneError, ValueError):
-    """No verb could be found in the sentence."""
+    """No verb could be found in the sentence. ``line_no`` is the line of
+    the text where it starts, once the text's parser has set it."""
+
+    line_no = None
 
     def __init__(self, text):
         super().__init__(f"no verb found in sentence: {text!r}")
@@ -93,13 +96,14 @@ class StageError(HolosceneError):
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; bytes that are not UTF-8 raise
-    :class:`GraphFormatError` at their line."""
+    """The UTF-8 text of ``path``, every line end kept as it is in the file;
+    bytes that are not UTF-8 raise :class:`GraphFormatError` at their line.
+    A line ends at a line feed alone, here and in :func:`read_lines`."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.object is all of it
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        line_no = data.count(b"\n", 0, exc.start) + 1
         raise GraphFormatError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
 
 

@@ -144,8 +144,9 @@ class Codebook:
         if self.dim < 1:
             raise DimensionError(f"dim must be >= 1, got {dim}")
         rows = np.empty((len(self.terms), self.dim))
-        for i, t in enumerate(self.terms):
-            rows[i] = random_vector(self.seed, self.dim, term=t)
+        for row, t in zip(rows, self.terms):  # random_vector's draws, made in place
+            _seed_for(self.seed, self.dim, t).standard_normal(out=row)
+        rows /= np.sqrt(self.dim)
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_vectors", dict(zip(self.terms, rows)))

@@ -220,14 +220,24 @@ def split_clauses(sentence: str, lexicon: Lexicon | None = None) -> list:
 
 def parse_text(text: str, lexicon: Lexicon | None = None) -> list:
     """Parse a whole text into structures, threading context through. A
-    text with no clause (only punctuation, say) is unparseable."""
+    text with no clause (only punctuation, say) is unparseable. The
+    :class:`UnparseableSentenceError` names the line where the clause
+    starts: only the first clause of a sentence can lack a verb, since the
+    others start with one."""
     lex = lexicon or default_lexicon()
     structures: list = []
-    for sentence in split_sentences(text):
-        for clause in split_clauses(sentence, lex):
-            structures.append(parse_sentence(clause, structures, lex))
-    if not structures:
-        raise UnparseableSentenceError(text)
+    start = 0
+    try:
+        for sentence in split_sentences(text):
+            start = text.index(sentence, start)
+            for clause in split_clauses(sentence, lex):
+                structures.append(parse_sentence(clause, structures, lex))
+        if not structures:
+            start = len(text) - len(text.lstrip())
+            raise UnparseableSentenceError(text.strip())
+    except UnparseableSentenceError as exc:
+        exc.line_no = text.count("\n", 0, start) + 1
+        raise
     return structures
 
 

@@ -501,6 +501,16 @@ def test_walk_reads_each_pair_count_from_its_edge():
     assert before == pytest.approx(oracle_accepted(generic, graph, dk, 0.3)[1], abs=1e-12)
 
 
+def test_walk_renumbers_triples_over_the_graph_terms():
+    # statistics over more terms than the graph: "aa" shifts every later
+    # term's id, and the triples naming a term the graph lacks never apply
+    graph, dk = toy_six()
+    wider = DkStatistics(k1={**dk.k1, "aa": 2, "zz": 3},
+                         k3={**dict(dk.k3.items()), ("a", "b", "zz"): 4, ("aa", "b", "c"): 2})
+    assert wider.k3.terms != sorted(graph.nodes)
+    assert_walks_match_reference(graph, wider, sorted(graph.nodes), frozenset({"a", "d"}), max_path=3)
+
+
 @pytest.mark.parametrize("frequency", [None, 0, -2, float("nan"), float("inf")])
 def test_walk_rejects_a_bad_frequency_by_term(frequency):
     graph, dk = toy_six()

@@ -170,6 +170,20 @@ class TestImagine:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text, line_no, clause",
+        [("..\n", 1, ".."),
+         ("\n\n  !?\n", 3, "!?"),
+         ("A woman walks on the beach.\n\nThe blue\nball. She kicks it.\n", 3, "the blue ball")],
+        ids=["dots", "late-dots", "verbless-sentence"],
+    )
+    def test_unparseable_text_reports_file_and_line(self, tmp_path, capsys, text, line_no, clause):
+        story = tmp_path / "story.txt"
+        story.write_text(text)
+        assert main(["imagine", str(story), "--ontology", str(DEMO / "demo.graph")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [parse] {story}:{line_no}: no verb found in sentence: {clause!r}\n")
+
+    @pytest.mark.parametrize(
         "record, message",
         [("dim = abc", "dim must be an integer, not 'abc'"),
          ("mix = half", "mix must be a number, not 'half'")],

@@ -256,6 +256,13 @@ class TestCodebook:
             with pytest.raises(ValueError):
                 v[0] = 1.0
 
+    @pytest.mark.parametrize("dim", [1, 3, 512])
+    def test_every_row_is_its_random_vector_exactly(self, dim):
+        # rows are drawn in place and scaled together, bit for bit as one by one
+        book = hrr.Codebook([f"t{i:03d}" for i in range(638)], dim=dim, seed=11)
+        want = np.array([hrr.random_vector(11, dim, term=term) for term in book.terms])
+        assert book._rows.tobytes() == want.tobytes()
+
 
 class TestCleanup:
     def test_exact_entry(self):
@@ -292,7 +299,11 @@ class TestCleanup:
             hrr.cleanup(np.zeros(8), book)
 
     def test_zero_entry_rejected(self, monkeypatch):
-        monkeypatch.setattr(hrr, "random_vector", lambda seed, dim, term=None: np.zeros(dim))
+        class Zeros:  # a generator whose every draw is 0
+            def standard_normal(self, size=None, out=None):
+                return np.zeros(size) if out is None else out.fill(0.0)
+
+        monkeypatch.setattr(hrr, "_seed_for", lambda seed, dim, term=None: Zeros())
         book = hrr.Codebook(["a", "b"], dim=8, seed=1)
         with pytest.raises(ZeroVectorError):
             hrr.cleanup(np.ones(8), book)

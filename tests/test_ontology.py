@@ -6,18 +6,23 @@ package's per-window combination counting. ``reference_build``,
 ``reference_dk`` and ``reference_match_relations`` keep the corpus scan as
 it was before windows were counted in C and sentences were skipped by
 relation surface, so the faster scan is pinned to it record for record.
+``reference_load_graph`` keeps the graph file reader as it was before
+records were read in bulk by kind: the bulk reader must load what it
+loaded, and refuse what it refused at the same line with the same message.
 """
 
+import math
+import random
 import tempfile
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holoscene.errors import GraphFormatError, UnknownTermError, UnmappedTermError
+from holoscene.errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines
 from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
     GENERIC_RELATION,
@@ -34,6 +39,8 @@ from holoscene.ontology import (
     save_graph,
     to_dot,
 )
+
+from test_parsers import GRAPH, mutated, written
 
 DATA = Path(__file__).parent / "data"
 TOY_CORPUS = [(DATA / "toy_corpus.txt").read_text()]
@@ -540,3 +547,165 @@ def test_edge_rows_match_the_edge_table(records, keep):
     assert list(sub.nodes.items()) == [(t, "entity") for t in sorted(keep) if t in graph.nodes]
     assert list(sub._edges.values()) == [rec for rec in graph.edges()
                                          if rec.src in keep and rec.dst in keep]
+
+
+# -- the graph file reader against the line-by-line one ---------------------------
+
+
+def reference_load_graph(path):
+    """The graph file reader that split and checked each line as it read it;
+    returns (graph, k1, k3) with k3 a dict in file order, or (graph, None,
+    None) for a file without freq records."""
+    def first_record(kind, terms):
+        for line_no, line in read_lines(path):
+            fields = line.split()
+            if fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
+                return line_no
+        raise AssertionError(f"no {kind} record names {sorted(terms)}")
+
+    graph = OntologyGraph()
+    node_lines, freq, k3, edge_lines = {}, {}, {}, []
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        kind = fields[0]
+        try:
+            if kind == "node" and len(fields) == 3:
+                if fields[1] in node_lines:
+                    raise ValueError(f"second node record for {fields[1]!r}")
+                graph.add_node(fields[1], fields[2])
+                node_lines[fields[1]] = line_no
+            elif kind == "edge" and len(fields) == 5:
+                edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
+            elif kind == "freq" and len(fields) == 3:
+                if fields[1] in freq:
+                    raise ValueError(f"second freq record for {fields[1]!r}")
+                freq[fields[1]] = count = float(fields[2])
+                if not 0.0 < count < math.inf:
+                    raise ValueError(f"freq count must be finite and positive, not {count!r}")
+            elif kind == "triple" and len(fields) == 5:
+                triple = tuple(sorted(fields[1:4]))
+                if triple in k3:
+                    raise ValueError(f"second triple record for {' '.join(triple)!r}")
+                k3[triple] = count = float(fields[4])
+                if not 0.0 < count < math.inf:
+                    raise ValueError(f"triple count must be finite and positive, not {count!r}")
+            else:
+                raise ValueError(f"unrecognized record {kind!r}")
+        except ValueError as exc:
+            raise GraphFormatError(path, line_no, str(exc)) from None
+    for line_no, src, dst, label, weight in edge_lines:
+        try:
+            graph.add_edge(src, dst, label, weight)
+            if weight == 0.0 and freq:
+                raise ValueError("edge weight is a pair count and must be positive, not 0.0")
+        except (UnknownTermError, ValueError) as exc:
+            raise GraphFormatError(path, line_no, str(exc)) from None
+    if not freq:
+        return graph, None, None
+    declared = graph.nodes.keys()
+    unmeasured = declared - freq.keys()
+    if unmeasured:
+        line_no, term = min((node_lines[t], t) for t in unmeasured)
+        raise GraphFormatError(path, line_no, f"node {term!r} has no freq record")
+    stray = freq.keys() - declared
+    if stray:
+        raise GraphFormatError(path, first_record("freq", stray), "freq for an undeclared node")
+    stray = set(chain.from_iterable(k3)) - declared
+    if stray:
+        raise GraphFormatError(path, first_record("triple", stray),
+                               f"k3 term {min(stray)!r} missing from k1")
+    return graph, freq, k3
+
+
+def assert_loads_as_reference(path):
+    """``load_graph`` and the reference give the same nodes, edges, k1 and
+    k3 (k3 in sorted order), or the same error at the same line."""
+    try:
+        want, want_k1, want_k3 = reference_load_graph(path)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    graph, dk = load_graph(path)
+    assert list(graph.nodes.items()) == list(want.nodes.items())
+    assert list(graph._edges.items()) == list(want._edges.items())
+    for term in graph.nodes:
+        assert graph._adjacency[term] == want._adjacency[term]
+    if want_k1 is None:
+        assert dk is None
+    else:
+        assert list(dk.k1.items()) == list(want_k1.items())
+        assert list(dk.k3.items()) == sorted(want_k3.items())
+
+
+# blanks the reader must treat as a field break, as str.split does
+_BREAKS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(GRAPH), st.booleans(), st.lists(st.tuples(st.integers(0, 99), _BREAKS), max_size=6))
+def test_bulk_reader_matches_line_reader(data, sort_lines, breaks):
+    """Faults, several at once, records in another order and any blank
+    between fields give the reference's graph and statistics, or its
+    error."""
+    lines = data.decode("utf-8").split("\n")
+    text = "\n".join(sorted(lines) if sort_lines else lines)
+    for at, blank in breaks:  # the at-th space (cyclically) becomes the blank
+        spaces = [i for i, char in enumerate(text) if char == " "]
+        if spaces:
+            i = spaces[at % len(spaces)]
+            text = text[:i] + blank + text[i + 1:]
+    with written(text.encode("utf-8"), "mutated.graph") as path:
+        assert_loads_as_reference(path)
+
+
+@pytest.mark.parametrize("text", [
+    "node a\nnode node b c\n",  # two bad records whose fields add up
+    "node a entity\nfreq a 1\ntriple a a\ntriple a a a a 1\n",
+    "node node entity\nnode edge entity\nedge node edge freq 2\n",  # terms named as kinds
+    "node a\x00b entity\nnode c entity\nedge a\x00b c x 1\n",  # a NUL inside a term
+    "node\ta\tentity\nnode b\x85entity\nedge a\u2028b near 1\n",
+    "nodes a entity\n", "n\n", "freq\n", "edge a b\n", "tripled a b c 1\n",
+    "node a entity\nnode b entity\nfreq a 1\nfreq b 1\ntriple a b c 1\ntriple a b zz 1\n",
+], ids=["misaligned", "triple-short", "kind-terms", "nul-term", "blanks", "nodes", "n", "bare-freq",
+        "short-edge", "tripled", "stray-terms"])
+def test_bulk_reader_matches_line_reader_on_hard_cases(tmp_path, text):
+    path = tmp_path / "hard.graph"
+    path.write_text(text, encoding="utf-8")
+    assert_loads_as_reference(path)
+
+
+def bench_sized_graph(path, seed: int = 1) -> None:
+    """A seeded graph file the size of the long-story benchmark's: 634
+    terms, ~8,800 edges and ~31,600 triples."""
+    rng = random.Random(seed)
+    terms = [f"t{i:03d}" for i in range(634)]
+    graph = OntologyGraph()
+    for term in terms:
+        graph.add_node(term, rng.choice(["entity", "action", "attribute"]))
+    pairs = {tuple(sorted(rng.sample(terms, 2))) for _ in range(9000)}
+    graph.add_edges((a, b, rng.choice(["related-to", "near", "part-of"]), rng.randint(1, 9))
+                    for a, b in sorted(pairs))
+    k3 = {tuple(sorted(rng.sample(terms, 3))): rng.randint(1, 5) for _ in range(32000)}
+    save_graph(graph, path, DkStatistics(k1={t: rng.randint(1, 50) for t in terms}, k3=k3))
+
+
+@pytest.mark.parametrize("edit", [None, "repeat-triple", "stray-triple", "zero-edge", "bad-node"])
+def test_bulk_reader_matches_line_reader_on_a_bench_sized_graph(tmp_path, edit):
+    path = tmp_path / "bench.graph"
+    bench_sized_graph(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    last = len(lines) - 2  # the last record, a triple
+    edge = max(i for i, line in enumerate(lines) if line.startswith("edge "))
+    if edit == "repeat-triple":
+        kind, *terms, _ = lines[last - 1000].split()  # the same triple, in another order
+        lines.insert(last, " ".join([kind, *reversed(terms), "7"]))
+    elif edit == "stray-triple":
+        lines[last] = "triple t001 t002 zzz 1"
+    elif edit == "zero-edge":
+        lines[edge] = " ".join(lines[edge].split()[:-1] + ["0"])
+    elif edit == "bad-node":
+        lines[1] = "node t000"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert_loads_as_reference(path)

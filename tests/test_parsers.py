@@ -6,7 +6,8 @@ a :class:`HolosceneError`; nothing else may escape. The CLI commands that
 read these files exit 0 or 1, never with a traceback, and exit 1 whenever
 the parser refuses the file. Every line-oriented parser reads its lines the
 same way: blank lines, ``#`` comments and CRLF ends change neither what it
-loads nor the line its errors name, and only a line feed ends a line.
+loads nor the line its errors name, and only a line feed ends a line (a
+lone carriage return does not).
 ``imagine`` on random texts over the demo vocabulary fails, if at all, with
 a typed error in every stage.
 """
@@ -252,6 +253,17 @@ def test_export_dot_names_the_line_after_a_form_feed(tmp_path, capsys):
     path.write_text("node a entity\x0c\nnode b entity\nbogus record\n")
     assert main(["export-dot", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:3: unrecognized record 'bogus'\n"
+
+
+def test_a_lone_carriage_return_ends_no_line(tmp_path, capsys):
+    # both files are one line, so both errors name line 1, whether the
+    # record fails to parse or a byte is not UTF-8
+    for name, data in (("cr.graph", b"node a entity\rnode b entity\rbogus record\n"),
+                       ("crff.graph", b"node a entity\rnode b entity\rnode c\xff entity\n")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["export-dot", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
 
 
 def test_a_term_holding_a_next_line_fails_at_its_own_line(tmp_path):
