@@ -10,12 +10,13 @@ boost when a step triple was itself observed. Scores are normalized by
 the maximum so the acceptance threshold is scale-free, and scaling every
 frequency by a positive constant provably leaves the ranking unchanged.
 
-The walk runs over an index built once per ``candidate_scores`` call and
-shared by every generic source: the graph as integer CSR rows over the
-sorted terms, one step weight and one pair count per directed edge, and
-the triple counts as the statistics' sorted int64 codes, looked up with
-``searchsorted`` (only when ``max_path >= 2``). Paths grow one level at a
-time as numpy rows, and a step onto a node already on the path is dropped.
+The walk reads the graph's CSR rows, less any self-loop. Once per
+``candidate_scores`` call, for every generic source, it builds only what
+depends on the statistics and ``mix``: one step weight per directed edge,
+the subtree bounds, and the triple counts as the statistics' sorted int64
+codes over the graph's terms, looked up with ``searchsorted`` (only when
+``max_path >= 2``). Paths grow one level at a time as numpy rows, and a
+step onto a node already on the path is dropped.
 Consecutive first steps are walked together in chunks; a chunk holds at
 most ``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does
 not grow with the degree of the source.
@@ -34,14 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
-from .ontology import DkStatistics, OntologyGraph, _add_edge_records, _graph_records, triple_code
+from .ontology import DkStatistics, OntologyGraph, _graph_from_records, _graph_records, triple_code
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -127,21 +128,20 @@ _CHUNK_PATHS = 1 << 15
 
 
 class _WalkIndex:
-    """The graph and its statistics as arrays, built once and shared by every
-    source walked with the same ``max_path`` and ``mix``.
+    """The walk's arrays over a graph and its statistics, built once and
+    shared by every source walked with the same ``max_path`` and ``mix``.
 
-    Nodes are numbered in sorted term order and each node's neighbours are
-    stored in that order (CSR), so array order is the order the walk takes
-    them in. Every directed edge carries its step weight and its pair count,
-    which is the graph's edge weight. Triple counts are the statistics'
-    sorted int64 codes, renumbered over the graph's terms only when those
-    are not ``k1``'s, and read only when a path can take two steps.
-    ``paths`` counts the simple paths scored so far.
+    ``indptr`` and ``indices`` are the graph's CSR rows less its
+    self-loops, so array order is the order the walk takes neighbours in.
+    Every directed edge carries its pair count, the graph's edge weight, and
+    its step weight. Triple counts are the statistics' sorted int64 codes,
+    renumbered over the graph's terms only when those are not ``k1``'s, and
+    read only when a path can take two steps. ``paths`` counts the simple
+    paths scored so far.
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
-        self.terms = sorted(graph.nodes)
-        self.number = {term: i for i, term in enumerate(self.terms)}
+        self.terms, self.number = graph.terms, graph.ids
         self.max_path = max_path
         self.paths = 0
         freq = np.array(list(map(dk.k1.get, self.terms)), dtype=float)  # None reads nan
@@ -151,19 +151,10 @@ class _WalkIndex:
             value = dk.k1.get(term)
             raise ValueError(f"term {term!r} needs a finite, positive frequency, not {value!r}")
 
-        edges = graph._edges  # keyed by the sorted term pair
-        ends = np.fromiter(map(self.number.__getitem__, chain.from_iterable(edges)),
-                           dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
-        counts = np.fromiter((rec.weight for rec in edges.values()), dtype=float, count=len(edges))
-        steps = ends[:, 0] != ends[:, 1]  # a self-loop never steps off its path
-        ends, counts = ends[steps], counts[steps]
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.argsort(src * len(self.terms) + dst)
-        src, dst = src[order], dst[order]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(self.terms)))])
-        self.indices = dst
-        self.pair = np.concatenate([counts, counts])[order]
+        rows = np.repeat(np.arange(len(self.terms)), np.diff(graph.indptr))
+        steps = rows != graph.indices  # a self-loop never steps off its path
+        src, dst, self.pair = rows[steps], graph.indices[steps], graph.weight[steps]
+        self.indptr, self.indices = np.searchsorted(src, np.arange(len(self.terms) + 1)), dst
         self.weight = mix * (self.pair / freq[src]) + (1.0 - mix) * (freq[dst] / dk.total_frequency)
 
         # at most this many paths run under each first step: 1 + walks of 1..max_path-1 steps
@@ -313,7 +304,7 @@ def candidate_scores(
     if counts is not None:
         counts["walk_paths"] = counts.get("walk_paths", 0) + index.paths
     scores = {}
-    for term in sorted(graph.nodes):
+    for term in graph.terms:
         if term in generic_terms:
             continue
         product = 1.0
@@ -399,7 +390,7 @@ def load_blend(path) -> BlendedSpace:
     for the same term or term pair is a :class:`GraphFormatError` at its
     line, as is any record that does not parse and any score that is not a
     number in [0, 1] for a ``node`` of the file."""
-    subgraph = OntologyGraph()
+    nodes: dict[str, str] = {}
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
     edge_lines, edge_records = [], []
@@ -408,9 +399,9 @@ def load_blend(path) -> BlendedSpace:
         fields = line.split()
         try:
             if fields[0] == "node" and len(fields) == 3:
-                if fields[1] in subgraph.nodes:
+                if fields[1] in nodes:
                     raise ValueError(f"second node record for {fields[1]!r}")
-                subgraph.add_node(fields[1], fields[2])
+                nodes[fields[1]] = fields[2]
             elif fields[0] == "edge" and len(fields) == 5:
                 edge_records.append((fields[1], fields[2], fields[3], float(fields[4])))
                 edge_lines.append(line_no)
@@ -428,9 +419,9 @@ def load_blend(path) -> BlendedSpace:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
-    _add_edge_records(subgraph, path, edge_lines, edge_records)
+    subgraph = _graph_from_records(path, nodes, edge_lines, edge_records)
     for line_no, term in score_lines:
-        if term not in subgraph.nodes:
+        if term not in nodes:
             raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")
     return BlendedSpace(scores=scores, provenance=provenance, subgraph=subgraph)
 

@@ -6,6 +6,10 @@ the raw number of such windows. When a relation pattern (e.g. "part of")
 appears between two terms, the pair's edge carries that label instead of
 the generic "related-to".
 
+A graph (:class:`OntologyGraph`) is built once from its nodes and edge
+records, which it checks in bulk, and held in one form: CSR rows over the
+sorted terms. Its reads and the walk in ``blending`` read those arrays.
+
 The word statistics that drive the confabulation scoring come at four
 orders. Per-word frequency (order 1) and triple frequency over 3-sentence
 windows (order 3) are counted by ``extract_dk``; the average word
@@ -27,16 +31,16 @@ from sorted term triples to counts, in sorted order, and the walk in
 ``load_graph`` reads a graph file in one pass that only puts each line,
 and its line number, aside by record kind. Each kind's lines are then
 split at once, their counts parsed with one ``map(float, ...)``, repeated
-terms found by comparing lengths, and every edge added in one
-``OntologyGraph.add_edges`` call. Only when a check fails are the lines
-read one by one, to name the first bad one.
+terms found by comparing lengths, and the graph built from all the edge
+records at once; it names the first record it refuses. Only when another
+check fails are the lines read one by one, to name the first bad one.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -68,13 +72,63 @@ class EdgeRec(NamedTuple):
 class OntologyGraph:
     """Undirected term graph; labeled edges keep their source direction.
 
-    ``_edges`` keys each edge by its sorted term pair; ``_adjacency`` holds
-    one row per term, ``{neighbour: EdgeRec}``, for the reads by term."""
+    Built once, from a ``{term: type}`` mapping and ``(src, dst, label,
+    weight)`` edge records, into CSR rows over the ids of the sorted
+    ``terms`` (Saad, *Iterative Methods for Sparse Linear Systems*, §3.4).
+    Row ``i`` is ``indptr[i]:indptr[i + 1]``: one entry per edge at term
+    ``i`` (a self-loop once), in neighbour order, each with its neighbour
+    id, its edge's weight and label id (into ``labels``), and whether term
+    ``i`` is the edge's source. ``_edges`` holds each edge's row and entry,
+    in sorted pair order. A record with an end that is not a node, a weight
+    that is not finite and non-negative, or a pair already given raises
+    :class:`UnknownTermError` or ValueError, its ``record`` the index of the
+    first such record."""
 
-    def __init__(self):
-        self.nodes: dict[str, str] = {}
-        self._edges: dict[tuple, EdgeRec] = {}
-        self._adjacency: defaultdict[str, dict] = defaultdict(dict)
+    def __init__(self, nodes=(), edges=()):
+        self.nodes: dict[str, str] = dict(nodes)
+        self.terms = sorted(self.nodes)
+        self.ids = dict(zip(self.terms, range(len(self.terms))))
+        records = list(edges)
+        src, dst, label, weight = zip(*records) if records else ((),) * 4
+        n, m = len(self.terms), len(records)
+        a, b = (np.fromiter(map(self.ids.get, ends, repeat(-1)), dtype=np.int64, count=m)
+                for ends in (src, dst))
+        weight = np.array(weight, dtype=float)
+        pair = np.minimum(a, b) * n + np.maximum(a, b)
+        refused = (a < 0) | (b < 0) | ~((weight >= 0.0) & (weight < math.inf))
+        order = np.argsort(pair, kind="stable")  # a pair's first record comes first
+        refused[order[1:][np.diff(pair[order]) == 0]] = True  # a second edge for the pair
+        if refused.any():
+            at = int(np.argmax(refused))
+            exc = self._refusal(*records[at])
+            exc.record = at
+            raise exc
+
+        self.labels = sorted(set(label))
+        label_id = dict(zip(self.labels, range(len(self.labels))))
+        label = np.fromiter(map(label_id.__getitem__, label), dtype=np.int64, count=m)
+        back = np.flatnonzero(a != b)  # a self-loop has one entry, forward
+        rows, cols = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
+        order = np.argsort(rows * n + cols)
+        record, rows = np.concatenate([np.arange(m), back])[order], rows[order]
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        self.indices = cols[order]
+        self.weight, self.label = weight[record], label[record]
+        self.forward = order < m
+        upper = np.flatnonzero(self.indices >= rows)
+        self._edges = np.column_stack([rows[upper], upper])
+
+    def _refusal(self, src, dst, label, weight) -> Exception:
+        """The error that refuses the edge record ``(src, dst, label, weight)``."""
+        if src not in self.nodes or dst not in self.nodes:
+            return UnknownTermError(
+                f"edge endpoints must be nodes: {src!r}, {dst!r}",
+                [t for t in (src, dst) if t not in self.nodes],
+            )
+        if not 0.0 <= weight < math.inf:
+            return ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
+        lo, hi = sorted((src, dst))
+        return ValueError(f"second edge between {lo!r} and {hi!r}")
 
     def __contains__(self, term: str) -> bool:
         return term in self.nodes
@@ -82,55 +136,48 @@ class OntologyGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def add_node(self, term: str, semantic_type: str = "entity") -> None:
-        self.nodes.setdefault(term, semantic_type)
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
 
-    def add_edge(self, src: str, dst: str, label: str, weight: float) -> None:
-        self.add_edges([(src, dst, label, weight)])
+    def _records(self, rows, at) -> list:
+        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
+        terms = np.array(self.terms, dtype=object)
+        here, there, forward = terms[rows], terms[self.indices[at]], self.forward[at]
+        labels = np.array(self.labels, dtype=object)[self.label[at]]
+        records = zip(np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
+                      labels.tolist(), self.weight[at].tolist())
+        return list(map(tuple.__new__, repeat(EdgeRec), records))  # not EdgeRec's Python __new__
 
-    def add_edges(self, records) -> None:
-        """Add ``(src, dst, label, weight)`` records in order; the one writer
-        of the edge tables. Both ends must be nodes, the weight finite and
-        non-negative, and a term pair holds at most one edge."""
-        nodes, edges, adjacency, inf = self.nodes, self._edges, self._adjacency, math.inf
-        as_edge = tuple.__new__  # EdgeRec(*record) would run the named tuple's Python __new__
-        for record in records:
-            src, dst, label, weight = record
-            if src not in nodes or dst not in nodes:
-                raise UnknownTermError(
-                    f"edge endpoints must be nodes: {src!r}, {dst!r}",
-                    [t for t in (src, dst) if t not in nodes],
-                )
-            if not 0.0 <= weight < inf:
-                raise ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
-            rec = as_edge(EdgeRec, record)
-            pair = (src, dst) if src <= dst else (dst, src)
-            if edges.setdefault(pair, rec) is not rec:
-                raise ValueError(f"second edge between {pair[0]!r} and {pair[1]!r}")
-            adjacency[src][dst] = adjacency[dst][src] = rec
+    def _row(self, term) -> np.ndarray:
+        """The entries of ``term``'s row; none if it is not a node."""
+        i = self.ids.get(term)
+        return np.arange(0) if i is None else np.arange(self.indptr[i], self.indptr[i + 1])
 
     def edges(self) -> list:
-        return [self._edges[k] for k in sorted(self._edges)]
+        """Every edge, in sorted term pair order."""
+        return self._records(*self._edges.T)
 
     def edge_between(self, a: str, b: str) -> EdgeRec | None:
-        return self._adjacency.get(a, {}).get(b)
+        at = self._row(a)
+        at = at[self.indices[at] == self.ids.get(b, -1)]
+        return self._records([self.ids[a]], at)[0] if len(at) else None
 
     def neighbors(self, term: str, relations=None) -> list:
         """Sorted neighbor terms, optionally restricted to edge labels."""
-        row = self._adjacency.get(term, {})
-        return sorted(other for other, rec in row.items() if relations is None or rec.label in relations)
+        at = self._row(term)
+        if relations is not None:
+            at = at[[self.labels[label] in relations for label in self.label[at].tolist()]]
+        return [self.terms[j] for j in self.indices[at].tolist()]
 
     def induced(self, terms) -> "OntologyGraph":
-        """The kept terms that are nodes, and the edges among them, each
-        added in sorted order; only the kept terms' rows are read."""
-        sub = OntologyGraph()
+        """The kept terms that are nodes, in sorted order, and the edges
+        among them."""
         keep = sorted(set(terms) & self.nodes.keys())
-        for term in keep:
-            sub.add_node(term, self.nodes[term])
-        for term in keep:
-            row = self._adjacency.get(term, {})
-            sub.add_edges(row[other] for other in sorted(row.keys() & sub.nodes.keys()) if term <= other)
-        return sub
+        kept = np.zeros(len(self.terms), dtype=bool)
+        kept[[self.ids[term] for term in keep]] = True
+        rows, at = self._edges[kept[self._edges[:, 0]] & kept[self.indices[self._edges[:, 1]]]].T
+        return OntologyGraph({term: self.nodes[term] for term in keep}, self._records(rows, at))
 
 
 def triple_code(a, b, c, n: int):
@@ -299,14 +346,8 @@ def build_from_corpus(corpus, lexicon: Lexicon | None = None) -> OntologyGraph:
             for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
-    graph = OntologyGraph()
-    for term in terms_seen:
-        graph.add_node(term, lex.semantic_type(term))
-    graph.add_edges(
-        (*labels.get(pair, (*pair, GENERIC_RELATION)), count)
-        for pair, count in sorted(pair_counts.items())
-    )
-    return graph
+    records = ((*labels.get(pair, (*pair, GENERIC_RELATION)), count) for pair, count in pair_counts.items())
+    return OntologyGraph({term: lex.semantic_type(term) for term in terms_seen}, records)
 
 
 def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None) -> DkStatistics:
@@ -446,22 +487,19 @@ class ValueMap:
 def _graph_records(graph: OntologyGraph) -> list:
     """The ``node`` and ``edge`` lines of ``graph``, shared by the graph and
     blend files."""
-    lines = [f"node {term} {graph.nodes[term]}" for term in sorted(graph.nodes)]
+    lines = [f"node {term} {graph.nodes[term]}" for term in graph.terms]
     lines += [f"edge {rec.src} {rec.dst} {rec.label} {rec.weight:g}" for rec in graph.edges()]
     return lines
 
 
-def _add_edge_records(graph: OntologyGraph, path, line_nos, records) -> None:
-    """Add the ``(src, dst, label, weight)`` edge records that a graph or
-    blend file put aside until its nodes were read, read at ``line_nos``, in
-    one :meth:`OntologyGraph.add_edges` call. A record it refuses is a
-    :class:`GraphFormatError` at its line: each record before it added one
-    edge."""
-    added = len(graph._edges)
+def _graph_from_records(path, nodes: dict, line_nos: list, records) -> OntologyGraph:
+    """The graph of a graph or blend file's ``nodes`` and ``(src, dst,
+    label, weight)`` edge records, read at ``line_nos``. A record the graph
+    refuses is a :class:`GraphFormatError` at its line."""
     try:
-        graph.add_edges(records)
+        return OntologyGraph(nodes, records)
     except (UnknownTermError, ValueError) as exc:
-        raise GraphFormatError(path, line_nos[len(graph._edges) - added], str(exc)) from None
+        raise GraphFormatError(path, line_nos[exc.record], str(exc)) from None
 
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
@@ -513,7 +551,7 @@ def _first_fault(kind: str, lines: list, line_nos: list):
     ``kind`` record with the right number of fields, or that repeats the
     term (or sorted term triple) of an earlier one, or holds a number that
     does not parse or a count that is not finite and positive; None if
-    there is none. Edge weights are checked as the edges are added."""
+    there is none. The graph checks the edge weights."""
     seen = set()
     for line_no, line in zip(line_nos, lines):
         fields = line.split()
@@ -576,10 +614,9 @@ def load_graph(path):
         faults += filter(None, (_first_fault(kind, lines[kind], line_nos[kind]) for kind in _WIDTHS))
         raise GraphFormatError(path, *min(faults)) from None
 
-    graph = OntologyGraph()
-    graph.nodes.update(zip(terms, types))
     zero = weight.index(0.0) if k1 and 0.0 in weight else len(weight)
-    _add_edge_records(graph, path, line_nos["edge"], islice(zip(src, dst, label, weight), zero + 1))
+    graph = _graph_from_records(path, dict(zip(terms, types)), line_nos["edge"],
+                                islice(zip(src, dst, label, weight), zero + 1))
     if zero < len(weight):
         raise GraphFormatError(path, line_nos["edge"][zero],
                                "edge weight is a pair count and must be positive, not 0.0")
@@ -627,7 +664,7 @@ def _read_triples(terms: list, lines: list) -> TripleCounts | None:
 def to_dot(graph: OntologyGraph, colors: dict | None = None, name: str = "ontology") -> str:
     """DOT rendering; optional term -> fill color map."""
     lines = [f"graph {name} {{", "  node [style=filled, fillcolor=white];"]
-    for term in sorted(graph.nodes):
+    for term in graph.terms:
         attrs = [f'label="{term}"']
         if colors and term in colors:
             attrs.append(f'fillcolor="{colors[term]}"')

@@ -155,6 +155,9 @@ class Diagnostics:
 
 
 class _StageTimer:
+    """Times a stage. A :class:`HolosceneError` or OSError leaves as a
+    :class:`StageError` naming the stage; any other exception, a bug, as it is."""
+
     def __init__(self, diagnostics: Diagnostics, stage: str):
         self.diagnostics = diagnostics
         self.stage = stage
@@ -165,7 +168,7 @@ class _StageTimer:
 
     def __exit__(self, exc_type, exc, tb):
         self.diagnostics.timings[self.stage] = time.perf_counter() - self.start
-        if isinstance(exc, Exception) and not isinstance(exc, StageError):
+        if isinstance(exc, (HolosceneError, OSError)) and not isinstance(exc, StageError):
             raise StageError(self.stage, exc) from exc
         return False
 
@@ -284,11 +287,8 @@ def run_pipeline(
         )
 
     with _StageTimer(diagnostics, "holographic-check"):
-        # Codebook sorts and de-duplicates its terms; edges() would sort
-        # every edge only to list a handful of labels
-        labels = {rec.label for rec in graph._edges.values()}
         book = hrr.Codebook(
-            [*graph.nodes, *labels],
+            [*graph.terms, *graph.labels],
             dim=config.dim,
             seed=config.seed,
         )

@@ -30,7 +30,7 @@ from holoscene.blending import (
     transition_probability,
 )
 from holoscene.errors import NoSharedTermError, UnknownTermError
-from holoscene.ontology import DkStatistics, OntologyGraph
+from holoscene.ontology import DkStatistics, OntologyGraph, load_graph, save_graph
 from holoscene.textfilter import MentalSpace, UniversalStructure
 
 MIX = 0.5
@@ -164,22 +164,15 @@ def assert_walks_match_reference(graph, dk, sources, generic, max_path, mix=MIX)
 
 
 def graph_from(edges, k1, k3=()):
-    graph = OntologyGraph()
-    for term in sorted(k1):
-        graph.add_node(term)
-    for a, b, w in edges:
-        graph.add_edge(a, b, "related-to", w)
+    records = [(a, b, "related-to", w) for a, b, w in edges]
+    graph = OntologyGraph(dict.fromkeys(sorted(k1), "entity"), records)
     k3_map = {tuple(sorted(t[:3])): t[3] for t in k3}
     return graph, DkStatistics(k1=dict(k1), k3=k3_map)
 
 
 def reweighted(graph, weight):
     """A copy of ``graph`` in which each edge ``rec`` weighs ``weight(rec)``."""
-    copy = OntologyGraph()
-    for term, semantic_type in graph.nodes.items():
-        copy.add_node(term, semantic_type)
-    copy.add_edges(rec._replace(weight=weight(rec)) for rec in graph._edges.values())
-    return copy
+    return OntologyGraph(graph.nodes, [rec._replace(weight=weight(rec)) for rec in graph.edges()])
 
 
 def scaled(graph, dk, factor):
@@ -509,6 +502,37 @@ def test_walk_renumbers_triples_over_the_graph_terms():
                          k3={**dict(dk.k3.items()), ("a", "b", "zz"): 4, ("aa", "b", "c"): 2})
     assert wider.k3.terms != sorted(graph.nodes)
     assert_walks_match_reference(graph, wider, sorted(graph.nodes), frozenset({"a", "d"}), max_path=3)
+
+
+def test_a_self_loop_is_one_edge_the_walk_never_steps(tmp_path):
+    path = tmp_path / "loop.graph"
+    path.write_text("\n".join([
+        "node a entity", "node b entity", "node c entity", "node d entity",
+        "edge a a near 2", "edge a b related-to 3", "edge c b near 1", "edge c d related-to 2",
+        "freq a 2", "freq b 3", "freq c 1", "freq d 4", "triple a a b 1", "triple a b c 2",
+    ]) + "\n")
+    graph, dk = load_graph(path)
+    loop = ("a", "a", "near", 2.0)
+    assert graph.edges() == [loop, ("a", "b", "related-to", 3.0), ("c", "b", "near", 1.0),
+                             ("c", "d", "related-to", 2.0)]
+    assert graph.neighbors("a") == ["a", "b"]
+    assert graph.neighbors("a", {"near"}) == ["a"]
+    assert graph.edge_between("a", "a") == loop
+    assert graph.induced({"a", "c"}).edges() == [loop]
+    for source in sorted(graph.nodes):
+        got = reach_scores(graph, dk, source)
+        assert list(got.items()) == list(reference_reach(graph, dk, source).items())
+        assert source not in got
+    counts = {}
+    candidate_scores({"a"}, graph, dk, counts=counts)
+    paths = []
+    reference_reach(graph, dk, "a", paths=paths)
+    assert counts["walk_paths"] == len(paths) == 3  # a-b, a-b-c, a-b-c-d
+    again, twice = tmp_path / "again.graph", tmp_path / "twice.graph"
+    save_graph(graph, again, dk)
+    reloaded, reloaded_dk = load_graph(again)
+    save_graph(reloaded, twice, reloaded_dk)
+    assert twice.read_bytes() == again.read_bytes()
 
 
 @pytest.mark.parametrize("frequency", [None, 0, -2, float("nan"), float("inf")])

@@ -16,7 +16,7 @@ import random
 import tempfile
 from collections import Counter
 from dataclasses import replace
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, spli
 from holoscene.ontology import (
     GENERIC_RELATION,
     DkStatistics,
+    EdgeRec,
     OntologyGraph,
     TermObjectMap,
     ValueMap,
@@ -99,27 +100,26 @@ def with_patterns(relation_lexicon):
 
 def reference_build(corpus, lex):
     """The graph scan one window and one sentence at a time: a ``+= 1`` per
-    pair, every pattern searched in every tokenised sentence, ``add_node``
-    per term occurrence and one ``add_edge`` per edge."""
+    pair, every pattern searched in every tokenised sentence, a node per
+    term at its first occurrence and the edges in sorted pair order."""
     patterns = lex.relation_patterns
-    graph = OntologyGraph()
+    nodes = {}
     pair_counts = Counter()
     labels = {}
     for document in corpus:
         term_lists = [lex.content_terms(s) for s in split_sentences(document)]
         for terms in term_lists:
             for term in terms:
-                graph.add_node(term, lex.semantic_type(term))
+                nodes.setdefault(term, lex.semantic_type(term))
         for window in reference_windows(term_lists, 2):
             for a, b in combinations(sorted(window), 2):
                 pair_counts[(a, b)] += 1
         for sentence in split_sentences(document):
             for src, dst, label in reference_match_relations(sentence, patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
-    for (a, b), count in sorted(pair_counts.items()):
-        src, dst, label = labels.get((a, b), (a, b, GENERIC_RELATION))
-        graph.add_edge(src, dst, label, count)
-    return graph
+    edges = [(*labels.get(pair, (*pair, GENERIC_RELATION)), count)
+             for pair, count in sorted(pair_counts.items())]
+    return nodes, edges
 
 
 def reference_dk(corpus):
@@ -139,10 +139,9 @@ def reference_dk(corpus):
 def assert_scan_matches_reference(corpus, relation_lexicon=None):
     lex = with_patterns(relation_lexicon)
     graph = build_from_corpus(corpus, lexicon=lex)
-    want = reference_build(corpus, lex)
-    assert list(graph.nodes.items()) == list(want.nodes.items())
-    assert list(graph._edges.items()) == list(want._edges.items())
-    assert graph.edges() == want.edges()
+    nodes, edges = reference_build(corpus, lex)
+    assert_reads_match_model(graph, nodes, edges)
+    want = OntologyGraph(nodes, edges)
     dk = extract_dk(corpus, graph)
     want_dk = reference_dk(corpus)
     for order in ("k1", "k3"):
@@ -331,7 +330,7 @@ class TestExtractDk:
         projected = set()
         for a, b, c in dk.k3:
             projected.update({(a, b), (a, c), (b, c)})
-        assert projected == set(build_from_corpus(corpus)._edges)
+        assert projected == {rec.pair for rec in build_from_corpus(corpus).edges()}
 
     def test_stats_must_cover_graph(self):
         graph = build_from_corpus(["The sun shines."])
@@ -521,6 +520,37 @@ class TestDkScaled:
         assert all(big.triple(*t) == 10 * dk.triple(*t) for t in dk.k3)
 
 
+def assert_reads_match_model(graph, nodes, records, strangers=("zzz",)):
+    """``graph``'s public reads agree with a plain-dict model of ``nodes``
+    and the edge ``records``, which name no term pair twice: the nodes in
+    order, ``edges()`` in sorted pair order, ``neighbors`` of every node
+    (all of them and by each label), ``edge_between`` both ways for every
+    edge and for every pair of nodes that has none, and no neighbour or
+    edge for the ``strangers``, which are not nodes."""
+    edges = {tuple(sorted(record[:2])): EdgeRec(*record) for record in records}
+    rows = {term: {} for term in nodes}
+    for (a, b), rec in edges.items():
+        rows[a][b] = rows[b][a] = rec
+    assert list(graph.nodes.items()) == list(nodes.items())
+    assert graph.edges() == [edges[pair] for pair in sorted(edges)]
+    assert graph.edge_count == len(edges)
+    labels = {rec.label for rec in edges.values()} | {"no-such-label"}
+    for term, row in rows.items():
+        assert graph.neighbors(term) == sorted(row)
+        for label in labels:
+            assert graph.neighbors(term, {label}) == sorted(b for b, rec in row.items() if rec.label == label)
+    for (a, b), rec in edges.items():
+        assert graph.edge_between(a, b) == graph.edge_between(b, a) == rec
+    if len(nodes) * len(nodes) <= 10_000:
+        for a, b in combinations_with_replacement(nodes, 2):
+            if b not in rows[a]:
+                assert graph.edge_between(a, b) is None
+    for stranger in strangers:
+        assert stranger not in graph
+        assert graph.neighbors(stranger) == []
+        assert all(graph.edge_between(term, stranger) is None for term in [*nodes, stranger])
+
+
 _TERMS = st.sampled_from(["ball", "beach", "hand", "sand", "sun", "woman"])
 
 
@@ -528,25 +558,34 @@ _TERMS = st.sampled_from(["ball", "beach", "hand", "sand", "sun", "woman"])
 @given(st.lists(st.tuples(_TERMS, _TERMS, st.sampled_from(["related-to", "near"]),
                           st.integers(0, 3))), st.sets(_TERMS | st.just("moon")))
 def test_edge_rows_match_the_edge_table(records, keep):
-    graph = OntologyGraph()
-    for term in ["woman", "sun", "sand", "hand", "beach", "ball"]:
-        graph.add_node(term, "entity")
-    seen = set()
+    """The graph's reads, and those of an induced subgraph, against a model
+    built here from the same records; a record may join a term to itself."""
+    nodes = dict.fromkeys(["woman", "sun", "sand", "hand", "beach", "ball"], "entity")
+    seen, kept = set(), []
     for src, dst, label, weight in records:
         if frozenset((src, dst)) not in seen:
             seen.add(frozenset((src, dst)))
-            graph.add_edge(src, dst, label, weight)
-    for a in graph.nodes:
-        want = sorted(b for b in graph.nodes if tuple(sorted((a, b))) in graph._edges)
-        assert graph.neighbors(a) == want
-        assert graph.neighbors(a, {"near"}) == [b for b in want if graph.edge_between(a, b).label == "near"]
-        for b in graph.nodes:
-            assert graph.edge_between(a, b) is graph._edges.get(tuple(sorted((a, b))))
-    # the induced subgraph as a filter over every edge, in sorted pair order
+            kept.append((src, dst, label, weight))
+    graph = OntologyGraph(nodes, kept)
+    assert_reads_match_model(graph, nodes, kept, strangers=["moon", ""])
     sub = graph.induced(keep)
-    assert list(sub.nodes.items()) == [(t, "entity") for t in sorted(keep) if t in graph.nodes]
-    assert list(sub._edges.values()) == [rec for rec in graph.edges()
-                                         if rec.src in keep and rec.dst in keep]
+    assert_reads_match_model(sub, {t: "entity" for t in sorted(keep) if t in nodes},
+                             [r for r in kept if r[0] in keep and r[1] in keep], strangers=["moon"])
+
+
+@pytest.mark.parametrize("records, index, kind, message", [
+    ([("a", "b", "near", 1), ("b", "a", "near", 2)], 1, ValueError, "second edge between 'a' and 'b'"),
+    ([("a", "b", "near", 1), ("c", "d", "near", 1), ("b", "a", "near", 1)], 1, UnknownTermError,
+     "edge endpoints must be nodes: 'c', 'd'"),
+    ([("a", "a", "near", 1), ("a", "c", "near", -1.0)], 1, ValueError,
+     "edge weight must be finite and non-negative, not -1.0"),
+    ([("c", "b", "near", math.nan), ("b", "c", "near", 1)], 0, ValueError,
+     "edge weight must be finite and non-negative, not nan"),
+], ids=["second", "first-of-two-faults", "negative", "nan"])
+def test_refused_edge_record_is_named_by_its_index(records, index, kind, message):
+    with pytest.raises(kind) as err:
+        OntologyGraph(dict.fromkeys("abc", "entity"), records)
+    assert (str(err.value), err.value.record) == (message, index)
 
 
 # -- the graph file reader against the line-by-line one ---------------------------
@@ -554,8 +593,9 @@ def test_edge_rows_match_the_edge_table(records, keep):
 
 def reference_load_graph(path):
     """The graph file reader that split and checked each line as it read it;
-    returns (graph, k1, k3) with k3 a dict in file order, or (graph, None,
-    None) for a file without freq records."""
+    returns (nodes, edge records, k1, k3) with k3 a dict in file order, or
+    (nodes, edge records, None, None) for a file without freq records. It
+    checks each edge record itself, in file order."""
     def first_record(kind, terms):
         for line_no, line in read_lines(path):
             fields = line.split()
@@ -563,8 +603,7 @@ def reference_load_graph(path):
                 return line_no
         raise AssertionError(f"no {kind} record names {sorted(terms)}")
 
-    graph = OntologyGraph()
-    node_lines, freq, k3, edge_lines = {}, {}, {}, []
+    nodes, node_lines, freq, k3, edge_lines = {}, {}, {}, {}, []
     for line_no, line in read_lines(path):
         fields = line.split()
         kind = fields[0]
@@ -572,7 +611,7 @@ def reference_load_graph(path):
             if kind == "node" and len(fields) == 3:
                 if fields[1] in node_lines:
                     raise ValueError(f"second node record for {fields[1]!r}")
-                graph.add_node(fields[1], fields[2])
+                nodes[fields[1]] = fields[2]
                 node_lines[fields[1]] = line_no
             elif kind == "edge" and len(fields) == 5:
                 edge_lines.append((line_no, fields[1], fields[2], fields[3], float(fields[4])))
@@ -593,16 +632,25 @@ def reference_load_graph(path):
                 raise ValueError(f"unrecognized record {kind!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
+    edges, pairs = [], set()
     for line_no, src, dst, label, weight in edge_lines:
+        pair = tuple(sorted((src, dst)))
         try:
-            graph.add_edge(src, dst, label, weight)
+            if src not in nodes or dst not in nodes:
+                raise ValueError(f"edge endpoints must be nodes: {src!r}, {dst!r}")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
+            if pair in pairs:
+                raise ValueError(f"second edge between {pair[0]!r} and {pair[1]!r}")
             if weight == 0.0 and freq:
                 raise ValueError("edge weight is a pair count and must be positive, not 0.0")
-        except (UnknownTermError, ValueError) as exc:
+        except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
+        pairs.add(pair)
+        edges.append((src, dst, label, weight))
     if not freq:
-        return graph, None, None
-    declared = graph.nodes.keys()
+        return nodes, edges, None, None
+    declared = nodes.keys()
     unmeasured = declared - freq.keys()
     if unmeasured:
         line_no, term = min((node_lines[t], t) for t in unmeasured)
@@ -614,24 +662,22 @@ def reference_load_graph(path):
     if stray:
         raise GraphFormatError(path, first_record("triple", stray),
                                f"k3 term {min(stray)!r} missing from k1")
-    return graph, freq, k3
+    return nodes, edges, freq, k3
 
 
 def assert_loads_as_reference(path):
     """``load_graph`` and the reference give the same nodes, edges, k1 and
-    k3 (k3 in sorted order), or the same error at the same line."""
+    k3 (k3 in sorted order), or the same error at the same line. The graph
+    is read through its public reads."""
     try:
-        want, want_k1, want_k3 = reference_load_graph(path)
+        want_nodes, want_edges, want_k1, want_k3 = reference_load_graph(path)
     except GraphFormatError as exc:
         with pytest.raises(GraphFormatError) as err:
             load_graph(path)
         assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
     graph, dk = load_graph(path)
-    assert list(graph.nodes.items()) == list(want.nodes.items())
-    assert list(graph._edges.items()) == list(want._edges.items())
-    for term in graph.nodes:
-        assert graph._adjacency[term] == want._adjacency[term]
+    assert_reads_match_model(graph, want_nodes, want_edges)
     if want_k1 is None:
         assert dk is None
     else:
@@ -681,12 +727,10 @@ def bench_sized_graph(path, seed: int = 1) -> None:
     terms, ~8,800 edges and ~31,600 triples."""
     rng = random.Random(seed)
     terms = [f"t{i:03d}" for i in range(634)]
-    graph = OntologyGraph()
-    for term in terms:
-        graph.add_node(term, rng.choice(["entity", "action", "attribute"]))
+    nodes = {term: rng.choice(["entity", "action", "attribute"]) for term in terms}
     pairs = {tuple(sorted(rng.sample(terms, 2))) for _ in range(9000)}
-    graph.add_edges((a, b, rng.choice(["related-to", "near", "part-of"]), rng.randint(1, 9))
-                    for a, b in sorted(pairs))
+    graph = OntologyGraph(nodes, [(a, b, rng.choice(["related-to", "near", "part-of"]), rng.randint(1, 9))
+                                  for a, b in sorted(pairs)])
     k3 = {tuple(sorted(rng.sample(terms, 3))): rng.randint(1, 5) for _ in range(32000)}
     save_graph(graph, path, DkStatistics(k1={t: rng.randint(1, 50) for t in terms}, k3=k3))
 

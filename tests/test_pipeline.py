@@ -199,6 +199,15 @@ class TestRunPipeline:
         assert len(generic_sets) == 1
         assert diagnostics.counts["walk_paths"] == len(paths) == 3441
 
+    def test_a_bug_in_a_stage_leaves_unwrapped(self, monkeypatch):
+        def broken(spaces):
+            raise RuntimeError("a bug in the generic stage")
+
+        monkeypatch.setattr(blending, "generic_space", broken)
+        with pytest.raises(RuntimeError, match="a bug in the generic stage") as err:
+            run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        assert err.type is RuntimeError
+
     def test_only_the_blend_builds_a_subgraph(self, monkeypatch):
         calls = []
         induced = OntologyGraph.induced

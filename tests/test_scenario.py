@@ -26,13 +26,10 @@ def demo_run():
 
 
 def simple_blend(terms):
-    graph = OntologyGraph()
-    for t in terms:
-        graph.add_node(t)
     return BlendedSpace(
         scores={t: 1.0 for t in terms},
         provenance={t: "anchored" for t in terms},
-        subgraph=graph,
+        subgraph=OntologyGraph(dict.fromkeys(terms, "entity")),
     )
 
 
