@@ -13,10 +13,10 @@ frequency by a positive constant provably leaves the ranking unchanged.
 The walk reads the graph's CSR rows, less any self-loop. Once per
 ``candidate_scores`` call, for every generic source, it builds only what
 depends on the statistics and ``mix``: one step weight per directed edge,
-the subtree bounds, and the triple counts as the statistics' sorted int64
-codes over the graph's terms, looked up with ``searchsorted`` (only when
-``max_path >= 2``). Paths grow one level at a time as numpy rows, and a
-step onto a node already on the path is dropped.
+the subtree bounds, and the statistics' triple counts over the graph's
+terms (only when ``max_path >= 2``), which ``TripleCounts.count`` looks up
+by term ids a whole level of steps at a time. Paths grow one level at a
+time as numpy rows, and a step onto a node already on the path is dropped.
 Consecutive first steps are walked together in chunks; a chunk holds at
 most ``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does
 not grow with the degree of the source.
@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
-from .ontology import DkStatistics, OntologyGraph, _graph_from_records, _graph_records, triple_code
+from .ontology import DkStatistics, OntologyGraph, _graph_from_records, _graph_records
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -134,10 +133,9 @@ class _WalkIndex:
     ``indptr`` and ``indices`` are the graph's CSR rows less its
     self-loops, so array order is the order the walk takes neighbours in.
     Every directed edge carries its pair count, the graph's edge weight, and
-    its step weight. Triple counts are the statistics' sorted int64 codes,
-    renumbered over the graph's terms only when those are not ``k1``'s, and
-    read only when a path can take two steps. ``paths`` counts the simple
-    paths scored so far.
+    its step weight. ``triples`` are the statistics' triple counts over the
+    graph's terms, read only when a path can take two steps. ``paths``
+    counts the simple paths scored so far.
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
@@ -163,22 +161,7 @@ class _WalkIndex:
             walks = np.bincount(src, weights=walks[dst], minlength=len(self.terms))
             self.subtree = self.subtree + walks
 
-        self.triple_keys = np.empty(0, dtype=np.int64)
-        if max_path >= 2 and dk.k3:
-            self.triple_keys, self.triple_counts = dk.k3.codes, dk.k3.counts
-            if dk.k3.terms != self.terms:  # renumber over the graph's terms, dropping the rest
-                ids = np.fromiter(map(self.number.get, dk.k3.terms, repeat(-1)), dtype=np.int64,
-                                  count=len(dk.k3.terms))[np.stack(dk.k3.ids())]
-                known = (ids >= 0).all(axis=0)
-                # both term lists are sorted, so the renumbered codes stay sorted
-                self.triple_keys = triple_code(*ids[:, known], len(self.terms))
-                self.triple_counts = self.triple_counts[known]
-
-    def _triples(self, a, b, c):
-        """Observed count of each unordered triple (a[i], b[i], c[i]), 0 if none."""
-        keys = triple_code(a, b, c, len(self.terms))
-        at = np.minimum(np.searchsorted(self.triple_keys, keys), len(self.triple_keys) - 1)
-        return np.where(self.triple_keys[at] == keys, self.triple_counts[at], 0.0)
+        self.triples = dk.k3.over(self.terms)
 
     def _extend(self, paths, score, pair):
         """Every simple path one step longer than a row of ``paths`` (node
@@ -194,8 +177,8 @@ class _WalkIndex:
         fresh = (prefix != nxt[:, None]).all(axis=1)
         prefix, parent, edge, nxt = prefix[fresh], parent[fresh], edge[fresh], nxt[fresh]
         step = self.weight[edge]
-        if len(self.triple_keys):
-            observed = self._triples(prefix[:, -2], prefix[:, -1], nxt)
+        if self.triples:
+            observed = self.triples.count(prefix[:, -2], prefix[:, -1], nxt)
             boosted = observed != 0
             with np.errstate(divide="raise"):  # a zero pair count under a triple
                 step[boosted] *= 1.0 + observed[boosted] / pair[parent][boosted]

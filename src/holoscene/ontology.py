@@ -17,16 +17,21 @@ frequency (order 0) is the mean of order 1. The pair frequency over
 2-sentence windows (order 2) is the edge weight, which only
 ``build_from_corpus`` counts.
 
-Each window's sorted term pairs (or triples) are counted with one
-``Counter.update``, in C. A sentence is searched only for the relation
-patterns whose surface it contains, and tokenised a second time, to find
-the labelled pairs, only when one of them matches.
+Each window's sorted term pairs (or sorted triples of term ids) are
+counted with one ``Counter.update``, in C. A sentence is searched only for
+the relation patterns whose surface it contains, and tokenised a second
+time, to find the labelled pairs, only when one of them matches.
 
 Triple counts are held as arrays (:class:`TripleCounts`): the sorted term
 table, one sorted int64 code ``(lo·n + mid)·n + hi`` per triple of term
-ids, and the counts in code order. ``DkStatistics.k3`` reads as a mapping
-from sorted term triples to counts, in sorted order, and the walk in
-``blending`` searches the codes directly.
+ids, and the counts in code order. Only that class knows the code. Its
+one constructor takes columns of term ids, computes and sorts the codes
+and refuses a repeated triple; the graph file reader, ``extract_dk`` and
+a ``DkStatistics`` given a plain mapping all build through it. Its
+``count`` looks triples of term ids up a whole array at a time, and its
+``over`` renumbers them over another term table, such as a graph's.
+``DkStatistics.k3`` reads as a mapping from sorted term triples to
+counts, in sorted order.
 
 ``load_graph`` reads a graph file in one pass that only puts each line,
 and its line number, aside by record kind. Each kind's lines are then
@@ -180,26 +185,44 @@ class OntologyGraph:
         return OntologyGraph({term: self.nodes[term] for term in keep}, self._records(rows, at))
 
 
-def triple_code(a, b, c, n: int):
-    """The int64 code ``(lo·n + mid)·n + hi`` of each unordered triple of term
-    ids below ``n``, sorted into ``lo <= mid <= hi``: codes sort as the
-    sorted triples do. Codes of up to 2^21 terms fit in int64."""
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    return (lo * n + (a + b + c - lo - hi)) * n + hi
-
-
 _BLOCK = 8192  # triples read or decoded at a time
+_MAX_TERMS = 1 << 21  # codes over at most this many terms fit in int64
+
+
+class _TooManyTerms(ValueError):
+    """A term table larger than triple codes can number. It is a fault of a
+    whole graph file, not of one line, so ``load_graph`` names no line."""
 
 
 class TripleCounts(Mapping):
     """Read-only map from sorted term triples to their window counts.
 
-    Stored as arrays: ``terms``, the sorted term table; ``codes``, the
-    sorted :func:`triple_code` of each triple's term ids; and ``counts``,
-    floats in code order. Iteration yields the triples in sorted order."""
+    Built from three columns ``a``, ``b``, ``c`` of ids into ``terms`` (a
+    sorted term list of at most 2^21 terms), one triple per row in any
+    order within it, and each triple's count, finite and positive. Stored
+    as arrays: ``terms``; ``codes``, the sorted int64 code ``(lo·n + mid)·n
+    + hi`` of each triple, its ids sorted into ``lo <= mid <= hi`` and ``n``
+    the number of terms; and ``counts``, floats in code order. Codes sort
+    as the sorted triples do, so iteration yields the triples in sorted
+    order. A repeated triple, a larger table or a count that is not finite
+    and positive raises ValueError.
 
-    def __init__(self, terms: list, codes, counts):
-        self.terms, self.codes, self.counts = terms, codes, counts
+    Only this class computes codes: :meth:`count` looks triples of ids
+    up and :meth:`over` renumbers the table over other terms."""
+
+    def __init__(self, terms, a, b, c, counts):
+        if len(terms) > _MAX_TERMS:
+            raise _TooManyTerms(f"{len(terms)} terms: triple codes fit in int64 for at most {_MAX_TERMS}")
+        self.terms = terms
+        codes = self._code(a, b, c)
+        order = np.argsort(codes)
+        self.codes, self.counts = codes[order], np.asarray(counts, dtype=float)[order]
+        repeated = np.flatnonzero(self.codes[1:] == self.codes[:-1])
+        if len(repeated):
+            triple, _ = next(islice(self.items(), int(repeated[0]), None))
+            raise ValueError(f"second count for triple {triple}")
+        if not ((self.counts > 0.0) & (self.counts < math.inf)).all():
+            raise ValueError("a triple count that is not finite and positive")
 
     @classmethod
     def from_counts(cls, terms: list, triples) -> "TripleCounts":
@@ -208,10 +231,33 @@ class TripleCounts(Mapping):
         number = dict(zip(terms, range(len(terms))))
         ids = np.fromiter(map(number.__getitem__, chain.from_iterable(triples)),
                           dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
-        codes = triple_code(*ids.T, len(terms))
-        order = np.argsort(codes)
-        counts = np.fromiter(triples.values(), dtype=float, count=len(triples))
-        return cls(terms, codes[order], counts[order])
+        return cls(terms, *ids.T, np.fromiter(triples.values(), dtype=float, count=len(triples)))
+
+    def _code(self, a, b, c):
+        """The code of each triple of term ids ``(a[i], b[i], c[i])``."""
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        n = len(self.terms)
+        return (lo * n + (a + b + c - lo - hi)) * n + hi
+
+    def count(self, a, b, c):
+        """The count of each triple of term ids ``(a[i], b[i], c[i])``, in
+        any order within it; 0 for a triple that is not counted."""
+        codes = self._code(a, b, c)
+        if not len(self.codes):
+            return np.zeros(np.shape(codes))
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[at] == codes, self.counts[at], 0.0)
+
+    def over(self, terms: list) -> "TripleCounts":
+        """The counts of the triples of ``terms`` (a sorted list), ids
+        renumbered into it; itself when ``terms`` is its own table."""
+        if terms == self.terms:
+            return self
+        number = dict(zip(terms, range(len(terms))))
+        ids = np.fromiter(map(number.get, self.terms, repeat(-1)), dtype=np.int64,
+                          count=len(self.terms))[np.stack(self.ids())]
+        known = (ids >= 0).all(axis=0)
+        return TripleCounts(terms, *ids[:, known], self.counts[known])
 
     def ids(self, at: int = 0, end: int | None = None) -> tuple:
         """The term ids of the triples ``at:end``, as arrays lo, mid and hi
@@ -231,10 +277,9 @@ class TripleCounts(Mapping):
         ids = [bisect_left(terms, term) for term in triple] if isinstance(triple, tuple) else []
         named = len(ids) == 3 and all(i < n and terms[i] == term for i, term in zip(ids, triple))
         if named and ids == sorted(ids):  # a key is a sorted triple of terms
-            code = triple_code(*ids, n)
-            at = np.searchsorted(self.codes, code)
-            if at < len(self.codes) and self.codes[at] == code:
-                return float(self.counts[at])
+            count = float(self.count(*ids))
+            if count:
+                return count
         raise KeyError(triple)
 
     def items(self):
@@ -281,7 +326,7 @@ class DkStatistics:
 def _count_windows(term_lists, width: int, counts: Counter) -> None:
     """Add to ``counts`` the sorted ``width``-term combinations of each window
     of ``width`` consecutive sentences, or of the one window of all the
-    sentences when there are fewer."""
+    sentences when there are fewer. Terms may be strings or term ids."""
     for start in range(max(1, len(term_lists) - width + 1)):
         window = set(chain.from_iterable(term_lists[start:start + width]))
         counts.update(combinations(sorted(window), width))
@@ -355,13 +400,16 @@ def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | No
     built from; the pair counts are ``graph``'s edge weights. If ``graph``
     is given, every counted term must be one of its nodes."""
     lex = lexicon or default_lexicon()
-    k1: Counter = Counter()
-    k3: Counter = Counter()
-    for document in corpus:
-        term_lists = [lex.content_terms(s) for s in split_sentences(document)]
-        k1.update(chain.from_iterable(term_lists))
-        _count_windows(term_lists, 3, k3)
-    stats = DkStatistics(k1=dict(k1), k3=k3)  # k3 becomes a TripleCounts
+    documents = [[lex.content_terms(s) for s in split_sentences(document)] for document in corpus]
+    k1 = Counter(chain.from_iterable(chain.from_iterable(documents)))
+    terms = sorted(k1)
+    number = dict(zip(terms, range(len(terms))))
+    k3: Counter = Counter()  # sorted triples of term ids
+    for term_lists in documents:
+        _count_windows([list(map(number.__getitem__, t)) for t in term_lists], 3, k3)
+    ids = np.fromiter(chain.from_iterable(k3), dtype=np.int64, count=3 * len(k3)).reshape(-1, 3)
+    counts = np.fromiter(k3.values(), dtype=float, count=len(k3))
+    stats = DkStatistics(k1=dict(k1), k3=TripleCounts(terms, *ids.T, counts))
     if graph is not None:
         missing = [t for t in stats.k1 if t not in graph.nodes]
         if missing:
@@ -484,11 +532,25 @@ class ValueMap:
 # -- graph file format ---------------------------------------------------------
 
 
+def _counts(values: np.ndarray) -> list:
+    """Each float of ``values`` as a record writes it, so that it reads back
+    as the same float: a whole number in [0, 10^6), as nearly every count
+    is, as an int, which formats as ``:g`` would format the float; any
+    other as its ``:g`` text where that is exact, else as its ``repr``."""
+    other = (values != np.trunc(values)) | ~(np.abs(values) < 1e6) | np.signbit(values)
+    texts = np.where(other, 0, values).astype(np.int64).tolist()
+    for at in np.flatnonzero(other).tolist():
+        value = float(values[at])
+        texts[at] = f"{value:g}" if float(f"{value:g}") == value else repr(value)
+    return texts
+
+
 def _graph_records(graph: OntologyGraph) -> list:
     """The ``node`` and ``edge`` lines of ``graph``, shared by the graph and
     blend files."""
     lines = [f"node {term} {graph.nodes[term]}" for term in graph.terms]
-    lines += [f"edge {rec.src} {rec.dst} {rec.label} {rec.weight:g}" for rec in graph.edges()]
+    edges = zip(graph.edges(), _counts(graph.weight[graph._edges[:, 1]]))  # weights in edges() order
+    lines += [f"edge {rec.src} {rec.dst} {rec.label} {weight}" for rec, weight in edges]
     return lines
 
 
@@ -504,11 +566,15 @@ def _graph_from_records(path, nodes: dict, line_nos: list, records) -> OntologyG
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
     """Line-oriented graph file: node/edge records plus optional freq and
-    triple records carrying the word statistics."""
+    triple records carrying the word statistics. Every weight and count is
+    written so that it reads back as the same float."""
     lines = ["# holoscene graph v1", *_graph_records(graph)]
     if dk is not None:
-        lines += [f"freq {term} {dk.k1[term]:g}" for term in sorted(dk.k1)]
-        lines += [f"triple {a} {b} {c} {count:g}" for (a, b, c), count in dk.k3.items()]
+        terms = sorted(dk.k1)
+        freq = _counts(np.fromiter(map(dk.k1.__getitem__, terms), dtype=float, count=len(terms)))
+        lines += [f"freq {term} {count}" for term, count in zip(terms, freq)]
+        triples = zip(dk.k3.items(), _counts(dk.k3.counts))
+        lines += [f"triple {a} {b} {c} {count}" for ((a, b, c), _), count in triples]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -610,6 +676,8 @@ def load_graph(path):
         k3 = _read_triples(sorted(k1), lines["triple"])
         if k3 is None and _first_fault("triple", lines["triple"], line_nos["triple"]):
             raise ValueError("a bad triple record")
+    except _TooManyTerms as exc:
+        raise GraphFormatError(path, None, str(exc)) from None
     except ValueError:
         faults += filter(None, (_first_fault(kind, lines[kind], line_nos[kind]) for kind in _WIDTHS))
         raise GraphFormatError(path, *min(faults)) from None
@@ -642,23 +710,17 @@ def _read_triples(terms: list, lines: list) -> TripleCounts | None:
     """The counts of the triple records ``lines`` over ``terms`` (the sorted
     ``k1`` terms), or None if one names another term. ValueError if a
     record does not parse, a count is not finite and positive or a sorted
-    triple has two records."""
+    triple has two records; :class:`_TooManyTerms` if there are more terms
+    than :class:`TripleCounts` holds."""
     number = dict(zip(terms, range(len(terms))))
     ids, counts = [np.empty((3, 0), dtype=np.int64)], [np.empty(0)]
     for at in range(0, len(lines), _BLOCK):  # a block at a time: few field strings live at once
         *names, block_counts = _fields("triple", lines[at:at + _BLOCK])
-        counts.append(_positive(block_counts))
+        counts.append(np.fromiter(map(float, block_counts), dtype=float, count=len(block_counts)))
         ids.append(np.fromiter(map(number.get, chain(*names), repeat(-1)), dtype=np.int64,
                                count=3 * len(block_counts)).reshape(3, -1))
-    ids, counts = np.concatenate(ids, axis=1), np.concatenate(counts)
-    if (ids < 0).any():
-        return None
-    codes = triple_code(*ids, len(terms))
-    order = np.argsort(codes)
-    codes = codes[order]
-    if (codes[1:] == codes[:-1]).any():
-        raise ValueError("a second triple record")
-    return TripleCounts(terms, codes, counts[order])
+    ids = np.concatenate(ids, axis=1)
+    return None if (ids < 0).any() else TripleCounts(terms, *ids, np.concatenate(counts))
 
 
 def to_dot(graph: OntologyGraph, colors: dict | None = None, name: str = "ontology") -> str:

@@ -16,12 +16,14 @@ import random
 import tempfile
 from collections import Counter
 from dataclasses import replace
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holoscene import ontology
 from holoscene.errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines
 from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
@@ -30,6 +32,7 @@ from holoscene.ontology import (
     EdgeRec,
     OntologyGraph,
     TermObjectMap,
+    TripleCounts,
     ValueMap,
     _match_relations,
     build_from_corpus,
@@ -503,6 +506,30 @@ class TestGraphFile:
             load_graph(path)
         assert err.value.line_no == line_no
 
+    def test_counts_of_a_million_or_more_reload_exactly(self, tmp_path):
+        graph = OntologyGraph(dict.fromkeys(["sky", "sun", "moon"], "entity"),
+                              [("sun", "sky", "near", 1234567), ("moon", "sky", "related-to", 123456.5)])
+        dk = DkStatistics(k1={"moon": 2345678, "sky": 3, "sun": 0.5}, k3={("moon", "sky", "sun"): 3e6})
+        path = tmp_path / "big.graph"
+        save_graph(graph, path, dk)
+        loaded, loaded_dk = load_graph(path)
+        assert loaded.edges() == graph.edges()
+        assert loaded_dk.k1 == dk.k1
+        assert list(loaded_dk.k3.items()) == [(("moon", "sky", "sun"), 3e6)]
+        # a count that six significant digits hold keeps its %g bytes; the rest are written by repr
+        assert {"edge moon sky related-to 123456.5", "edge sun sky near 1234567.0", "freq moon 2345678.0",
+                "freq sky 3", "freq sun 0.5", "triple moon sky sun 3e+06"} <= set(path.read_text().split("\n"))
+
+    def test_term_table_larger_than_codes_hold_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "wide.graph"
+        path.write_text("node sun entity\nnode sky entity\nnode moon entity\n"
+                        "freq sun 1\nfreq sky 2\nfreq moon 3\n")
+        assert load_graph(path)[1].k1 == {"sun": 1.0, "sky": 2.0, "moon": 3.0}
+        monkeypatch.setattr(ontology, "_MAX_TERMS", 2)
+        with pytest.raises(GraphFormatError, match="3 terms") as err:
+            load_graph(path)
+        assert (err.value.path, err.value.line_no) == (str(path), None)
+
     def test_dot_export(self):
         graph = build_from_corpus(["The sun shines."])
         dot = to_dot(graph, colors={"sun": "yellow"})
@@ -753,3 +780,72 @@ def test_bulk_reader_matches_line_reader_on_a_bench_sized_graph(tmp_path, edit):
         lines[1] = "node t000"
     path.write_text("\n".join(lines), encoding="utf-8")
     assert_loads_as_reference(path)
+
+
+# -- triple counts -------------------------------------------------------------
+
+
+_NAMES = ["ball", "beach", "hand", "sand", "sun", "woman"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sets(st.sampled_from(_NAMES)).map(sorted).flatmap(lambda terms: st.tuples(
+    st.just(terms),
+    st.dictionaries(st.tuples(*[st.sampled_from(terms)] * 3).map(lambda t: tuple(sorted(t))),
+                    st.integers(1, 9).map(float)) if terms else st.just({}),
+    st.sets(st.sampled_from(_NAMES)).map(sorted),
+    st.randoms(use_true_random=False))))
+def test_triple_counts_agree_with_a_dict(case):
+    """Built from id columns in any order within each triple, ``count``,
+    ``over``, ``[...]``, ``get``, ``in`` and ``items()`` read as the dict
+    they were built from; a repeated triple is refused."""
+    terms, want, other, rng = case
+    number = {term: i for i, term in enumerate(terms)}
+    rows = [rng.sample([number[t] for t in triple], 3) for triple in want]
+    a, b, c = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    counts = TripleCounts(terms, a, b, c, list(want.values()))
+
+    ids = np.array(list(product(range(len(terms)), repeat=3)), dtype=np.int64).reshape(-1, 3)
+    got = counts.count(*ids.T)
+    assert got.tolist() == [want.get(tuple(sorted(terms[i] for i in row)), 0.0) for row in ids.tolist()]
+    assert list(counts.items()) == sorted(want.items())
+    assert len(counts) == len(want) and list(counts) == sorted(want)
+    for key in [*product(terms + ["zzz"], repeat=3), ("ball",), "ball", ()]:
+        assert (key in counts) == (key in want)
+        assert counts.get(key) == want.get(key)
+        if key in want:
+            assert counts[key] == want[key]
+        else:
+            with pytest.raises(KeyError):
+                counts[key]
+
+    assert counts.over(list(terms)) is counts
+    narrow = counts.over(other)
+    assert narrow.terms == other
+    assert list(narrow.items()) == sorted((t, n) for t, n in want.items() if set(t) <= set(other))
+
+    if want:
+        again = rng.choice(rows)
+        with pytest.raises(ValueError, match="second count"):
+            TripleCounts(terms, *np.array([*rows, again[::-1]], dtype=np.int64).T, [*want.values(), 1.0])
+
+
+def test_two_orderings_of_a_triple_are_refused_not_saved(tmp_path):
+    # both keys name the triple ("a", "b", "c"): a graph file could hold only one
+    with pytest.raises(ValueError, match="second count for triple"):
+        DkStatistics(k1={"a": 1, "b": 1, "c": 1}, k3={("a", "b", "c"): 1, ("b", "a", "c"): 2})
+
+
+@pytest.mark.parametrize("count", [0.0, -1.0, math.inf, math.nan])
+def test_triple_count_must_be_finite_and_positive(count):
+    with pytest.raises(ValueError, match="finite and positive"):
+        DkStatistics(k1={"a": 1, "b": 1, "c": 1}, k3={("a", "b", "c"): count})
+
+
+def test_term_table_bound_is_where_codes_fill_int64():
+    top = np.array([2**21 - 1])
+    widest = TripleCounts(range(2**21), top, top, top, [5.0])  # a stand-in for 2^21 terms
+    assert widest.codes.tolist() == [2**63 - 1]
+    assert widest.count(np.append(top, 0), np.append(top, 0), np.append(top, 1)).tolist() == [5.0, 0.0]
+    with pytest.raises(ValueError, match="2097153 terms"):
+        TripleCounts(range(2**21 + 1), *[np.zeros(0, dtype=np.int64)] * 3, [])
