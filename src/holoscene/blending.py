@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
-from .ontology import DkStatistics, OntologyGraph, _graph_from_records, _graph_records
+from .ontology import DkStatistics, OntologyGraph, _graph_from_columns, _graph_records, running_sum
 from .textfilter import MentalSpace
 
 ANCHORED = "anchored"
@@ -254,7 +254,7 @@ def transition_probability(
     if from_term == to_term:
         return 1.0
     raw = reach_scores(graph, dk, from_term, max_path, mix)
-    total = sum(raw.values())
+    total = running_sum(raw.values())
     if total == 0.0:
         return 0.0
     return raw.get(to_term, 0.0) / total
@@ -282,7 +282,7 @@ def candidate_scores(
     per_source = []
     for source in sources:
         raw = index.reach(source)
-        total = sum(raw.values())
+        total = running_sum(raw.values())
         per_source.append((raw, total))
     if counts is not None:
         counts["walk_paths"] = counts.get("walk_paths", 0) + index.paths
@@ -376,7 +376,8 @@ def load_blend(path) -> BlendedSpace:
     nodes: dict[str, str] = {}
     scores: dict[str, float] = {}
     provenance: dict[str, str] = {}
-    edge_lines, edge_records = [], []
+    src, dst, label, weight = edges = ([], [], [], [])  # the edge columns
+    edge_lines = []
     score_lines = []
     for line_no, line in read_lines(path):
         fields = line.split()
@@ -386,7 +387,10 @@ def load_blend(path) -> BlendedSpace:
                     raise ValueError(f"second node record for {fields[1]!r}")
                 nodes[fields[1]] = fields[2]
             elif fields[0] == "edge" and len(fields) == 5:
-                edge_records.append((fields[1], fields[2], fields[3], float(fields[4])))
+                weight.append(float(fields[4]))
+                src.append(fields[1])
+                dst.append(fields[2])
+                label.append(fields[3])
                 edge_lines.append(line_no)
             elif fields[0] == "score" and len(fields) == 4:
                 if fields[3] not in (ANCHORED, EXPANDED, CONFABULATED):
@@ -402,7 +406,7 @@ def load_blend(path) -> BlendedSpace:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
         except ValueError as exc:
             raise GraphFormatError(path, line_no, str(exc)) from None
-    subgraph = _graph_from_records(path, nodes, edge_lines, edge_records)
+    subgraph = _graph_from_columns(path, nodes, edges, edge_lines.__getitem__)
     for line_no, term in score_lines:
         if term not in nodes:
             raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")

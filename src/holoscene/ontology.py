@@ -6,9 +6,11 @@ the raw number of such windows. When a relation pattern (e.g. "part of")
 appears between two terms, the pair's edge carries that label instead of
 the generic "related-to".
 
-A graph (:class:`OntologyGraph`) is built once from its nodes and edge
-records, which it checks in bulk, and held in one form: CSR rows over the
-sorted terms. Its reads and the walk in ``blending`` read those arrays.
+A graph (:class:`OntologyGraph`) is built once from its nodes and four
+edge columns (source, target, label and weight), which it checks in bulk,
+and held in one form: CSR rows over the sorted terms. Its reads, its
+induced subgraphs, the graph and blend file writers and the walk in
+``blending`` read those arrays; no edge is held as a tuple.
 
 The word statistics that drive the confabulation scoring come at four
 orders. Per-word frequency (order 1) and triple frequency over 3-sentence
@@ -33,12 +35,15 @@ a ``DkStatistics`` given a plain mapping all build through it. Its
 ``DkStatistics.k3`` reads as a mapping from sorted term triples to
 counts, in sorted order.
 
-``load_graph`` reads a graph file in one pass that only puts each line,
-and its line number, aside by record kind. Each kind's lines are then
-split at once, their counts parsed with one ``map(float, ...)``, repeated
-terms found by comparing lengths, and the graph built from all the edge
-records at once; it names the first record it refuses. Only when another
-check fails are the lines read one by one, to name the first bad one.
+``load_graph`` reads a graph file as one list of stripped lines and sets
+them aside by record kind with ``itertools.groupby`` on their first
+character, so no Python statement runs once per line. Each kind's lines
+are then split at once, their counts parsed with one ``map(float, ...)``,
+repeated terms found by comparing lengths, and the graph built from the
+edge columns at once; it names the index of the first edge it refuses.
+Line numbers are worked out only when a check fails, in one pass over the
+same lines, which then reads each kind line by line to name the first bad
+one.
 """
 
 from __future__ import annotations
@@ -48,13 +53,15 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from functools import reduce
+from itertools import chain, combinations, groupby, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines
+from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines, stripped_lines
 from .lexicon import Lexicon, _TOKEN_RE, default_lexicon, load_word_map, read_arrows, split_sentences
 
 GENERIC_RELATION = "related-to"
@@ -77,41 +84,46 @@ class EdgeRec(NamedTuple):
 class OntologyGraph:
     """Undirected term graph; labeled edges keep their source direction.
 
-    Built once, from a ``{term: type}`` mapping and ``(src, dst, label,
-    weight)`` edge records, into CSR rows over the ids of the sorted
-    ``terms`` (Saad, *Iterative Methods for Sparse Linear Systems*, §3.4).
-    Row ``i`` is ``indptr[i]:indptr[i + 1]``: one entry per edge at term
-    ``i`` (a self-loop once), in neighbour order, each with its neighbour
-    id, its edge's weight and label id (into ``labels``), and whether term
-    ``i`` is the edge's source. ``_edges`` holds each edge's row and entry,
-    in sorted pair order. A record with an end that is not a node, a weight
-    that is not finite and non-negative, or a pair already given raises
+    Built once, from a ``{term: type}`` mapping and the edge columns
+    ``src``, ``dst``, ``label`` and ``weight`` (row ``i`` is one edge),
+    into CSR rows over the ids of the sorted ``terms`` (Saad, *Iterative
+    Methods for Sparse Linear Systems*, §3.4). Row ``i`` is
+    ``indptr[i]:indptr[i + 1]``: one entry per edge at term ``i`` (a
+    self-loop once), in neighbour order, each with its neighbour id, its
+    edge's weight and label id (into ``labels``), and whether term ``i`` is
+    the edge's source. ``_edges`` holds each edge's row and entry, in sorted
+    pair order. An edge with an end that is not a node, a weight that is not
+    finite and non-negative, or a pair already given raises
     :class:`UnknownTermError` or ValueError, its ``record`` the index of the
-    first such record."""
+    first such edge."""
 
-    def __init__(self, nodes=(), edges=()):
-        self.nodes: dict[str, str] = dict(nodes)
-        self.terms = sorted(self.nodes)
-        self.ids = dict(zip(self.terms, range(len(self.terms))))
-        records = list(edges)
-        src, dst, label, weight = zip(*records) if records else ((),) * 4
-        n, m = len(self.terms), len(records)
-        a, b = (np.fromiter(map(self.ids.get, ends, repeat(-1)), dtype=np.int64, count=m)
-                for ends in (src, dst))
-        weight = np.array(weight, dtype=float)
+    def __init__(self, nodes=(), src=(), dst=(), label=(), weight=()):
+        nodes = dict(nodes)
+        terms = sorted(nodes)
+        ids = dict(zip(terms, range(len(terms))))
+        n, m = len(terms), len(src)
+        a, b = (np.fromiter(map(ids.get, ends, repeat(-1)), dtype=np.int64, count=m) for ends in (src, dst))
+        weight = np.asarray(weight, dtype=float)
         pair = np.minimum(a, b) * n + np.maximum(a, b)
         refused = (a < 0) | (b < 0) | ~((weight >= 0.0) & (weight < math.inf))
-        order = np.argsort(pair, kind="stable")  # a pair's first record comes first
+        order = np.argsort(pair, kind="stable")  # a pair's first edge comes first
         refused[order[1:][np.diff(pair[order]) == 0]] = True  # a second edge for the pair
         if refused.any():
             at = int(np.argmax(refused))
-            exc = self._refusal(*records[at])
+            exc = _refusal(nodes, src[at], dst[at], float(weight[at]))
             exc.record = at
             raise exc
-
-        self.labels = sorted(set(label))
-        label_id = dict(zip(self.labels, range(len(self.labels))))
+        labels = sorted(set(label))
+        label_id = dict(zip(labels, range(len(labels))))
         label = np.fromiter(map(label_id.__getitem__, label), dtype=np.int64, count=m)
+        self._build(nodes, terms, ids, labels, a, b, label, weight)
+
+    def _build(self, nodes, terms, ids, labels, a, b, label, weight) -> None:
+        """Set every attribute from the node tables and the checked edges
+        from term id ``a[i]`` to ``b[i]``, with label ids ``label``."""
+        self.nodes: dict[str, str] = nodes
+        self.terms, self.ids, self.labels = terms, ids, labels
+        n, m = len(terms), len(a)
         back = np.flatnonzero(a != b)  # a self-loop has one entry, forward
         rows, cols = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
         order = np.argsort(rows * n + cols)
@@ -123,18 +135,6 @@ class OntologyGraph:
         upper = np.flatnonzero(self.indices >= rows)
         self._edges = np.column_stack([rows[upper], upper])
 
-    def _refusal(self, src, dst, label, weight) -> Exception:
-        """The error that refuses the edge record ``(src, dst, label, weight)``."""
-        if src not in self.nodes or dst not in self.nodes:
-            return UnknownTermError(
-                f"edge endpoints must be nodes: {src!r}, {dst!r}",
-                [t for t in (src, dst) if t not in self.nodes],
-            )
-        if not 0.0 <= weight < math.inf:
-            return ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
-        lo, hi = sorted((src, dst))
-        return ValueError(f"second edge between {lo!r} and {hi!r}")
-
     def __contains__(self, term: str) -> bool:
         return term in self.nodes
 
@@ -145,13 +145,19 @@ class OntologyGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def _records(self, rows, at) -> list:
-        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
+    def _columns(self, rows, at) -> tuple:
+        """The source, target and label lists, and the weight array, of the
+        edge of each entry ``at`` of rows ``rows``."""
         terms = np.array(self.terms, dtype=object)
         here, there, forward = terms[rows], terms[self.indices[at]], self.forward[at]
         labels = np.array(self.labels, dtype=object)[self.label[at]]
-        records = zip(np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
-                      labels.tolist(), self.weight[at].tolist())
+        return (np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
+                labels.tolist(), self.weight[at])
+
+    def _records(self, rows, at) -> list:
+        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
+        src, dst, label, weight = self._columns(rows, at)
+        records = zip(src, dst, label, weight.tolist())
         return list(map(tuple.__new__, repeat(EdgeRec), records))  # not EdgeRec's Python __new__
 
     def _row(self, term) -> np.ndarray:
@@ -177,12 +183,36 @@ class OntologyGraph:
 
     def induced(self, terms) -> "OntologyGraph":
         """The kept terms that are nodes, in sorted order, and the edges
-        among them."""
+        among them, taken from this graph's arrays as they are: they were
+        checked when it was built."""
         keep = sorted(set(terms) & self.nodes.keys())
-        kept = np.zeros(len(self.terms), dtype=bool)
-        kept[[self.ids[term] for term in keep]] = True
-        rows, at = self._edges[kept[self._edges[:, 0]] & kept[self.indices[self._edges[:, 1]]]].T
-        return OntologyGraph({term: self.nodes[term] for term in keep}, self._records(rows, at))
+        number = np.full(len(self.terms), -1, dtype=np.int64)  # the id of each kept term in the subgraph
+        number[[self.ids[term] for term in keep]] = np.arange(len(keep))
+        rows, at = self._edges.T
+        rows, cols = number[rows], number[self.indices[at]]
+        inside = (rows >= 0) & (cols >= 0)
+        rows, cols, at = rows[inside], cols[inside], at[inside]
+        forward = self.forward[at]
+        used, label = np.unique(self.label[at], return_inverse=True)
+        sub = object.__new__(OntologyGraph)
+        sub._build({term: self.nodes[term] for term in keep}, keep, dict(zip(keep, range(len(keep)))),
+                   [self.labels[i] for i in used.tolist()], np.where(forward, rows, cols),
+                   np.where(forward, cols, rows), label, self.weight[at])
+        return sub
+
+
+def _refusal(nodes: dict, src, dst, weight) -> Exception:
+    """The error that refuses an edge from ``src`` to ``dst`` of ``weight``
+    among ``nodes``."""
+    if src not in nodes or dst not in nodes:
+        return UnknownTermError(
+            f"edge endpoints must be nodes: {src!r}, {dst!r}",
+            [t for t in (src, dst) if t not in nodes],
+        )
+    if not 0.0 <= weight < math.inf:
+        return ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
+    lo, hi = sorted((src, dst))
+    return ValueError(f"second edge between {lo!r} and {hi!r}")
 
 
 _BLOCK = 8192  # triples read or decoded at a time
@@ -294,6 +324,14 @@ class TripleCounts(Mapping):
         return f"TripleCounts({dict(self.items())!r})"
 
 
+def running_sum(values):
+    """``values`` added one at a time, in order, from 0, as ``sum`` adds
+    them up to Python 3.11. From 3.12 ``sum`` compensates the rounding of a
+    float total (Neumaier's algorithm), which moves its last bits, and so
+    would make blend scores depend on the Python version."""
+    return reduce(add, values, 0)
+
+
 @dataclass(frozen=True)
 class DkStatistics:
     """Word statistics at orders 1 and 3 (single and triple), with order 0
@@ -313,7 +351,7 @@ class DkStatistics:
 
     @property
     def total_frequency(self) -> float:
-        return sum(self.k1.values())
+        return running_sum(self.k1.values())
 
     @property
     def k0(self) -> float:
@@ -391,8 +429,14 @@ def build_from_corpus(corpus, lexicon: Lexicon | None = None) -> OntologyGraph:
             for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
                 labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
-    records = ((*labels.get(pair, (*pair, GENERIC_RELATION)), count) for pair, count in pair_counts.items())
-    return OntologyGraph({term: lex.semantic_type(term) for term in terms_seen}, records)
+    src, dst = (list(ends) for ends in zip(*pair_counts)) if pair_counts else ([], [])
+    label = [GENERIC_RELATION] * len(src)
+    row = dict(zip(pair_counts, range(len(src))))
+    for pair, (a, b, name) in labels.items():  # the few pairs a relation pattern labelled
+        if pair in row:
+            src[row[pair]], dst[row[pair]], label[row[pair]] = a, b, name
+    return OntologyGraph({term: lex.semantic_type(term) for term in terms_seen},
+                         src, dst, label, list(pair_counts.values()))
 
 
 def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None) -> DkStatistics:
@@ -547,21 +591,21 @@ def _counts(values: np.ndarray) -> list:
 
 def _graph_records(graph: OntologyGraph) -> list:
     """The ``node`` and ``edge`` lines of ``graph``, shared by the graph and
-    blend files."""
-    lines = [f"node {term} {graph.nodes[term]}" for term in graph.terms]
-    edges = zip(graph.edges(), _counts(graph.weight[graph._edges[:, 1]]))  # weights in edges() order
-    lines += [f"edge {rec.src} {rec.dst} {rec.label} {weight}" for rec, weight in edges]
+    blend files; the edge lines are formatted from its arrays."""
+    lines = list(map("node {} {}".format, graph.terms, map(graph.nodes.__getitem__, graph.terms)))
+    src, dst, label, weight = graph._columns(*graph._edges.T)
+    lines += map("edge {} {} {} {}".format, src, dst, label, _counts(weight))
     return lines
 
 
-def _graph_from_records(path, nodes: dict, line_nos: list, records) -> OntologyGraph:
-    """The graph of a graph or blend file's ``nodes`` and ``(src, dst,
-    label, weight)`` edge records, read at ``line_nos``. A record the graph
-    refuses is a :class:`GraphFormatError` at its line."""
+def _graph_from_columns(path, nodes: dict, columns, line_no) -> OntologyGraph:
+    """The graph of a graph or blend file's ``nodes`` and edge ``columns``
+    (src, dst, label and weight). An edge the graph refuses is a
+    :class:`GraphFormatError` at ``line_no(i)``, ``i`` its index."""
     try:
-        return OntologyGraph(nodes, records)
+        return OntologyGraph(nodes, *columns)
     except (UnknownTermError, ValueError) as exc:
-        raise GraphFormatError(path, line_nos[exc.record], str(exc)) from None
+        raise GraphFormatError(path, line_no(exc.record), str(exc)) from None
 
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
@@ -580,6 +624,7 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
 
 _WIDTHS = {"node": 3, "edge": 5, "freq": 3, "triple": 5}  # fields per record, the kind included
 _KINDS = {kind[0]: kind for kind in _WIDTHS}  # no two kinds start with the same letter
+_FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
 
 
 def _fields(kind: str, lines: list) -> list:
@@ -612,14 +657,14 @@ def _positive(counts: list) -> np.ndarray:
     return values
 
 
-def _first_fault(kind: str, lines: list, line_nos: list):
-    """``(line number, message)`` of the first of ``lines`` that is not a
-    ``kind`` record with the right number of fields, or that repeats the
-    term (or sorted term triple) of an earlier one, or holds a number that
-    does not parse or a count that is not finite and positive; None if
-    there is none. The graph checks the edge weights."""
+def _first_fault(kind: str, lines: list):
+    """``(index, message)`` of the first of ``lines`` that is not a ``kind``
+    record with the right number of fields, or that repeats the term (or
+    sorted term triple) of an earlier one, or holds a number that does not
+    parse or a count that is not finite and positive; None if there is
+    none. The graph checks the edge weights."""
     seen = set()
-    for line_no, line in zip(line_nos, lines):
+    for at, line in enumerate(lines):
         fields = line.split()
         try:
             if fields[0] != kind or len(fields) != _WIDTHS[kind]:
@@ -634,8 +679,21 @@ def _first_fault(kind: str, lines: list, line_nos: list):
                 if kind != "edge" and not 0.0 < count < math.inf:
                     raise ValueError(f"{kind} count must be finite and positive, not {count!r}")
         except ValueError as exc:
-            return line_no, str(exc)
+            return at, str(exc)
     return None
+
+
+def _line_numbers(path, lines: list):
+    """The line number of each record of each kind among ``lines``, the
+    stripped lines of ``path``, up to the first line of no record kind; and
+    that line's ``(line number, message)``, or None if there is none."""
+    line_nos = {kind: [] for kind in _WIDTHS}
+    for line_no, line in read_lines(path, lines):
+        kind = _KINDS.get(line[0])
+        if kind is None:
+            return line_nos, (line_no, f"unrecognized record {line.split()[0]!r}")
+        line_nos[kind].append(line_no)
+    return line_nos, None
 
 
 def load_graph(path):
@@ -649,44 +707,57 @@ def load_graph(path):
     pair counts) included, must be finite and positive. Any breach is a
     :class:`GraphFormatError` naming its line.
 
-    One loop puts each line, and its line number, aside by its kind; each
-    kind is then split, parsed and checked in bulk. Only when a check fails
-    are the lines read one by one, to find the first bad one.
+    The file is read as one list of stripped lines (:func:`stripped_lines`)
+    and set aside by record kind with ``groupby`` on each line's first
+    character, so no Python statement runs once per line. Each kind is then
+    split, parsed and checked in bulk, and the graph is built from the edge
+    columns. Line numbers are worked out only when a check fails, in one
+    pass over the same lines, which then also reads each kind line by line
+    to find its first bad record.
     """
-    lines = {kind: [] for kind in _WIDTHS}
-    line_nos = {kind: [] for kind in _WIDTHS}
-    faults = []  # (line number, message)
-    for line_no, line in read_lines(path):
-        kind = _KINDS.get(line[0])
-        if kind is None:  # no line after this one can fail first
-            faults.append((line_no, f"unrecognized record {line.split()[0]!r}"))
+    lines = stripped_lines(path)
+    records = {kind: [] for kind in _WIDTHS}
+    stray = False  # a line of no record kind; no line after it can fail first
+    for first, group in groupby(lines, _FIRST):
+        if first in _KINDS:
+            records[_KINDS[first]].extend(group)
+        elif first not in ("", "#"):
+            stray = True
             break
-        lines[kind].append(line)
-        line_nos[kind].append(line_no)
 
     try:
-        if faults:
+        if stray:
             raise ValueError("a line of no record kind")
         (terms, types), (src, dst, label, weight), (freq_terms, freq) = (
-            _fields(kind, lines[kind]) for kind in ("node", "edge", "freq"))
-        weight = list(map(float, weight))
+            _fields(kind, records[kind]) for kind in ("node", "edge", "freq"))
+        weight = np.fromiter(map(float, weight), dtype=float, count=len(weight))
         k1 = dict(zip(freq_terms, _positive(freq).tolist()))
         if len(k1) < len(freq_terms) or len(set(terms)) < len(terms):
             raise ValueError("a second node or freq record for a term")
-        k3 = _read_triples(sorted(k1), lines["triple"])
-        if k3 is None and _first_fault("triple", lines["triple"], line_nos["triple"]):
+        k3 = _read_triples(sorted(k1), records["triple"])
+        if k3 is None and _first_fault("triple", records["triple"]):
             raise ValueError("a bad triple record")
     except _TooManyTerms as exc:
         raise GraphFormatError(path, None, str(exc)) from None
     except ValueError:
-        faults += filter(None, (_first_fault(kind, lines[kind], line_nos[kind]) for kind in _WIDTHS))
+        line_nos, stray_fault = _line_numbers(path, lines)
+        faults = [stray_fault] if stray_fault else []
+        for kind in _WIDTHS:
+            fault = _first_fault(kind, records[kind])
+            if fault:
+                faults.append((line_nos[kind][fault[0]], fault[1]))
         raise GraphFormatError(path, *min(faults)) from None
 
-    zero = weight.index(0.0) if k1 and 0.0 in weight else len(weight)
-    graph = _graph_from_records(path, dict(zip(terms, types)), line_nos["edge"],
-                                islice(zip(src, dst, label, weight), zero + 1))
+    def line_no(kind, at):  # worked out only for an error
+        return _line_numbers(path, lines)[0][kind][at]
+
+    columns = [src, dst, label, weight]
+    zero = int(np.argmax(weight == 0.0)) if k1 and (weight == 0.0).any() else len(weight)
+    if zero < len(weight):  # the graph checks the edges before it first
+        columns = [column[:zero + 1] for column in columns]
+    graph = _graph_from_columns(path, dict(zip(terms, types)), columns, lambda at: line_no("edge", at))
     if zero < len(weight):
-        raise GraphFormatError(path, line_nos["edge"][zero],
+        raise GraphFormatError(path, line_no("edge", zero),
                                "edge weight is a pair count and must be positive, not 0.0")
     if not k1:
         return graph, None
@@ -695,14 +766,14 @@ def load_graph(path):
     if k1.keys() != declared:
         at = next((i for i, term in enumerate(terms) if term not in k1), None)
         if at is not None:
-            raise GraphFormatError(path, line_nos["node"][at], f"node {terms[at]!r} has no freq record")
+            raise GraphFormatError(path, line_no("node", at), f"node {terms[at]!r} has no freq record")
         at = next(i for i, term in enumerate(freq_terms) if term not in declared)
-        raise GraphFormatError(path, line_nos["freq"][at], "freq for an undeclared node")
+        raise GraphFormatError(path, line_no("freq", at), "freq for an undeclared node")
     if k3 is None:  # k1 covers exactly the declared nodes: a triple names another term
-        named = [line.split()[1:4] for line in lines["triple"]]
+        named = [line.split()[1:4] for line in records["triple"]]
         at = next(i for i, triple in enumerate(named) if any(t not in declared for t in triple))
         missing = min(set(chain.from_iterable(named)) - declared)
-        raise GraphFormatError(path, line_nos["triple"][at], f"k3 term {missing!r} missing from k1")
+        raise GraphFormatError(path, line_no("triple", at), f"k3 term {missing!r} missing from k1")
     return graph, DkStatistics(k1=k1, k3=k3)
 
 

@@ -40,6 +40,16 @@ MAX_PATH = 3
 # -- oracle --------------------------------------------------------------------
 
 
+def added_in_order(values, start=0):
+    """``values`` added one at a time, in order, as the package adds each
+    source's total and the word frequencies; ``sum`` does so only up to
+    Python 3.11."""
+    total = start
+    for value in values:
+        total += value
+    return total
+
+
 def pair(graph, a, b):
     """The pair count of the edge a-b: its weight."""
     return graph.edge_between(a, b).weight
@@ -75,7 +85,7 @@ def oracle_transition(graph, dk, src, dst, max_path=MAX_PATH, mix=MIX):
     if src == dst:
         return 1.0
     raw = oracle_raw(graph, dk, src, max_path, mix)
-    total = sum(raw.values())
+    total = added_in_order(raw.values())
     return raw.get(dst, 0.0) / total if total else 0.0
 
 
@@ -139,7 +149,7 @@ def reference_candidates(generic_terms, graph, dk, max_path=MAX_PATH, mix=MIX):
     per_source = []
     for source in sorted(generic_terms):
         raw = reference_reach(graph, dk, source, max_path, mix)
-        per_source.append((raw, sum(raw.values())))
+        per_source.append((raw, added_in_order(raw.values())))
     scores = {}
     for term in sorted(graph.nodes):
         if term in generic_terms:
@@ -165,14 +175,14 @@ def assert_walks_match_reference(graph, dk, sources, generic, max_path, mix=MIX)
 
 def graph_from(edges, k1, k3=()):
     records = [(a, b, "related-to", w) for a, b, w in edges]
-    graph = OntologyGraph(dict.fromkeys(sorted(k1), "entity"), records)
+    graph = OntologyGraph(dict.fromkeys(sorted(k1), "entity"), *zip(*records))
     k3_map = {tuple(sorted(t[:3])): t[3] for t in k3}
     return graph, DkStatistics(k1=dict(k1), k3=k3_map)
 
 
 def reweighted(graph, weight):
     """A copy of ``graph`` in which each edge ``rec`` weighs ``weight(rec)``."""
-    return OntologyGraph(graph.nodes, [rec._replace(weight=weight(rec)) for rec in graph.edges()])
+    return OntologyGraph(graph.nodes, *zip(*[rec._replace(weight=weight(rec)) for rec in graph.edges()]))
 
 
 def scaled(graph, dk, factor):

@@ -144,7 +144,7 @@ def assert_scan_matches_reference(corpus, relation_lexicon=None):
     graph = build_from_corpus(corpus, lexicon=lex)
     nodes, edges = reference_build(corpus, lex)
     assert_reads_match_model(graph, nodes, edges)
-    want = OntologyGraph(nodes, edges)
+    want = OntologyGraph(nodes, *zip(*edges))
     dk = extract_dk(corpus, graph)
     want_dk = reference_dk(corpus)
     for order in ("k1", "k3"):
@@ -508,7 +508,7 @@ class TestGraphFile:
 
     def test_counts_of_a_million_or_more_reload_exactly(self, tmp_path):
         graph = OntologyGraph(dict.fromkeys(["sky", "sun", "moon"], "entity"),
-                              [("sun", "sky", "near", 1234567), ("moon", "sky", "related-to", 123456.5)])
+                              ["sun", "moon"], ["sky", "sky"], ["near", "related-to"], [1234567, 123456.5])
         dk = DkStatistics(k1={"moon": 2345678, "sky": 3, "sun": 0.5}, k3={("moon", "sky", "sun"): 3e6})
         path = tmp_path / "big.graph"
         save_graph(graph, path, dk)
@@ -593,7 +593,7 @@ def test_edge_rows_match_the_edge_table(records, keep):
         if frozenset((src, dst)) not in seen:
             seen.add(frozenset((src, dst)))
             kept.append((src, dst, label, weight))
-    graph = OntologyGraph(nodes, kept)
+    graph = OntologyGraph(nodes, *zip(*kept))
     assert_reads_match_model(graph, nodes, kept, strangers=["moon", ""])
     sub = graph.induced(keep)
     assert_reads_match_model(sub, {t: "entity" for t in sorted(keep) if t in nodes},
@@ -611,7 +611,7 @@ def test_edge_rows_match_the_edge_table(records, keep):
 ], ids=["second", "first-of-two-faults", "negative", "nan"])
 def test_refused_edge_record_is_named_by_its_index(records, index, kind, message):
     with pytest.raises(kind) as err:
-        OntologyGraph(dict.fromkeys("abc", "entity"), records)
+        OntologyGraph(dict.fromkeys("abc", "entity"), *zip(*records))
     assert (str(err.value), err.value.record) == (message, index)
 
 
@@ -716,14 +716,22 @@ def assert_loads_as_reference(path):
 _BREAKS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
 
 
+# lines the reader must skip, and a record's surroundings it must strip
+_SKIPPED = st.sampled_from(["", "   ", "\r", "# a comment", "  # indented comment", "#node x entity"])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(mutated(GRAPH), st.booleans(), st.lists(st.tuples(st.integers(0, 99), _BREAKS), max_size=6))
-def test_bulk_reader_matches_line_reader(data, sort_lines, breaks):
-    """Faults, several at once, records in another order and any blank
-    between fields give the reference's graph and statistics, or its
-    error."""
+@given(mutated(GRAPH), st.booleans(), st.lists(st.tuples(st.integers(0, 99), _BREAKS), max_size=6),
+       st.lists(st.tuples(st.integers(0, 99), _SKIPPED), max_size=4))
+def test_bulk_reader_matches_line_reader(data, sort_lines, breaks, skipped):
+    """Faults, several at once, records in another order, any blank
+    between fields and blank or comment lines anywhere give the
+    reference's graph and statistics, or its error at the same line."""
     lines = data.decode("utf-8").split("\n")
-    text = "\n".join(sorted(lines) if sort_lines else lines)
+    lines = sorted(lines) if sort_lines else lines
+    for at, line in skipped:  # put in before the at-th line (cyclically)
+        lines.insert(at % len(lines), line)
+    text = "\n".join(lines)
     for at, blank in breaks:  # the at-th space (cyclically) becomes the blank
         spaces = [i for i, char in enumerate(text) if char == " "]
         if spaces:
@@ -731,6 +739,13 @@ def test_bulk_reader_matches_line_reader(data, sort_lines, breaks):
             text = text[:i] + blank + text[i + 1:]
     with written(text.encode("utf-8"), "mutated.graph") as path:
         assert_loads_as_reference(path)
+
+
+# blank and comment lines, indented and CR-ended records and interleaved
+# kinds, which the reader skips, strips or sets aside before it checks
+_SKIPPED_LINES = ("# holoscene graph v1\n\nnode a entity\n  node b entity\r\n# a comment\nfreq a 1\n"
+                  "edge a b near 2\r\n\n\tnode c entity\nfreq b 1\r\n   \n  # indented\nfreq c 2\n"
+                  "edge b c near 1\ntriple a b c 1\n\r\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -741,8 +756,17 @@ def test_bulk_reader_matches_line_reader(data, sort_lines, breaks):
     "node\ta\tentity\nnode b\x85entity\nedge a\u2028b near 1\n",
     "nodes a entity\n", "n\n", "freq\n", "edge a b\n", "tripled a b c 1\n",
     "node a entity\nnode b entity\nfreq a 1\nfreq b 1\ntriple a b c 1\ntriple a b zz 1\n",
+    _SKIPPED_LINES,
+    _SKIPPED_LINES + "bogus a b\nnode d entity\n",
+    _SKIPPED_LINES + "\n  edge a zz near 1\r\n",
+    _SKIPPED_LINES + "# zero\nedge a c near 0\n",
+    _SKIPPED_LINES + "\nnode d entity\r\n",
+    _SKIPPED_LINES + "  freq zz 1\n# after\n",
+    _SKIPPED_LINES + "\ttriple a b zz 1\n\n",
 ], ids=["misaligned", "triple-short", "kind-terms", "nul-term", "blanks", "nodes", "n", "bare-freq",
-        "short-edge", "tripled", "stray-terms"])
+        "short-edge", "tripled", "stray-terms", "skipped-lines", "skipped-then-unknown-kind",
+        "skipped-then-refused-edge", "skipped-then-zero-weight", "skipped-then-node-without-freq",
+        "skipped-then-undeclared-freq", "skipped-then-stray-triple"])
 def test_bulk_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.graph"
     path.write_text(text, encoding="utf-8")
@@ -756,8 +780,8 @@ def bench_sized_graph(path, seed: int = 1) -> None:
     terms = [f"t{i:03d}" for i in range(634)]
     nodes = {term: rng.choice(["entity", "action", "attribute"]) for term in terms}
     pairs = {tuple(sorted(rng.sample(terms, 2))) for _ in range(9000)}
-    graph = OntologyGraph(nodes, [(a, b, rng.choice(["related-to", "near", "part-of"]), rng.randint(1, 9))
-                                  for a, b in sorted(pairs)])
+    graph = OntologyGraph(nodes, *zip(*[(a, b, rng.choice(["related-to", "near", "part-of"]), rng.randint(1, 9))
+                                        for a, b in sorted(pairs)]))
     k3 = {tuple(sorted(rng.sample(terms, 3))): rng.randint(1, 5) for _ in range(32000)}
     save_graph(graph, path, DkStatistics(k1={t: rng.randint(1, 50) for t in terms}, k3=k3))
 

@@ -1,13 +1,15 @@
 """Pipeline orchestration tests: configuration, determinism, stage error
 tagging and the memory side channel."""
 
+import builtins
+import math
 import os
 from pathlib import Path
 
 import pytest
 
 from holoscene import blending
-from holoscene.blending import load_blend
+from holoscene.blending import load_blend, save_blend
 from holoscene.errors import (
     ConfigError,
     GraphFormatError,
@@ -36,7 +38,7 @@ from holoscene.pipeline import (
 )
 from holoscene.scenario import load_actor_functions
 
-from test_blending import reference_reach
+from test_blending import added_in_order, reference_reach
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
 DEMO_TEXT = (DEMO / "demo.txt").read_text()
@@ -44,6 +46,27 @@ DEMO_TEXT = (DEMO / "demo.txt").read_text()
 
 def demo_config():
     return load_config(DEMO / "demo.config")
+
+
+def neumaier_sum(values, start=0):
+    """``sum`` as Python 3.12 adds a run of floats: the first added plainly
+    to ``start``, the rest with Neumaier's compensation of the rounding
+    error. Any other values are added as the built-in adds them."""
+    values = list(values)
+    if not values or not all(type(value) is float for value in values):
+        return BUILTIN_SUM(values, start)
+    total, compensation = start + values[0], 0.0
+    for value in values[1:]:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+BUILTIN_SUM = builtins.sum
 
 
 class TestConfig:
@@ -106,6 +129,18 @@ class TestRunPipeline:
             script.save(path)
             runs.append((path.read_bytes(), blend.scores, blend.provenance))
         assert runs[0] == runs[1]
+
+    def test_blend_bytes_do_not_depend_on_how_sum_rounds(self, tmp_path, monkeypatch):
+        """The demo blend is the same whether ``sum`` adds floats one at a
+        time (Python <= 3.11) or with Neumaier's compensation (3.12 on)."""
+        blends = []
+        for adder in (added_in_order, neumaier_sum):
+            monkeypatch.setattr(builtins, "sum", adder)
+            blend, _, _ = run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+            monkeypatch.undo()
+            save_blend(blend, tmp_path / "demo.blend")
+            blends.append((tmp_path / "demo.blend").read_bytes())
+        assert blends[0] == blends[1]
 
     def test_corpus_build_equals_committed_graph(self, tmp_path):
         from holoscene.ontology import save_graph
