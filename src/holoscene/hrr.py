@@ -12,9 +12,10 @@ at 1 and makes correlation an approximate inverse of convolution.
 
 A :class:`Codebook` keeps its vectors as the rows of one read-only
 ``(len(terms), dim)`` matrix in sorted-term order, with the row norms
-alongside. :func:`cleanup` scores a probe against every row with one
-matrix-vector product and then rescores only the near-winners with
-:func:`similarity`, so its answer is exactly that of a term-by-term scan.
+alongside. One rule finds the row nearest a probe, for :func:`cleanup` and
+for the concept memory's match alike: one matrix-vector product scores
+every row, and only the near-winners are rescored with :func:`similarity`,
+so the answer is exactly that of a row-by-row scan.
 """
 
 from __future__ import annotations
@@ -166,38 +167,51 @@ class Codebook:
             raise UnknownTermError(f"term not in codebook: {term!r}", [term]) from None
 
 
+def _nearest(v, rows, ids, norms=None) -> tuple:
+    """The id of the row of ``rows`` nearest to ``v`` by cosine similarity,
+    and that similarity: ``(ids[i], similarity(v, rows[i]))`` for the first
+    row ``i`` with the greatest similarity, or ``(None, -2.0)`` if no
+    similarity is a number. ``norms`` are the row norms, computed if not
+    given.
+
+    One product ``rows @ v / (norms * |v|)`` scores every row. It and
+    :func:`similarity` round differently, each within about ``dim * eps``
+    of the true cosine, so every row scored within ``64 * dim * eps`` of
+    the top score is rescored with :func:`similarity` in row order,
+    keeping the first strict maximum. The true winner and every row tied
+    with it are among those, so the id and the float returned are exactly
+    those of scanning all rows with :func:`similarity`. A score that is
+    not a number (a probe so large its product overflows) puts every row
+    into the rescoring.
+    """
+    v = _as_vector(v, "probe")
+    if v.shape[0] != rows.shape[1]:
+        raise DimensionError(f"dimension mismatch: probe {v.shape[0]} vs rows {rows.shape[1]}")
+    if norms is None:
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or not np.all(norms):
+        raise ZeroVectorError("similarity is undefined for an all-zero vector")
+    approx = (rows @ v) / (norms * norm)
+    tol = 64 * v.shape[0] * np.finfo(np.float64).eps
+    near = np.flatnonzero(~(approx < approx.max() - tol))  # a nan keeps every row
+    best_id = None
+    best_sim = -2.0
+    for i in near.tolist():  # in row order; strict > keeps the first of any tie
+        sim = similarity(v, rows[i])
+        if sim > best_sim:
+            best_id, best_sim = ids[i], sim
+    return best_id, best_sim
+
+
 def cleanup(v, book: Codebook) -> tuple[str, float]:
     """Nearest codebook entry to ``v`` by cosine similarity.
 
     Returns ``(concept_id, similarity)``. Ties break to the
-    lexicographically smaller id so results are reproducible.
-
-    One product ``rows @ v / (norms * |v|)`` scores every entry. It and
-    :func:`similarity` round differently, each within about ``dim * eps``
-    of the true cosine, so every entry scored within ``64 * dim * eps`` of
-    the top score is rescored with :func:`similarity` in sorted order,
-    keeping the first strict maximum. The true winner and every entry tied
-    with it are among those, so the term and the float returned are
-    exactly those of scanning all entries with :func:`similarity`. A score
-    that is not a number (a probe so large its product overflows) puts
-    every entry into the rescoring.
+    lexicographically smaller id so results are reproducible. The scoring
+    is :func:`_nearest`'s, so the answer is exactly that of scanning every
+    entry with :func:`similarity`.
     """
     if len(book) == 0:
         raise EmptyCodebookError("cleanup against an empty codebook")
-    v = _as_vector(v, "probe")
-    if v.shape[0] != book.dim:
-        raise DimensionError(f"dimension mismatch: probe {v.shape[0]} vs codebook {book.dim}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.all(book._norms):
-        raise ZeroVectorError("similarity is undefined for an all-zero vector")
-    approx = (book._rows @ v) / (book._norms * norm)
-    tol = 64 * book.dim * np.finfo(np.float64).eps
-    near = np.flatnonzero(~(approx < approx.max() - tol))  # a nan keeps every entry
-    best_term = None
-    best_sim = -2.0
-    for i in near:  # sorted; strict > keeps the first of any tie
-        term = book.terms[i]
-        sim = similarity(v, book.vector(term))
-        if sim > best_sim:
-            best_term, best_sim = term, sim
-    return best_term, best_sim
+    return _nearest(v, book._rows, book.terms, book._norms)

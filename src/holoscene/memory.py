@@ -149,15 +149,15 @@ class HolographicMemory:
         return node
 
     def _best_match(self, vector: hrr.Vector, level: Level | None = None):
-        best_id, best_sim = None, -2.0
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if level is not None and node.level is not level:
-                continue
-            sim = hrr.similarity(vector, node.vector)
-            if sim > best_sim:
-                best_id, best_sim = node_id, sim
-        return best_id, best_sim
+        """The id of the node (on ``level``, if given) nearest ``vector`` by
+        cosine similarity, the smaller id of a tie, and that similarity;
+        ``(None, -2.0)`` if there is no such node. All nodes are scored in
+        one product, as :func:`hrr.cleanup` scores a codebook."""
+        ids = sorted(node_id for node_id, node in self.nodes.items()
+                     if level is None or node.level is level)
+        if not ids:
+            return None, -2.0
+        return hrr._nearest(vector, np.array([self.nodes[node_id].vector for node_id in ids]), ids)
 
     # -- operations --------------------------------------------------------
 

@@ -7,7 +7,8 @@ space, confabulate the blend, absorb the mentioned terms, and plan the
 scene script. A decaying concept memory observes each clause as it goes
 (for inspection; the blend itself is a pure function of graph + text), and
 a holographic round-trip check encodes each scene triple and decodes it
-back through the codebook.
+back through a codebook of the concepts the scene is made of: the blend
+subgraph's terms and labels, and the scene's own graph terms.
 
 Every stage is deterministic given (config, corpus bytes, input bytes), so
 repeated runs write byte-identical outputs.
@@ -188,6 +189,55 @@ def build_ontology(corpus_dir, lexicon=None):
     return graph, dk
 
 
+def _checked_terms(scene) -> tuple | None:
+    """The (active, action, tail) triple a scene's decode check binds, or
+    None for a scene without an actor or a tail."""
+    tail = scene.passive or scene.location
+    if scene.active is None or tail is None:
+        return None
+    return scene.active, scene.action, tail
+
+
+def scene_codebook(script, blend, graph, dim: int, seed: int) -> hrr.Codebook:
+    """The decode codebook: the blend subgraph's terms and labels, plus each
+    checked scene term that is a term or label of ``graph``. A scene term
+    is in it exactly when it would be in a codebook of the whole graph, so
+    the same scenes are checked; the vectors are the same too, since each
+    depends only on ``(seed, dim, term)``."""
+    scene_terms = [
+        term for scene in script.scenes for term in _checked_terms(scene) or ()
+        if term in graph.nodes or term in graph.labels
+    ]
+    return hrr.Codebook([*blend.subgraph.terms, *blend.subgraph.labels, *scene_terms],
+                        dim=dim, seed=seed)
+
+
+def decode_checks(script, book: hrr.Codebook) -> list:
+    """Encode each scene's (active, action, tail) triple, unbind the tail
+    with the active*action probe and clean it up against ``book``. A scene
+    with a term outside ``book`` is skipped: stative copulas are not graph
+    concepts."""
+    checks = []
+    for scene in script.scenes:
+        terms = _checked_terms(scene)
+        if terms is None or any(term not in book for term in terms):
+            continue
+        active, action, tail = terms
+        trace = blending.encode_subgraph([active, action, tail], book)
+        probe = hrr.convolve(book.vector(active), book.vector(action))
+        recovered, similarity = blending.decode_probe(trace, probe, book)
+        checks.append(
+            {
+                "index": scene.index,
+                "probe": f"{active}*{action}",
+                "recovered": recovered,
+                "expected": tail,
+                "similarity": similarity,
+            }
+        )
+    return checks
+
+
 def run_pipeline(
     config: PipelineConfig,
     input_text: str,
@@ -287,29 +337,8 @@ def run_pipeline(
         )
 
     with _StageTimer(diagnostics, "holographic-check"):
-        book = hrr.Codebook(
-            [*graph.terms, *graph.labels],
-            dim=config.dim,
-            seed=config.seed,
-        )
-        for scene in script.scenes:
-            tail = scene.passive or scene.location
-            if scene.active is None or tail is None:
-                continue
-            if any(term not in book for term in (scene.active, scene.action, tail)):
-                continue  # stative copulas are not graph concepts
-            trace = blending.encode_subgraph([scene.active, scene.action, tail], book)
-            probe = hrr.convolve(book.vector(scene.active), book.vector(scene.action))
-            recovered, similarity = blending.decode_probe(trace, probe, book)
-            diagnostics.decode_checks.append(
-                {
-                    "index": scene.index,
-                    "probe": f"{scene.active}*{scene.action}",
-                    "recovered": recovered,
-                    "expected": tail,
-                    "similarity": similarity,
-                }
-            )
+        book = scene_codebook(script, blend, graph, dim=config.dim, seed=config.seed)
+        diagnostics.decode_checks = decode_checks(script, book)
 
     diagnostics.counts.update({
         "sentences": len(structures),
@@ -318,5 +347,6 @@ def run_pipeline(
         "blend_terms": len(blend.terms),
         "confabulated": len(blend.by_provenance(blending.CONFABULATED)),
         "memory_nodes": len(mem.nodes),
+        "decode_entries": len(book),
     })
     return blend, script, diagnostics

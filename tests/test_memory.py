@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoscene.errors import GraphFormatError, StaleSignalError, TimeTravelError, UnknownTermError
+from holoscene.errors import (
+    GraphFormatError,
+    StaleSignalError,
+    TimeTravelError,
+    UnknownTermError,
+    ZeroVectorError,
+)
 from holoscene.memory import ConceptNode, HolographicMemory, Level, Signature, intensity
 
 from holoscene import hrr
@@ -147,6 +153,110 @@ class TestAssemble:
         other = [n.id for n in mem.nodes.values() if n.level is Level.PRIMARY][-1]
         h2 = mem.assemble([h1, other], 3)
         assert mem.nodes[h2].level is Level.HIGHER  # capped
+
+
+def reference_match(mem, vector, level=None):
+    """Scan the nodes (on ``level``, if given) in sorted id order with
+    ``similarity``; the first strict maximum wins."""
+    best_id, best_sim = None, -2.0
+    for node_id in sorted(mem.nodes):
+        node = mem.nodes[node_id]
+        if level is not None and node.level is not level:
+            continue
+        sim = hrr.similarity(vector, node.vector)
+        if sim > best_sim:
+            best_id, best_sim = node_id, sim
+    return best_id, best_sim
+
+
+def memory_of(vectors, levels):
+    """A memory holding node ``n<i>`` with ``vectors[i]`` on ``levels[i]``,
+    added in reverse id order so that only sorting puts them in order."""
+    mem = HolographicMemory(dim=len(vectors[0]) if vectors else 8)
+    for i in reversed(range(len(vectors))):
+        mem.nodes[f"n{i:02d}"] = ConceptNode(f"n{i:02d}", levels[i], vectors[i], 1.0)
+    return mem
+
+
+@st.composite
+def match_case(draw):
+    """A memory on several levels, some nodes sharing one vector, maybe a
+    zero node; a level filter; and a probe: noise, a node's vector, the sum
+    of two as unit vectors (a near-tie), a scaled or negated one, or zero. At dim 1 every
+    cosine is +1 or -1, so most nodes tie."""
+    dim = draw(st.sampled_from([1, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(0, 40))
+    vectors = [rng.standard_normal(dim) for _ in range(size)]
+    for i in range(size):
+        twin = draw(st.one_of(st.none(), st.integers(0, size - 1)))
+        if twin is not None:  # a duplicate vector under another id
+            vectors[i] = vectors[twin].copy()
+    if size and draw(st.booleans()) and draw(st.booleans()):
+        vectors[draw(st.integers(0, size - 1))] = np.zeros(dim)
+    levels = [draw(st.sampled_from(list(Level))) for _ in range(size)]
+    level = draw(st.one_of(st.none(), st.sampled_from(list(Level))))
+
+    def node():
+        return vectors[draw(st.integers(0, size - 1))] if size else rng.standard_normal(dim)
+
+    kind = draw(st.sampled_from(["gaussian", "node", "near-tie", "scaled", "negated", "zero"]))
+    if kind == "gaussian":
+        probe = rng.standard_normal(dim)
+    elif kind == "node":
+        probe = node()
+    elif kind == "near-tie":
+        probe = sum(v / (np.linalg.norm(v) or 1.0) for v in (node(), node()))
+    elif kind == "scaled":
+        probe = node() * draw(st.sampled_from([1e-150, 1e-8, 3.0, 1e8, 1e150]))
+    elif kind == "negated":
+        probe = -node()
+    else:
+        probe = np.zeros(dim)
+    return memory_of(vectors, levels), probe, level
+
+
+class TestBestMatch:
+    """``_best_match`` scores every node in one product and must answer
+    exactly as the node-by-node ``similarity`` scan."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(match_case())
+    def test_matches_reference_scan_exactly(self, case):
+        mem, probe, level = case
+        try:
+            expected = reference_match(mem, probe, level)
+        except ZeroVectorError:
+            with pytest.raises(ZeroVectorError):
+                mem._best_match(probe, level)
+            return
+        best_id, sim = mem._best_match(probe, level)
+        assert best_id == expected[0]
+        assert sim.hex() == expected[1].hex()
+
+    def test_level_filter(self):
+        rng = np.random.default_rng(1)
+        vectors = [rng.standard_normal(16) for _ in range(3)]
+        mem = memory_of(vectors, [Level.SENSORY, Level.PRIMARY, Level.SECONDARY])
+        assert mem._best_match(vectors[0])[0] == "n00"
+        assert mem._best_match(vectors[0], Level.PRIMARY)[0] == "n01"
+
+    def test_duplicate_vectors_tie_to_the_smaller_id(self):
+        v = np.random.default_rng(2).standard_normal(16)
+        mem = memory_of([-v, v.copy(), v.copy()], [Level.PRIMARY] * 3)
+        assert mem._best_match(v) == ("n01", hrr.similarity(v, v))
+
+    def test_no_candidate(self):
+        assert memory_of([], [])._best_match(np.ones(8)) == (None, -2.0)
+        mem = memory_of([np.ones(8)], [Level.SENSORY])
+        assert mem._best_match(np.zeros(8), Level.HIGHER) == (None, -2.0)
+
+    def test_zero_vector_raises(self):
+        mem = memory_of([np.ones(8), np.zeros(8)], [Level.SENSORY] * 2)
+        with pytest.raises(ZeroVectorError):
+            mem._best_match(np.ones(8))
+        with pytest.raises(ZeroVectorError):
+            memory_of([np.ones(8)], [Level.SENSORY])._best_match(np.zeros(8))
 
 
 class TestReinforce:

@@ -4,11 +4,13 @@ tagging and the memory side channel."""
 import builtins
 import math
 import os
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from holoscene import blending
+from holoscene import blending, hrr
 from holoscene.blending import load_blend, save_blend
 from holoscene.errors import (
     ConfigError,
@@ -24,19 +26,24 @@ from holoscene.ontology import (
     OntologyGraph,
     TermObjectMap,
     ValueMap,
+    build_from_corpus,
+    extract_dk,
     load_graph,
     load_rewrite_rules,
+    save_graph,
 )
 from holoscene.pipeline import (
     ENV_SEED,
     PipelineConfig,
     apply_env_overrides,
     build_ontology,
+    decode_checks,
     load_config,
     read_corpus_dir,
     run_pipeline,
+    scene_codebook,
 )
-from holoscene.scenario import load_actor_functions
+from holoscene.scenario import Scene, SceneScript, load_actor_functions
 
 from test_blending import added_in_order, reference_reach
 
@@ -289,6 +296,103 @@ class TestRunPipeline:
         config = replace(demo_config(), rules_path=str(rules))
         blend, _, _ = run_pipeline(config, DEMO_TEXT, ontology_path=DEMO / "demo.graph")
         assert "girl" in blend.terms  # pulled in via the rule during expansion
+
+
+NOUNS = ("woman", "girl", "beach", "sand", "ocean", "sky", "sun", "horizon", "clothing", "body",
+         "hand", "leg", "ball")
+VERBS = {"walk": ("walks", "walked"), "take": ("takes", "taken"), "kick": ("kicks", "kicked"),
+         "see": ("sees", "seen"), "leave": ("leaves", "left")}
+ADJECTIVES = ("blue", "red", "big", "small")
+FILLERS = ("cup", "tree", "rock", "shell", "boat", "wave", "cloud", "bird", "towel", "chair", "kite",
+           "bottle", "rope", "flag", "stone", "crab", "net", "lamp", "wall", "road")
+
+
+def generated_story(tmp_path, seed):
+    """A seeded co-occurrence corpus over the demo vocabulary and filler
+    nouns, with one labelled fact per noun, built into a graph file; an
+    object table that binds every graph term; and an eight-clause story
+    that shares an actor, a place and an object, in the demo text's shape.
+    Returns the config
+    (the demo's, walking one step, so the blend is a small part of the
+    graph), the story and the graph path."""
+    rng = random.Random(seed)
+    nouns = NOUNS + FILLERS
+    deck = [w for w in (*nouns, *(forms[0] for forms in VERBS.values()), *ADJECTIVES)
+            for _ in range(4)]
+    rng.shuffle(deck)
+    deck += deck[: -len(deck) % 3]
+    sentences = [f"The {a} with the {b} and the {c}." for a, b, c in zip(*[iter(deck)] * 3)]
+    order = rng.sample(nouns, len(nouns))
+    facts = ("The {a} has a {b}.", "The {a} is near the {b}.", "The {a} on the {b}.")
+    sentences += [rng.choice(facts).format(a=a, b=b) for a, b in zip(order, order[1:] + order[:1])]
+    rng.shuffle(sentences)
+    documents = [" ".join(sentences[i : i + 6]) for i in range(0, len(sentences), 6)]
+    graph = build_from_corpus(documents)
+    graph_path = tmp_path / "story.graph"
+    save_graph(graph, graph_path, extract_dk(documents, graph))
+    objects = tmp_path / "story.objects"
+    objects.write_text("".join(f"{term} asset:{term}_01\n" for term in graph.terms))
+    actor = rng.choice(("woman", "girl"))
+    place, obj, *others = rng.sample([n for n in NOUNS if n not in ("woman", "girl")], 8)
+    verbs = [rng.choice(sorted(VERBS)) for _ in range(8)]
+    lines = [f"The {actor} {VERBS[verbs[0]][0]} the {obj} on the {place}.",
+             f"The {rng.choice(ADJECTIVES)} {obj} was {VERBS[verbs[1]][1]} on the {place}."]
+    lines += [f"The {actor} {VERBS[verb][0]} the {other} on the {place}."
+              for verb, other in zip(verbs[2:-1], others)]
+    lines.append(f"The {actor} {VERBS[verbs[-1]][0]} this {obj}.")
+    return replace(demo_config(), objects_path=str(objects), max_path=1), " ".join(lines), graph_path
+
+
+def graph_wide_checks(script, graph, config):
+    """The decode checks against a codebook of every graph term and label."""
+    book = hrr.Codebook([*graph.terms, *graph.labels], dim=config.dim, seed=config.seed)
+    return decode_checks(script, book)
+
+
+class TestDecodeChecks:
+    """The decode codebook holds the blend's concepts, not the whole graph,
+    and every check comes out as against a codebook of the whole graph."""
+
+    def test_demo_codebook_size_is_pinned(self):
+        _, _, diagnostics = run_pipeline(demo_config(), DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        assert diagnostics.counts["decode_entries"] == 20
+        assert any(line.startswith("decode scene ") for line in diagnostics.summary_lines())
+        assert "decode_entries=20" in diagnostics.summary_lines()[-1]
+
+    def test_demo_checks_equal_a_graph_wide_codebook(self):
+        config = demo_config()
+        _, script, diagnostics = run_pipeline(config, DEMO_TEXT, ontology_path=DEMO / "demo.graph")
+        graph, _ = load_graph(DEMO / "demo.graph")
+        assert diagnostics.counts["decode_entries"] < len(graph.terms) + len(graph.labels)
+        assert diagnostics.decode_checks == graph_wide_checks(script, graph, config)
+
+    def test_generated_story_checks_equal_a_graph_wide_codebook(self, tmp_path):
+        config, text, graph_path = generated_story(tmp_path, seed=3)
+        _, script, diagnostics = run_pipeline(config, text, ontology_path=graph_path)
+        graph, _ = load_graph(graph_path)
+        assert len(diagnostics.decode_checks) >= 6
+        assert diagnostics.counts["decode_entries"] < len(graph.terms) + len(graph.labels)
+        assert diagnostics.decode_checks == graph_wide_checks(script, graph, config)
+
+    def test_scene_term_that_is_a_label_outside_the_blend_is_still_checked(self):
+        # "walk" is only the label of an edge the blend does not hold; "be"
+        # is no graph concept at all, so its scene is skipped either way
+        graph = OntologyGraph(dict.fromkeys(["beach", "sky", "sun", "woman"], "entity"),
+                              ["woman", "sky"], ["beach", "sun"], ["near", "walk"], [1.0, 1.0])
+        blend = blending.BlendedSpace(scores={"beach": 1.0, "woman": 1.0},
+                                      provenance={"beach": "anchored", "woman": "anchored"},
+                                      subgraph=graph.induced(["beach", "woman"]))
+        scenes = [Scene(index=i, action=action, active="woman", passive=None, location="beach",
+                        attributes=(), actors_present=("woman",), dressing=(), effect=None,
+                        asset_bindings={})
+                  for i, action in enumerate(["walk", "be"])]
+        script = SceneScript(scenes=tuple(scenes))
+        assert "walk" not in blend.subgraph.labels
+        book = scene_codebook(script, blend, graph, dim=64, seed=7)
+        assert book.terms == ("beach", "near", "walk", "woman")
+        checks = decode_checks(script, book)
+        assert [(c["index"], c["probe"], c["expected"]) for c in checks] == [(0, "woman*walk", "beach")]
+        assert checks == graph_wide_checks(script, graph, PipelineConfig(dim=64, seed=7))
 
 
 class TestCorpusDir:
