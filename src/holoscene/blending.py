@@ -29,6 +29,9 @@ lexsort over their node columns padded with -1. ``np.add.at`` then adds
 them to each target's running sum one at a time in that order, across
 chunks too. Targets are keyed in order of first visit, so a later sum over
 the returned dict also adds in the same order.
+
+A blend file is a graph file's ``node`` and ``edge`` records plus one
+``score`` record per term, read by the one reader of both in ``ontology``.
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from . import hrr
-from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
-from .ontology import DkStatistics, OntologyGraph, _graph_from_columns, _graph_records, running_sum
+from .errors import GraphFormatError, NoSharedTermError, UnknownTermError
+from .ontology import (PROVENANCES, DkStatistics, OntologyGraph, _blend_fields, _graph_from_columns,
+                       _graph_records, _read_records, running_sum)
 from .textfilter import MentalSpace
 
-ANCHORED = "anchored"
-EXPANDED = "expanded"
-CONFABULATED = "confabulated"
+ANCHORED, EXPANDED, CONFABULATED = PROVENANCES
 
 DOT_COLORS = {ANCHORED: "yellow", EXPANDED: "red", CONFABULATED: "blue"}
 
@@ -373,43 +375,12 @@ def load_blend(path) -> BlendedSpace:
     for the same term or term pair is a :class:`GraphFormatError` at its
     line, as is any record that does not parse and any score that is not a
     number in [0, 1] for a ``node`` of the file."""
-    nodes: dict[str, str] = {}
-    scores: dict[str, float] = {}
-    provenance: dict[str, str] = {}
-    src, dst, label, weight = edges = ([], [], [], [])  # the edge columns
-    edge_lines = []
-    score_lines = []
-    for line_no, line in read_lines(path):
-        fields = line.split()
-        try:
-            if fields[0] == "node" and len(fields) == 3:
-                if fields[1] in nodes:
-                    raise ValueError(f"second node record for {fields[1]!r}")
-                nodes[fields[1]] = fields[2]
-            elif fields[0] == "edge" and len(fields) == 5:
-                weight.append(float(fields[4]))
-                src.append(fields[1])
-                dst.append(fields[2])
-                label.append(fields[3])
-                edge_lines.append(line_no)
-            elif fields[0] == "score" and len(fields) == 4:
-                if fields[3] not in (ANCHORED, EXPANDED, CONFABULATED):
-                    raise ValueError(f"unknown provenance {fields[3]!r}")
-                if fields[1] in scores:
-                    raise ValueError(f"second score record for {fields[1]!r}")
-                scores[fields[1]] = score = float(fields[2])
-                if not 0.0 <= score <= 1.0:
-                    raise ValueError(f"score must be a number in [0, 1], not {fields[2]!r}")
-                provenance[fields[1]] = fields[3]
-                score_lines.append((line_no, fields[1]))
-            else:
-                raise ValueError(f"unrecognized record {fields[0]!r}")
-        except ValueError as exc:
-            raise GraphFormatError(path, line_no, str(exc)) from None
-    subgraph = _graph_from_columns(path, nodes, edges, edge_lines.__getitem__)
-    for line_no, term in score_lines:
-        if term not in nodes:
-            raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")
+    (nodes, edges, scores, provenance), line_no = _read_records(
+        path, ("node", "edge", "score"), _blend_fields)
+    subgraph = _graph_from_columns(path, nodes, edges, line_no)
+    at, term = next(((at, term) for at, term in enumerate(scores) if term not in nodes), (None, None))
+    if at is not None:
+        raise GraphFormatError(path, line_no("score", at), f"score for {term!r}, which has no node record")
     return BlendedSpace(scores=scores, provenance=provenance, subgraph=subgraph)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import GraphFormatError, read_lines
+from .errors import GraphFormatError, add_once, read_lines
 
 _TOKEN_RE = re.compile(r"[a-z']+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -105,23 +105,27 @@ def load_word_map(path) -> dict:
         fields = line.split(None, 1)
         if len(fields) != 2:
             raise GraphFormatError(path, line_no, f"expected a word and its value, got {line!r}")
-        out[fields[0]] = fields[1]
+        add_once(out, fields[0], fields[1], path, line_no)
     return out
 
 
 def read_arrows(path, shape: str):
-    """``(left, right)`` for each ``left -> right`` line of ``path``; a line
-    without both sides is a :class:`GraphFormatError` that names ``shape``."""
+    """``(line number, left, right)`` for each ``left -> right`` line of
+    ``path``; a line without both sides is a :class:`GraphFormatError` that
+    names ``shape``."""
     for line_no, line in read_lines(path):
         left, _, right = line.partition("->")
         left, right = left.strip(), right.strip()
         if not left or not right:
             raise GraphFormatError(path, line_no, f"expected {shape!r}, got {line!r}")
-        yield left, right
+        yield line_no, left, right
 
 
 def load_relation_patterns(path) -> tuple:
-    return compile_patterns(dict(read_arrows(path, "pattern -> label")))
+    patterns = {}
+    for line_no, surface, label in read_arrows(path, "pattern -> label"):
+        add_once(patterns, surface, label, path, line_no)
+    return compile_patterns(patterns)
 
 
 def compile_patterns(lexicon: dict) -> tuple:

@@ -35,15 +35,15 @@ a ``DkStatistics`` given a plain mapping all build through it. Its
 ``DkStatistics.k3`` reads as a mapping from sorted term triples to
 counts, in sorted order.
 
-``load_graph`` reads a graph file as one list of stripped lines and sets
-them aside by record kind with ``itertools.groupby`` on their first
-character, so no Python statement runs once per line. Each kind's lines
-are then split at once, their counts parsed with one ``map(float, ...)``,
-repeated terms found by comparing lengths, and the graph built from the
-edge columns at once; it names the index of the first edge it refuses.
-Line numbers are worked out only when a check fails, in one pass over the
-same lines, which then reads each kind line by line to name the first bad
-one.
+Graph and blend files share one record grammar and one reader,
+``_read_records``, given the kinds a file may hold (a blend holds
+``score`` records where a graph holds ``freq`` and ``triple``). It sets a
+file's stripped lines aside by kind with ``itertools.groupby`` on their
+first character, so no Python statement runs once per line. Each kind's
+lines are then split and parsed at once, and repeated terms found by
+comparing lengths. Line numbers are worked out only when a check fails,
+in one pass over the same lines, which then reads each kind line by line
+to name the first bad one.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines, stripped_lines
+from .errors import (GraphFormatError, UnknownTermError, UnmappedTermError, add_once, read_lines,
+                     stripped_lines)
 from .lexicon import Lexicon, _TOKEN_RE, default_lexicon, load_word_map, read_arrows, split_sentences
 
 GENERIC_RELATION = "related-to"
@@ -511,7 +512,7 @@ def expand(
 
 def load_rewrite_rules(path) -> dict:
     rules: dict[str, list] = {}
-    for src, dst in read_arrows(path, "term -> term"):
+    for _, src, dst in read_arrows(path, "term -> term"):
         rules.setdefault(src, []).append(dst)
     return rules
 
@@ -569,7 +570,7 @@ class ValueMap:
                     raise ValueError(f"value must be a finite number, not {fields[2]!r}")
             except ValueError as exc:
                 raise GraphFormatError(path, line_no, str(exc)) from None
-            entries[(fields[0], fields[1])] = value
+            add_once(entries, (fields[0], fields[1]), value, path, line_no)
         return cls(entries)
 
 
@@ -601,11 +602,11 @@ def _graph_records(graph: OntologyGraph) -> list:
 def _graph_from_columns(path, nodes: dict, columns, line_no) -> OntologyGraph:
     """The graph of a graph or blend file's ``nodes`` and edge ``columns``
     (src, dst, label and weight). An edge the graph refuses is a
-    :class:`GraphFormatError` at ``line_no(i)``, ``i`` its index."""
+    :class:`GraphFormatError` at ``line_no("edge", i)``, ``i`` its index."""
     try:
         return OntologyGraph(nodes, *columns)
     except (UnknownTermError, ValueError) as exc:
-        raise GraphFormatError(path, line_no(exc.record), str(exc)) from None
+        raise GraphFormatError(path, line_no("edge", exc.record), str(exc)) from None
 
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
@@ -622,9 +623,9 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_WIDTHS = {"node": 3, "edge": 5, "freq": 3, "triple": 5}  # fields per record, the kind included
-_KINDS = {kind[0]: kind for kind in _WIDTHS}  # no two kinds start with the same letter
+_WIDTHS = {"node": 3, "edge": 5, "freq": 3, "triple": 5, "score": 4}  # fields per record, the kind included
 _FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
+PROVENANCES = ("anchored", "expanded", "confabulated")  # how a term entered a blend
 
 
 def _fields(kind: str, lines: list) -> list:
@@ -648,6 +649,29 @@ def _fields(kind: str, lines: list) -> list:
     return columns[1:]
 
 
+def _graph_fields(records: dict) -> tuple:
+    """The nodes, a dict in file order, and the edge columns of ``records``;
+    ValueError if one does not parse or a term has two nodes."""
+    (terms, types), (src, dst, label, weight) = (_fields(kind, records[kind]) for kind in ("node", "edge"))
+    nodes = dict(zip(terms, types))
+    if len(nodes) < len(terms):
+        raise ValueError("a second node record for a term")
+    return nodes, [src, dst, label, np.fromiter(map(float, weight), dtype=float, count=len(weight))]
+
+
+def _blend_fields(records: dict) -> tuple:
+    """The :func:`_graph_fields` of a blend file's ``records``, then its
+    scores and provenances in file order; ValueError if a score record does
+    not parse, repeats a term, or holds an unknown provenance or a score
+    outside [0, 1]."""
+    terms, texts, provenance = _fields("score", records["score"])
+    scores = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    if (len(set(terms)) < len(terms) or not set(provenance) <= set(PROVENANCES)
+            or not ((scores >= 0.0) & (scores <= 1.0)).all()):
+        raise ValueError("a bad score record")
+    return (*_graph_fields(records), dict(zip(terms, scores.tolist())), dict(zip(terms, provenance)))
+
+
 def _positive(counts: list) -> np.ndarray:
     """``counts`` as floats; ValueError unless each parses and is finite
     and positive."""
@@ -659,41 +683,70 @@ def _positive(counts: list) -> np.ndarray:
 
 def _first_fault(kind: str, lines: list):
     """``(index, message)`` of the first of ``lines`` that is not a ``kind``
-    record with the right number of fields, or that repeats the term (or
-    sorted term triple) of an earlier one, or holds a number that does not
-    parse or a count that is not finite and positive; None if there is
-    none. The graph checks the edge weights."""
+    record of the right width, or names an unknown provenance, repeats the
+    term (or sorted term triple) of an earlier one, or holds a number that
+    does not parse, a count that is not finite and positive or a score
+    outside [0, 1]; None if there is none. The graph checks edge weights."""
     seen = set()
     for at, line in enumerate(lines):
         fields = line.split()
         try:
             if fields[0] != kind or len(fields) != _WIDTHS[kind]:
                 raise ValueError(f"unrecognized record {fields[0]!r}")
+            if kind == "score" and fields[3] not in PROVENANCES:
+                raise ValueError(f"unknown provenance {fields[3]!r}")
             if kind != "edge":
                 key = " ".join(sorted(fields[1:4])) if kind == "triple" else fields[1]
                 if key in seen:
                     raise ValueError(f"second {kind} record for {key!r}")
                 seen.add(key)
             if kind != "node":
-                count = float(fields[-1])
-                if kind != "edge" and not 0.0 < count < math.inf:
+                count = float(fields[2 if kind == "score" else -1])
+                if kind == "score" and not 0.0 <= count <= 1.0:
+                    raise ValueError(f"score must be a number in [0, 1], not {fields[2]!r}")
+                if kind in ("freq", "triple") and not 0.0 < count < math.inf:
                     raise ValueError(f"{kind} count must be finite and positive, not {count!r}")
         except ValueError as exc:
             return at, str(exc)
     return None
 
 
-def _line_numbers(path, lines: list):
-    """The line number of each record of each kind among ``lines``, the
-    stripped lines of ``path``, up to the first line of no record kind; and
-    that line's ``(line number, message)``, or None if there is none."""
-    line_nos = {kind: [] for kind in _WIDTHS}
-    for line_no, line in read_lines(path, lines):
-        kind = _KINDS.get(line[0])
-        if kind is None:
-            return line_nos, (line_no, f"unrecognized record {line.split()[0]!r}")
-        line_nos[kind].append(line_no)
-    return line_nos, None
+def _read_records(path, kinds: tuple, parse):
+    """``parse(records)`` of a graph or blend file of records of ``kinds``,
+    ``records`` mapping each kind to its lines, and ``line_no(kind, i)``, the
+    line of record ``i`` of a kind. If ``parse`` raises ValueError, the first
+    bad line, found by :func:`_first_fault` on each kind, is a
+    :class:`GraphFormatError`."""
+    lines = stripped_lines(path)
+    first = {kind[0]: kind for kind in kinds}  # no two kinds start with the same letter
+
+    def line_numbers():  # each kind's line numbers up to the first line of no kind; that line's fault
+        line_nos = {kind: [] for kind in kinds}
+        for line_no, line in read_lines(path, lines):
+            if line[0] not in first:
+                return line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
+            line_nos[first[line[0]]].append(line_no)
+        return line_nos, []
+
+    records = {kind: [] for kind in kinds}
+    try:
+        for char, group in groupby(lines, _FIRST):
+            if char in first:
+                records[first[char]].extend(group)
+            elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
+                raise ValueError("a line of no record kind")
+        parsed = parse(records)
+    except _TooManyTerms as exc:
+        raise GraphFormatError(path, None, str(exc)) from None
+    except ValueError:
+        line_nos, faults = line_numbers()
+        for kind in kinds:
+            fault = _first_fault(kind, records[kind])
+            if fault:
+                faults.append((line_nos[kind][fault[0]], fault[1]))
+        raise GraphFormatError(path, *min(faults)) from None
+
+    return parsed, lambda kind, at: line_numbers()[0][kind][at]
 
 
 def load_graph(path):
@@ -707,55 +760,27 @@ def load_graph(path):
     pair counts) included, must be finite and positive. Any breach is a
     :class:`GraphFormatError` naming its line.
 
-    The file is read as one list of stripped lines (:func:`stripped_lines`)
-    and set aside by record kind with ``groupby`` on each line's first
-    character, so no Python statement runs once per line. Each kind is then
-    split, parsed and checked in bulk, and the graph is built from the edge
-    columns. Line numbers are worked out only when a check fails, in one
-    pass over the same lines, which then also reads each kind line by line
-    to find its first bad record.
+    The file is read by :func:`_read_records`, each kind split, parsed and
+    checked in bulk, and the graph built from the edge columns.
     """
-    lines = stripped_lines(path)
-    records = {kind: [] for kind in _WIDTHS}
-    stray = False  # a line of no record kind; no line after it can fail first
-    for first, group in groupby(lines, _FIRST):
-        if first in _KINDS:
-            records[_KINDS[first]].extend(group)
-        elif first not in ("", "#"):
-            stray = True
-            break
-
-    try:
-        if stray:
-            raise ValueError("a line of no record kind")
-        (terms, types), (src, dst, label, weight), (freq_terms, freq) = (
-            _fields(kind, records[kind]) for kind in ("node", "edge", "freq"))
-        weight = np.fromiter(map(float, weight), dtype=float, count=len(weight))
+    def parse(records):  # k3 is None if a triple names a term with no freq
+        nodes, columns = _graph_fields(records)
+        freq_terms, freq = _fields("freq", records["freq"])
         k1 = dict(zip(freq_terms, _positive(freq).tolist()))
-        if len(k1) < len(freq_terms) or len(set(terms)) < len(terms):
-            raise ValueError("a second node or freq record for a term")
+        if len(k1) < len(freq_terms):
+            raise ValueError("a second freq record for a term")
         k3 = _read_triples(sorted(k1), records["triple"])
         if k3 is None and _first_fault("triple", records["triple"]):
             raise ValueError("a bad triple record")
-    except _TooManyTerms as exc:
-        raise GraphFormatError(path, None, str(exc)) from None
-    except ValueError:
-        line_nos, stray_fault = _line_numbers(path, lines)
-        faults = [stray_fault] if stray_fault else []
-        for kind in _WIDTHS:
-            fault = _first_fault(kind, records[kind])
-            if fault:
-                faults.append((line_nos[kind][fault[0]], fault[1]))
-        raise GraphFormatError(path, *min(faults)) from None
+        return nodes, columns, freq_terms, k1, k3, records["triple"]
 
-    def line_no(kind, at):  # worked out only for an error
-        return _line_numbers(path, lines)[0][kind][at]
-
-    columns = [src, dst, label, weight]
+    (nodes, columns, freq_terms, k1, k3, triples), line_no = _read_records(
+        path, ("node", "edge", "freq", "triple"), parse)
+    weight = columns[3]
     zero = int(np.argmax(weight == 0.0)) if k1 and (weight == 0.0).any() else len(weight)
     if zero < len(weight):  # the graph checks the edges before it first
         columns = [column[:zero + 1] for column in columns]
-    graph = _graph_from_columns(path, dict(zip(terms, types)), columns, lambda at: line_no("edge", at))
+    graph = _graph_from_columns(path, nodes, columns, line_no)
     if zero < len(weight):
         raise GraphFormatError(path, line_no("edge", zero),
                                "edge weight is a pair count and must be positive, not 0.0")
@@ -764,13 +789,13 @@ def load_graph(path):
 
     declared = graph.nodes.keys()
     if k1.keys() != declared:
-        at = next((i for i, term in enumerate(terms) if term not in k1), None)
+        at, term = next(((at, term) for at, term in enumerate(nodes) if term not in k1), (None, None))
         if at is not None:
-            raise GraphFormatError(path, line_no("node", at), f"node {terms[at]!r} has no freq record")
+            raise GraphFormatError(path, line_no("node", at), f"node {term!r} has no freq record")
         at = next(i for i, term in enumerate(freq_terms) if term not in declared)
         raise GraphFormatError(path, line_no("freq", at), "freq for an undeclared node")
     if k3 is None:  # k1 covers exactly the declared nodes: a triple names another term
-        named = [line.split()[1:4] for line in records["triple"]]
+        named = [line.split()[1:4] for line in triples]
         at = next(i for i, triple in enumerate(named) if any(t not in declared for t in triple))
         missing = min(set(chain.from_iterable(named)) - declared)
         raise GraphFormatError(path, line_no("triple", at), f"k3 term {missing!r} missing from k1")

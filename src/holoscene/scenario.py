@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blending import BlendedSpace
-from .errors import GraphFormatError, UnmappedTermError, read_lines
+from .errors import GraphFormatError, UnmappedTermError, add_once, read_lines
 from .lexicon import Lexicon, default_lexicon
 from .ontology import TermObjectMap, ValueMap
 
@@ -49,9 +49,8 @@ def load_actor_functions(path) -> dict:
                 arg_name, _, arg_type = piece.partition(":")
                 bound.append((arg_name, arg_type))
         out_name, _, out_type = outs[0].strip().partition(":")
-        functions[name] = ActorFunction(
-            name=name, bound_args=tuple(bound), free_output=(out_name, out_type)
-        )
+        function = ActorFunction(name=name, bound_args=tuple(bound), free_output=(out_name, out_type))
+        add_once(functions, name, function, path, line_no)
     return functions
 
 

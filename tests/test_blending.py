@@ -4,6 +4,10 @@ The walk-scoring oracle enumerates candidate paths by brute force over
 permutations of intermediate nodes, independent of the package's walk. The
 reference walk is the recursive depth-first search the package used before
 its array walk; the two must agree bit for bit, key order included.
+``reference_load_blend`` keeps the blend file reader that parsed each line
+as it read it, before blend files were read in bulk by the graph file's
+reader: ``load_blend`` must load what it loaded, and refuse what it refused
+at the same line with the same message.
 """
 
 import random
@@ -15,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from holoscene import blending, hrr
 from holoscene.blending import (
+    ANCHORED,
+    CONFABULATED,
+    EXPANDED,
     BlendedSpace,
     GenericSpace,
     absorb_anchored,
@@ -29,9 +36,11 @@ from holoscene.blending import (
     save_blend,
     transition_probability,
 )
-from holoscene.errors import NoSharedTermError, UnknownTermError
+from holoscene.errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
 from holoscene.ontology import DkStatistics, OntologyGraph, load_graph, save_graph
 from holoscene.textfilter import MentalSpace, UniversalStructure
+
+from test_parsers import reshaped, written
 
 MIX = 0.5
 MAX_PATH = 3
@@ -609,3 +618,121 @@ class TestBlendFile:
         with pytest.raises(GraphFormatError) as err:
             load_blend(path)
         assert err.value.line_no == 3
+
+
+# -- the blend file reader against the line-by-line one ---------------------------
+
+
+def reference_load_blend(path) -> BlendedSpace:
+    """The blend file reader that split and checked each line as it read it;
+    the graph refuses an edge, naming it by its index."""
+    nodes: dict[str, str] = {}
+    scores: dict[str, float] = {}
+    provenance: dict[str, str] = {}
+    src, dst, label, weight = edges = ([], [], [], [])  # the edge columns
+    edge_lines = []
+    score_lines = []
+    for line_no, line in read_lines(path):
+        fields = line.split()
+        try:
+            if fields[0] == "node" and len(fields) == 3:
+                if fields[1] in nodes:
+                    raise ValueError(f"second node record for {fields[1]!r}")
+                nodes[fields[1]] = fields[2]
+            elif fields[0] == "edge" and len(fields) == 5:
+                weight.append(float(fields[4]))
+                src.append(fields[1])
+                dst.append(fields[2])
+                label.append(fields[3])
+                edge_lines.append(line_no)
+            elif fields[0] == "score" and len(fields) == 4:
+                if fields[3] not in (ANCHORED, EXPANDED, CONFABULATED):
+                    raise ValueError(f"unknown provenance {fields[3]!r}")
+                if fields[1] in scores:
+                    raise ValueError(f"second score record for {fields[1]!r}")
+                scores[fields[1]] = score = float(fields[2])
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"score must be a number in [0, 1], not {fields[2]!r}")
+                provenance[fields[1]] = fields[3]
+                score_lines.append((line_no, fields[1]))
+            else:
+                raise ValueError(f"unrecognized record {fields[0]!r}")
+        except ValueError as exc:
+            raise GraphFormatError(path, line_no, str(exc)) from None
+    try:
+        subgraph = OntologyGraph(nodes, *edges)
+    except (UnknownTermError, ValueError) as exc:
+        raise GraphFormatError(path, edge_lines[exc.record], str(exc)) from None
+    for line_no, term in score_lines:
+        if term not in nodes:
+            raise GraphFormatError(path, line_no, f"score for {term!r}, which has no node record")
+    return BlendedSpace(scores=scores, provenance=provenance, subgraph=subgraph)
+
+
+def assert_blend_loads_as_reference(path):
+    """``load_blend`` and the reference give the same scores (to the bit),
+    provenances, nodes and edges, each in the same order, or the same error
+    at the same line."""
+    try:
+        want = reference_load_blend(path)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as err:
+            load_blend(path)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    got = load_blend(path)
+    assert [(t, repr(s)) for t, s in got.scores.items()] == [(t, repr(s)) for t, s in want.scores.items()]
+    assert list(got.provenance.items()) == list(want.provenance.items())
+    assert list(got.subgraph.nodes.items()) == list(want.subgraph.nodes.items())
+    assert repr(got.subgraph.edges()) == repr(want.subgraph.edges())
+
+
+BLEND = """# holoscene blend v1
+node ball entity
+node beach entity
+node sand entity
+node hand entity
+edge ball beach located-on 2
+edge beach sand related-to 1
+edge hand ball held-by 0.5
+score ball 1.0 anchored
+score beach 0.25 expanded
+score hand 1 anchored
+score sand 0.0625 confabulated"""
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(reshaped(BLEND))
+def test_blend_reader_matches_line_reader(data):
+    """Faults, several at once, records in another order, any blank
+    between fields and blank or comment lines anywhere give the
+    reference's blend, or its error at the same line."""
+    with written(data, "mutated.blend") as path:
+        assert_blend_loads_as_reference(path)
+
+
+@pytest.mark.parametrize("text", [
+    "node a entity\nscore b 0.5 expanded\nnode b entity\nscore a 1 anchored\n",
+    "score c 1.0 anchored\nnode a entity\nscore a 1 anchored\n",
+    "node a entity\nfreq a 1\nscore a 1 anchored\n",
+    "node a entity\nscore a 1 anchored\nnode b entity\ntriple a a b 1\n",
+    "node a\x00b entity\nnode c entity\nedge a\x00b c x 1\nscore a\x00b 0.5 expanded\nscore c 1 anchored\n",
+    "node a entity\nscore a 1 anchored\nscore a 0.5 bogus\n",
+    "node a entity\nscore a 1 anchored\nscore a one expanded\n",
+    "node a entity\nscore a nan anchored\n",
+    "node a entity\nscore a inf anchored\n",
+    "node a entity\nscore a -0.5 confabulated\n",
+    "node a entity\nscore a -0 confabulated\nscore b 1e-999 expanded\nnode b entity\n",
+    "node a entity\nnode b entity\nscore a 1 anchored\nscore zz 1 expanded\nedge a zz near 1\n",
+    "node a entity\nnode b entity\nscore a 1 anchored\nedge a b near 1\nedge b a near 2\n",
+    "node a entity\nscore a 1 anchored expanded\nscores a 1 anchored\n",
+    "node a entity\ns\n",
+    "node a entity\nedge a a self 1\nscore a 1 anchored\n\n# end\n",
+], ids=["score-before-node", "score-without-node", "freq", "triple", "nul-term", "provenance-and-repeat",
+        "repeat-and-no-number", "nan", "inf", "negative", "minus-zero-and-underflow",
+        "refused-edge-after-scores", "second-edge-after-scores", "wide-score-then-scores", "bare-s",
+        "self-loop"])
+def test_blend_reader_matches_line_reader_on_hard_cases(tmp_path, text):
+    path = tmp_path / "hard.blend"
+    path.write_text(text, encoding="utf-8")
+    assert_blend_loads_as_reference(path)

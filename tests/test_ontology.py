@@ -44,7 +44,7 @@ from holoscene.ontology import (
     to_dot,
 )
 
-from test_parsers import GRAPH, mutated, written
+from test_parsers import GRAPH, reshaped, written
 
 DATA = Path(__file__).parent / "data"
 TOY_CORPUS = [(DATA / "toy_corpus.txt").read_text()]
@@ -712,32 +712,13 @@ def assert_loads_as_reference(path):
         assert list(dk.k3.items()) == sorted(want_k3.items())
 
 
-# blanks the reader must treat as a field break, as str.split does
-_BREAKS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
-
-
-# lines the reader must skip, and a record's surroundings it must strip
-_SKIPPED = st.sampled_from(["", "   ", "\r", "# a comment", "  # indented comment", "#node x entity"])
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(mutated(GRAPH), st.booleans(), st.lists(st.tuples(st.integers(0, 99), _BREAKS), max_size=6),
-       st.lists(st.tuples(st.integers(0, 99), _SKIPPED), max_size=4))
-def test_bulk_reader_matches_line_reader(data, sort_lines, breaks, skipped):
+@given(reshaped(GRAPH))
+def test_bulk_reader_matches_line_reader(data):
     """Faults, several at once, records in another order, any blank
     between fields and blank or comment lines anywhere give the
     reference's graph and statistics, or its error at the same line."""
-    lines = data.decode("utf-8").split("\n")
-    lines = sorted(lines) if sort_lines else lines
-    for at, line in skipped:  # put in before the at-th line (cyclically)
-        lines.insert(at % len(lines), line)
-    text = "\n".join(lines)
-    for at, blank in breaks:  # the at-th space (cyclically) becomes the blank
-        spaces = [i for i, char in enumerate(text) if char == " "]
-        if spaces:
-            i = spaces[at % len(spaces)]
-            text = text[:i] + blank + text[i + 1:]
-    with written(text.encode("utf-8"), "mutated.graph") as path:
+    with written(data, "mutated.graph") as path:
         assert_loads_as_reference(path)
 
 

@@ -110,6 +110,32 @@ def mutated(draw, text):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# blanks a reader must treat as a field break, as str.split does
+_BREAKS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
+
+
+# lines a reader must skip, and a record's surroundings it must strip
+_SKIPPED = st.sampled_from(["", "   ", "\r", "# a comment", "  # indented comment", "#node x entity"])
+
+
+@st.composite
+def reshaped(draw, text):
+    """``text`` :func:`mutated`, then its lines sorted or not, blank and
+    comment lines put in anywhere and some of its spaces made other
+    blanks."""
+    lines = draw(mutated(text)).decode("utf-8").split("\n")
+    lines = sorted(lines) if draw(st.booleans()) else lines
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 99), _SKIPPED), max_size=4)):
+        lines.insert(at % len(lines), line)  # before the at-th line (cyclically)
+    text = "\n".join(lines)
+    for at, blank in draw(st.lists(st.tuples(st.integers(0, 99), _BREAKS), max_size=6)):
+        spaces = [i for i, char in enumerate(text) if char == " "]
+        if spaces:  # the at-th space (cyclically) becomes the blank
+            i = spaces[at % len(spaces)]
+            text = text[:i] + blank + text[i + 1:]
+    return text.encode("utf-8")
+
+
 def inputs(text):
     return st.binary(max_size=200) | mutated(text)
 
@@ -233,6 +259,32 @@ def test_line_parsers_skip_blanks_comments_and_crlf_alike(tmp_path, name):
         assert str(err.value).startswith(where)
         messages.append(str(err.value)[len(where):])
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("word-map", "blue color\nwoman female\nblue shade"),
+    ("objects", "ball ball_01\nwoman woman_01\nball ball_02"),
+    ("values", "blue color 240\nblue size 1\nblue color 0"),
+    ("functions", "take a:human -> hand:position\ngive a:human -> gift:prop\ntake x:prop -> y:prop"),
+    ("relation-patterns", "part of -> part-of\nhas -> has-a\npart of -> near"),
+], ids=["word-map", "objects", "values", "functions", "relation-patterns"])
+def test_a_second_record_for_a_table_key_fails_at_its_line(tmp_path, name, text):
+    path = tmp_path / "table"
+    path.write_text(text + "\n")
+    with pytest.raises(GraphFormatError, match="second record for") as err:
+        TABLES[name][0](path)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("name, text, loaded", [
+    ("rewrite-rules", "beach -> sand\nbeach -> shore", {"beach": ["sand", "shore"]}),
+    ("stopwords", "a the\na", frozenset({"a", "the"})),
+    ("verbs", "walk walks\nwalk walked", {"walk": "walk", "walks": "walk", "walked": "walk"}),
+], ids=["rewrite-rules", "stopwords", "verbs"])
+def test_tables_of_several_records_per_key_keep_them(tmp_path, name, text, loaded):
+    path = tmp_path / "table"
+    path.write_text(text + "\n")
+    assert TABLES[name][0](path) == loaded
 
 
 @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
