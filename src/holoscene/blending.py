@@ -27,8 +27,9 @@ order of multiplications: previous score times (step weight times triple
 boost). Within a chunk, paths are sorted into depth-first pre-order by a
 lexsort over their node columns padded with -1. ``np.add.at`` then adds
 them to each target's running sum one at a time in that order, across
-chunks too. Targets are keyed in order of first visit, so a later sum over
-the returned dict also adds in the same order.
+chunks too. The walk hands back, per source, the ids it reached in order of
+first visit and a mass array over graph ids; each source's total adds in that
+order, and only ``reach_scores`` gives the targets their term names.
 
 A blend file is a graph file's ``node`` and ``edge`` records plus one
 ``score`` record per term, read by the one reader of both in ``ontology``.
@@ -206,8 +207,9 @@ class _WalkIndex:
         targets = np.concatenate([p[:, -1] for p, _ in levels])[order]
         return targets, np.concatenate([s for _, s in levels])[order]
 
-    def reach(self, source: str) -> dict:
-        """Raw reachability mass from ``source``, as ``reach_scores``."""
+    def reach(self, source: str):
+        """The ids reached from ``source`` in order of first visit, and the
+        raw reachability mass over all graph ids."""
         s = self.number[source]
         mass = np.zeros(len(self.terms))
         first = np.full(len(self.terms), -1, dtype=np.int64)  # pre-order rank of first visit
@@ -225,8 +227,15 @@ class _WalkIndex:
             seen += len(targets)
         self.paths += seen
         visited = np.flatnonzero(first >= 0)
-        visited = visited[np.argsort(first[visited])]
-        return dict(zip([self.terms[i] for i in visited], mass[visited].tolist()))
+        return visited[np.argsort(first[visited])], mass
+
+    def probabilities(self, source: str):
+        """Transition probability from ``source`` to every graph id: its
+        mass over the total, added in order of first visit; all zeros if
+        nothing is reached."""
+        visited, mass = self.reach(source)
+        total = running_sum(mass[visited].tolist())
+        return mass / total if total else np.zeros(len(mass))
 
 
 def reach_scores(
@@ -237,7 +246,8 @@ def reach_scores(
     a depth-first walk over sorted neighbours first reaches each node."""
     if source not in graph.nodes:
         raise UnknownTermError(f"term not in graph: {source!r}", [source])
-    return _WalkIndex(graph, dk, max_path, mix).reach(source)
+    visited, mass = _WalkIndex(graph, dk, max_path, mix).reach(source)
+    return dict(zip([graph.terms[i] for i in visited], mass[visited].tolist()))
 
 
 def transition_probability(
@@ -255,11 +265,7 @@ def transition_probability(
             raise UnknownTermError(f"term not in graph: {term!r}", [term])
     if from_term == to_term:
         return 1.0
-    raw = reach_scores(graph, dk, from_term, max_path, mix)
-    total = running_sum(raw.values())
-    if total == 0.0:
-        return 0.0
-    return raw.get(to_term, 0.0) / total
+    return float(_WalkIndex(graph, dk, max_path, mix).probabilities(from_term)[graph.ids[to_term]])
 
 
 def candidate_scores(
@@ -270,8 +276,8 @@ def candidate_scores(
     mix: float = 0.5,
     counts: dict | None = None,
 ) -> dict:
-    """Raw confabulation score for every non-generic node: the product of
-    per-source transition probabilities.
+    """Raw confabulation score for every non-generic node, keyed in sorted
+    term order: the product of per-source transition probabilities.
 
     Every source walks one shared index. If ``counts`` is given, its
     ``"walk_paths"`` entry grows by the number of simple paths scored.
@@ -281,22 +287,12 @@ def candidate_scores(
     if missing:
         raise UnknownTermError("generic terms not in graph", missing)
     index = _WalkIndex(graph, dk, max_path, mix)
-    per_source = []
+    product = np.ones(len(graph.terms))
     for source in sources:
-        raw = index.reach(source)
-        total = running_sum(raw.values())
-        per_source.append((raw, total))
+        product *= index.probabilities(source)
     if counts is not None:
         counts["walk_paths"] = counts.get("walk_paths", 0) + index.paths
-    scores = {}
-    for term in graph.terms:
-        if term in generic_terms:
-            continue
-        product = 1.0
-        for raw, total in per_source:
-            product *= raw.get(term, 0.0) / total if total else 0.0
-        scores[term] = product
-    return scores
+    return {term: score for term, score in zip(graph.terms, product.tolist()) if term not in generic_terms}
 
 
 def confabulate(
@@ -324,8 +320,8 @@ def confabulate(
 
     accepted: dict[str, float] = {}
     if peak > 0.0:
-        argmax = next(t for t in sorted(raw) if raw[t] == peak)
-        for term in sorted(raw):
+        argmax = next(t for t in raw if raw[t] == peak)
+        for term in raw:
             relative = raw[term] / peak
             if term == argmax or relative >= threshold:
                 accepted[term] = relative

@@ -11,14 +11,19 @@ settings, one ``"vectors"`` table and the nodes. Each node's and each
 signature's ``"vector"`` is an index into that table, which stores every
 distinct vector once, or ``null``: the ``random_vector(seed, dim, id)``
 of a sensory node, written only when the vector equals it bit for bit.
-Version 1 snapshots, with every vector inline, still load. A missing key,
-a value of the wrong kind, an assembly link that is not the id of a node
-of the snapshot, a bad vector reference or an unknown version is a
-:class:`GraphFormatError` naming the file.
+A snapshot with a ``null`` also holds ``"stream_sha256"``, the SHA-256 of
+``random_vector(seed, dim, "")``, so a NumPy that draws another stream is
+refused instead of regenerating other vectors. Version 1 snapshots, with
+every vector inline, still load. A missing key, a value of the wrong kind,
+an assembly link that is not the id of a node of the snapshot, a signature
+recorded after the clock, a bad vector reference, a stream fingerprint that
+does not match or an unknown version is a :class:`GraphFormatError` naming
+the file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -124,6 +129,14 @@ class HolographicMemory:
         # connectivity stretches decay: d = d0 * (1 + connections)
         return self.base_decay * (1 + node.connection_count)
 
+    def _new_id(self) -> str:
+        """The next ``c<counter>`` id that names no living node."""
+        while True:
+            self._counter += 1
+            node_id = f"c{self._counter:04d}"
+            if node_id not in self.nodes:
+                return node_id
+
     def _require(self, node_id: str) -> ConceptNode:
         node = self.nodes.get(node_id)
         if node is None:
@@ -203,8 +216,7 @@ class HolographicMemory:
                 affected.append(node.id)
             return affected
 
-        self._counter += 1
-        new_id = f"c{self._counter:04d}"
+        new_id = self._new_id()
         members = [self.nodes[s] for s, _ in activations]
         node = ConceptNode(
             id=new_id,
@@ -240,9 +252,8 @@ class HolographicMemory:
             node = self.nodes[match_id]
             self._record(node, chain, now)
         else:
-            self._counter += 1
             node = ConceptNode(
-                id=f"c{self._counter:04d}",
+                id=self._new_id(),
                 level=level,
                 vector=chain,
                 base_intensity=self.base_intensity,
@@ -298,14 +309,18 @@ class HolographicMemory:
         """The version 2 snapshot: the scalar settings, one table of the
         distinct vectors that cannot be regenerated, and the nodes, whose
         vectors are row indices into that table or ``None`` for a sensory
-        node's ``random_vector(seed, dim, id)``."""
+        node's ``random_vector(seed, dim, id)``; beside any ``None``, the
+        fingerprint of the stream that regenerates it."""
         table: list = []
         rows: dict[bytes, int] = {}
+        regenerates = False
 
         def ref(vector, regenerated):
+            nonlocal regenerates
             vector = np.asarray(vector, dtype=np.float64)
             key = vector.tobytes()
             if key == regenerated:
+                regenerates = True
                 return None
             index = rows.get(key)
             if index is None:
@@ -336,7 +351,7 @@ class HolographicMemory:
                     for s in n.signatures
                 ],
             })
-        return {
+        snapshot = {
             "version": 2,
             "dim": self.dim,
             "seed": self.seed,
@@ -350,6 +365,9 @@ class HolographicMemory:
             "vectors": table,
             "nodes": nodes,
         }
+        if regenerates:
+            snapshot["stream_sha256"] = _stream_sha256(self.seed, self.dim)
+        return snapshot
 
     def save(self, path) -> None:
         # json.dumps without indent runs the C encoder; json.dump would
@@ -362,9 +380,10 @@ class HolographicMemory:
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`, or a version 1 one.
         Text that is not UTF-8 or not JSON, a missing key, a value of the
-        wrong kind, an assembly link that names no node, a bad vector
-        reference and an unknown version raise :class:`GraphFormatError`
-        naming the file."""
+        wrong kind, an assembly link that names no node, a signature
+        recorded after the clock, a bad vector reference, a stream
+        fingerprint that does not match and an unknown version raise
+        :class:`GraphFormatError` naming the file."""
         text = read_text(path)
         try:
             data = json.loads(text)
@@ -404,6 +423,9 @@ class HolographicMemory:
         version = data["version"]
         if not _is_int(version) or version != 2:
             raise ValueError(f"unknown snapshot version {version!r}")
+        if "stream_sha256" in data and data["stream_sha256"] != _stream_sha256(mem.seed, mem.dim):
+            raise ValueError("stream_sha256 does not match this NumPy's random stream, "
+                             "so the sensory vectors would not regenerate")
         table = [_row(values, mem.dim) for values in data["vectors"]]
         for rec in data["nodes"]:
             if not isinstance(rec["id"], str):
@@ -425,12 +447,16 @@ class HolographicMemory:
                 decay_time = _number(s, "decay_time")
                 if decay_time <= 0:
                     raise ValueError(f"decay_time must be positive, not {decay_time!r}")
-                node.signatures.append(Signature(
+                sig = Signature(
                     vector=_lookup(s["vector"], table, regenerated),
                     recorded_at=_int(s, "recorded_at"),
                     initial_intensity=_number(s, "initial_intensity"),
                     decay_time=decay_time,
-                ))
+                )
+                if sig.recorded_at > mem.clock:
+                    raise ValueError(f"node {node.id!r} has a signature recorded at tick "
+                                     f"{sig.recorded_at}, after the clock {mem.clock}")
+                node.signatures.append(sig)
             mem.nodes[node.id] = node
         for node in mem.nodes.values():
             for link in [*sorted(node.assembly_parents), *node.assembly_members]:
@@ -457,6 +483,11 @@ def _v1_to_v2(data: dict) -> dict:
         for rec in data["nodes"]
     ]
     return {**data, "version": 2, "vectors": table, "nodes": nodes}
+
+
+def _stream_sha256(seed: int, dim: int) -> str:
+    """Fingerprint of the random stream that regenerates sensory vectors."""
+    return hashlib.sha256(hrr.random_vector(seed, dim, term="").tobytes()).hexdigest()
 
 
 def _is_int(value) -> bool:

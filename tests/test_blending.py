@@ -456,6 +456,12 @@ def test_walk_equals_reference_exactly(case, max_path, mix):
     edges, k1, k3, generic = case
     graph, dk = graph_from(edges, k1, k3)
     assert_walks_match_reference(graph, dk, sorted(graph.nodes), generic, max_path, mix)
+    for source in sorted(graph.nodes):
+        ref = reference_reach(graph, dk, source, max_path, mix)
+        total = added_in_order(ref.values())
+        for target in sorted(graph.nodes):
+            want = 1.0 if target == source else ref[target] / total if target in ref else 0.0
+            assert transition_probability(graph, dk, source, target, max_path, mix) == want
 
 
 def seeded_graph(n=300, degree=10, seed=11):

@@ -103,6 +103,25 @@ class TestObserve:
         primaries = [n for n in mem.nodes.values() if n.level is Level.PRIMARY]
         assert len(primaries) == 2
 
+    def test_new_concept_skips_a_sensory_id_of_its_name(self):
+        mem = fresh()
+        mem.observe([("c0002", 0)])
+        mem.observe([("sight", 1), ("sound", 1)])
+        mem.observe([("touch", 2), ("smell", 2)])
+        assert mem.nodes["c0002"].level is Level.SENSORY
+        assert len(mem.nodes["c0002"].signatures) == 1
+        assert {n.id for n in mem.nodes.values() if n.level is Level.PRIMARY} == {"c0001", "c0003"}
+
+    def test_new_concept_skips_an_id_a_snapshot_holds_past_its_counter(self, tmp_path):
+        snapshot = fixture_memory().snapshot()
+        snapshot["counter"] = 0
+        mem = HolographicMemory.load(write_snapshot(tmp_path, snapshot))
+        kept = mem.nodes["c0001"].vector.copy()
+        affected = mem.observe([("x", 5), ("y", 5)])
+        assert np.array_equal(mem.nodes["c0001"].vector, kept)
+        assert affected[-1] not in fixture_memory().nodes
+        assert mem.assemble(["c0001", "c0002"], 6) == "c0003"  # recalled, not a new node
+
 
 class TestAssemble:
     def build_three(self, mem):
@@ -542,6 +561,36 @@ class TestSnapshot:
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
         assert json.loads(text)["version"] == 2
+
+    def test_stream_fingerprint_written_only_beside_a_null(self):
+        assert "stream_sha256" not in fresh().snapshot()
+        mem = fresh(dim=8)
+        mem.observe([("a", 0)])
+        mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
+        mem.nodes["a"].signatures[0].vector = mem.nodes["a"].vector
+        assert "stream_sha256" not in mem.snapshot()
+        assert len(fixture_memory().snapshot()["stream_sha256"]) == 64
+
+    def test_changed_random_stream_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "mem.json"
+        fixture_memory().save(path)
+        seed_for = hrr._seed_for
+        monkeypatch.setattr(hrr, "_seed_for", lambda seed, dim, term=None: seed_for(seed + 1, dim, term))
+        with pytest.raises(GraphFormatError, match=r"mem.json: bad snapshot value: stream_sha256 does not match"):
+            HolographicMemory.load(path)
+
+    def test_version_2_without_the_fingerprint_still_loads(self, tmp_path):
+        snapshot = fixture_memory().snapshot()
+        del snapshot["stream_sha256"]
+        assert_same_memory(fixture_memory(), HolographicMemory.load(write_snapshot(tmp_path, snapshot)))
+
+    def test_signature_recorded_after_the_clock_is_refused(self, tmp_path):
+        snapshot = fixture_memory().snapshot()
+        snapshot["clock"] = 0
+        path = write_snapshot(tmp_path, snapshot)
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: node 'a' has a signature "
+                                                   r"recorded at tick 2, after the clock 0"):
+            HolographicMemory.load(path)
 
 
 class TestVersion1:
