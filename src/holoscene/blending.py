@@ -16,20 +16,23 @@ depends on the statistics and ``mix``: one step weight per directed edge,
 the subtree bounds, and the statistics' triple counts over the graph's
 terms (only when ``max_path >= 2``), which ``TripleCounts.count`` looks up
 by term ids a whole level of steps at a time. Paths grow one level at a
-time as numpy rows, and a step onto a node already on the path is dropped.
-Consecutive first steps are walked together in chunks; a chunk holds at
-most ``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does
-not grow with the degree of the source.
+time as one array of node ids per step, and a step onto a node already on
+the path is dropped. Consecutive first steps are walked together in
+chunks; a chunk holds at most ``_CHUNK_PATHS`` paths plus one first step's
+subtree, so memory does not grow with the degree of the source.
 
 Scores are bit-identical to a recursive depth-first walk over sorted
 neighbours, not just close to it. Each path's score is built in the same
 order of multiplications: previous score times (step weight times triple
-boost). Within a chunk, paths are sorted into depth-first pre-order by a
-lexsort over their node columns padded with -1. ``np.add.at`` then adds
-them to each target's running sum one at a time in that order, across
-chunks too. The walk hands back, per source, the ids it reached in order of
-first visit and a mass array over graph ids; each source's total adds in that
-order, and only ``reach_scores`` gives the targets their term names.
+boost). Within a chunk, each path's depth-first pre-order rank comes from
+the levels by arithmetic, not by sorting: subtree sizes add up bottom-up,
+and a path ranks after its parent and its earlier siblings' subtrees, read
+off exclusive prefix sums of each level's sizes. ``np.add.at`` then adds the
+paths, put in rank order, to each target's running sum one at a time,
+across chunks too. The walk hands back, per source, the ids it reached in
+order of first visit and a mass array over graph ids; each source's total
+adds in that order, and only ``reach_scores`` gives the targets their term
+names.
 
 A blend file is a graph file's ``node`` and ``edge`` records plus one
 ``score`` record per term, read by the one reader of both in ``ontology``.
@@ -166,67 +169,78 @@ class _WalkIndex:
 
         self.triples = dk.k3.over(self.terms)
 
-    def _extend(self, paths, score, pair):
-        """Every simple path one step longer than a row of ``paths`` (node
-        ids, one row per path), with its score and its last step's pair
-        count. Rows stay grouped by parent, neighbours in order."""
-        last = paths[:, -1]
+    def _extend(self, columns, score, pair):
+        """Every simple path one step longer than a path of ``columns`` (its
+        node ids, one array per step from the source), with its score, its
+        last step's pair count and the index of the path it extends. Paths
+        stay grouped by parent, neighbours in order."""
+        last = columns[-1]
         start = self.indptr[last]
         degree = self.indptr[last + 1] - start
-        parent = np.repeat(np.arange(len(paths)), degree)
+        parent = np.repeat(np.arange(len(last)), degree)
         edge = np.arange(len(parent)) + np.repeat(start - (np.cumsum(degree) - degree), degree)
         nxt = self.indices[edge]
-        prefix = paths[parent]
-        fresh = (prefix != nxt[:, None]).all(axis=1)
-        prefix, parent, edge, nxt = prefix[fresh], parent[fresh], edge[fresh], nxt[fresh]
+        columns = [column[parent] for column in columns]
+        fresh = np.logical_and.reduce([column != nxt for column in columns])
+        columns = [column[fresh] for column in (*columns, nxt)]
+        parent, edge = parent[fresh], edge[fresh]
         step = self.weight[edge]
         if self.triples:
-            observed = self.triples.count(prefix[:, -2], prefix[:, -1], nxt)
+            observed = self.triples.count(*columns[-3:])
             boosted = observed != 0
             with np.errstate(divide="raise"):  # a zero pair count under a triple
                 step[boosted] *= 1.0 + observed[boosted] / pair[parent][boosted]
-        return np.column_stack([prefix, nxt]), score[parent] * step, self.pair[edge]
+        return columns, score[parent] * step, self.pair[edge], parent
 
     def _subtree(self, source, hops):
-        """Targets and scores of every path whose first step is one of the
-        edges ``hops``, in depth-first pre-order."""
-        paths = np.column_stack([np.full(len(hops), source), self.indices[hops]])
+        """Targets, scores and depth-first pre-order ranks of every path
+        whose first step is one of the edges ``hops``, level after level."""
+        columns = [np.full(len(hops), source), self.indices[hops]]
         score, pair = self.weight[hops], self.pair[hops]
-        levels = [(paths, score)]
+        targets, scores, parents = [columns[-1]], [score], []
         for _ in range(1, self.max_path):
-            paths, score, pair = self._extend(paths, score, pair)
-            if not len(paths):
+            columns, score, pair, parent = self._extend(columns, score, pair)
+            if not len(score):
                 break
-            levels.append((paths, score))
-        padded = np.full((sum(len(p) for p, _ in levels), self.max_path), -1, dtype=np.int64)
-        row = 0
-        for paths, _ in levels:
-            padded[row : row + len(paths), : paths.shape[1] - 1] = paths[:, 1:]
-            row += len(paths)
-        order = np.lexsort(padded.T[::-1])
-        targets = np.concatenate([p[:, -1] for p, _ in levels])[order]
-        return targets, np.concatenate([s for _, s in levels])[order]
+            targets.append(columns[-1])
+            scores.append(score)
+            parents.append(parent)
+        # bottom-up, the paths under each path, itself included (whole
+        # numbers, held as floats)
+        sizes = [np.ones(len(targets[-1]))]
+        for parent, above in zip(parents[::-1], targets[-2::-1]):
+            sizes.insert(0, 1.0 + np.bincount(parent, weights=sizes[0], minlength=len(above)))
+        # top-down, with E_k level k's exclusive sums of sizes: a path r under
+        # p ranks after p and its earlier siblings' subtrees, whose sizes add
+        # to E_k[r] - (E_{k-1}[p] - p); E_{k-1}[p] - p is the size of level k
+        # under the paths before p
+        before = [np.cumsum(size) - size for size in sizes]
+        ranks = [before[0]]
+        for parent, above, here in zip(parents, before, before[1:]):
+            ranks.append(here + (ranks[-1] + 1.0 - above + np.arange(len(above)))[parent])
+        return np.concatenate(targets), np.concatenate(scores), np.concatenate(ranks).astype(np.int64)
 
     def reach(self, source: str):
         """The ids reached from ``source`` in order of first visit, and the
         raw reachability mass over all graph ids."""
         s = self.number[source]
         mass = np.zeros(len(self.terms))
-        first = np.full(len(self.terms), -1, dtype=np.int64)  # pre-order rank of first visit
+        unseen = np.iinfo(np.int64).max
+        first = np.full(len(self.terms), unseen)  # pre-order rank of first visit
         hops = np.arange(self.indptr[s], self.indptr[s + 1])
         bound = self.subtree[self.indices[hops]]
         chunk = (np.cumsum(bound) - bound) // _CHUNK_PATHS
         groups = np.split(hops, np.flatnonzero(np.diff(chunk)) + 1)
         seen = 0
         for group in groups:
-            targets, scores = self._subtree(s, group)
-            np.add.at(mass, targets, scores)  # sequential, so sums add in pre-order
-            reached, at = np.unique(targets, return_index=True)
-            new = first[reached] < 0
-            first[reached[new]] = seen + at[new]
+            targets, scores, rank = self._subtree(s, group)
+            order = np.empty_like(rank)
+            order[rank] = np.arange(len(rank))
+            np.add.at(mass, targets[order], scores[order])  # sequential, so sums add in pre-order
+            np.minimum.at(first, targets, seen + rank)
             seen += len(targets)
         self.paths += seen
-        visited = np.flatnonzero(first >= 0)
+        visited = np.flatnonzero(first != unseen)
         return visited[np.argsort(first[visited])], mass
 
     def probabilities(self, source: str):

@@ -105,7 +105,7 @@ class HolographicMemory:
         base_decay: float = 10.0,
         base_intensity: float = 1.0,
     ):
-        if time_window < 1 or prune_threshold < 0 or not (0 < match_threshold < 1):
+        if time_window < 1 or prune_threshold < 0 or not (0 < match_threshold < 1) or not base_decay > 0:
             raise ValueError("invalid memory parameters")
         self.dim = dim
         self.seed = seed
@@ -413,7 +413,7 @@ class HolographicMemory:
             time_window=_int(data, "time_window"),
             prune_threshold=_number(data, "prune_threshold"),
             match_threshold=_number(data, "match_threshold"),
-            base_decay=_number(data, "base_decay"),
+            base_decay=_positive(data, "base_decay"),  # every decay time is a multiple of it
             base_intensity=_number(data, "base_intensity"),
         )
         if not 1 <= mem.dim <= hrr._MAX_DIM:  # checked before a vector is regenerated
@@ -441,17 +441,14 @@ class HolographicMemory:
                 base_intensity=_number(rec, "base_intensity"),
                 assembly_parents=set(_ids(rec, "assembly_parents")),
                 assembly_members=_ids(rec, "assembly_members"),
-                connection_count=_int(rec, "connection_count"),
+                connection_count=_count(rec, "connection_count"),
             )
             for s in rec["signatures"]:
-                decay_time = _number(s, "decay_time")
-                if decay_time <= 0:
-                    raise ValueError(f"decay_time must be positive, not {decay_time!r}")
                 sig = Signature(
                     vector=_lookup(s["vector"], table, regenerated),
                     recorded_at=_int(s, "recorded_at"),
                     initial_intensity=_number(s, "initial_intensity"),
-                    decay_time=decay_time,
+                    decay_time=_positive(s, "decay_time"),
                 )
                 if sig.recorded_at > mem.clock:
                     raise ValueError(f"node {node.id!r} has a signature recorded at tick "
@@ -501,10 +498,24 @@ def _int(record: dict, key: str) -> int:
     return value
 
 
+def _count(record: dict, key: str) -> int:
+    value = _int(record, key)
+    if value < 0:
+        raise ValueError(f"{key} must be a count of 0 or more, not {value!r}")
+    return value
+
+
 def _number(record: dict, key: str) -> float:
     value = record[key]
     if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return value
+
+
+def _positive(record: dict, key: str) -> float:
+    value = _number(record, key)
+    if value <= 0:
+        raise ValueError(f"{key} must be positive, not {value!r}")
     return value
 
 

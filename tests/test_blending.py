@@ -14,6 +14,7 @@ import random
 from dataclasses import replace
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -456,7 +457,11 @@ def test_walk_equals_reference_exactly(case, max_path, mix):
     edges, k1, k3, generic = case
     graph, dk = graph_from(edges, k1, k3)
     assert_walks_match_reference(graph, dk, sorted(graph.nodes), generic, max_path, mix)
+    index = blending._WalkIndex(graph, dk, max_path, mix)
     for source in sorted(graph.nodes):
+        s = graph.ids[source]
+        targets, _, rank = index._subtree(s, np.arange(index.indptr[s], index.indptr[s + 1]))
+        assert sorted(rank.tolist()) == list(range(len(targets)))
         ref = reference_reach(graph, dk, source, max_path, mix)
         total = added_in_order(ref.values())
         for target in sorted(graph.nodes):
@@ -503,6 +508,27 @@ def test_walk_equals_reference_across_chunks_at_max_path_8():
     graph, dk = graph_from(edges, {t: 2 + i for i, t in enumerate(terms)}, k3)
     assert blending._WalkIndex(graph, dk, 8, MIX).subtree.min() > blending._CHUNK_PATHS
     assert_walks_match_reference(graph, dk, terms[:3], frozenset(terms[:2]), max_path=8)
+
+
+def test_walk_equals_reference_across_chunks_of_several_first_steps(monkeypatch):
+    # chunks small enough that each source's walk spans several, and large
+    # enough that each chunk walks several first steps together
+    monkeypatch.setattr(blending, "_CHUNK_PATHS", 400)
+    graph, dk = seeded_graph()
+    index = blending._WalkIndex(graph, dk, 3, MIX)
+    sources = random.Random(5).sample(sorted(graph.nodes), 5)
+    for source in sources:
+        s = graph.ids[source]
+        bound = index.subtree[index.indices[index.indptr[s] : index.indptr[s + 1]]]
+        per_chunk = np.bincount(((np.cumsum(bound) - bound) // blending._CHUNK_PATHS).astype(np.int64))
+        assert len(per_chunk) >= 2 and per_chunk.min() >= 2
+    generic = frozenset(sources[:3])
+    assert_walks_match_reference(graph, dk, sources, generic, max_path=3)
+    counts, paths = {}, []
+    candidate_scores(generic, graph, dk, 3, counts=counts)
+    for source in sorted(generic):
+        reference_reach(graph, dk, source, 3, paths=paths)
+    assert counts["walk_paths"] == len(paths)
 
 
 def test_walk_reads_each_pair_count_from_its_edge():

@@ -698,10 +698,12 @@ def _set_signature(snapshot, key, value):
      (_set_node, "connection_count", None), (_set_node, "base_intensity", float("nan")),
      (_set_signature, "recorded_at", "x"), (_set_signature, "recorded_at", 1.5),
      (_set_signature, "initial_intensity", [1.0]), (_set_signature, "decay_time", float("-inf")),
-     (_set_signature, "decay_time", 0.0)],
+     (_set_signature, "decay_time", 0.0), (_set_node, "connection_count", -1),
+     (_set_top, "base_decay", 0.0), (_set_top, "base_decay", -1.0)],
     ids=["clock", "counter", "dim", "base_intensity", "base_decay", "connection_count",
          "node_base_intensity", "recorded_at-str", "recorded_at-float", "initial_intensity",
-         "decay_time-inf", "decay_time-zero"],
+         "decay_time-inf", "decay_time-zero", "connection_count-negative", "base_decay-zero",
+         "base_decay-negative"],
 )
 def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, value):
     snapshot = json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
