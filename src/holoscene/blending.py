@@ -316,16 +316,15 @@ def confabulate(
     threshold: float = 0.05,
     max_path: int = 3,
     mix: float = 0.5,
-    anchored=frozenset(),
     counts: dict | None = None,
 ) -> BlendedSpace:
     """Blend the generic space with the best-supported outside concepts.
 
     The highest-scoring candidate always joins; others join when their
-    score, relative to that maximum, clears ``threshold``. ``anchored``
-    marks which blend terms were mentioned outright, for provenance.
-    ``counts`` is passed on to :func:`candidate_scores`. An empty generic
-    space raises :class:`NoSharedTermError`.
+    score, relative to that maximum, clears ``threshold``. Every term is
+    expanded or confabulated; :func:`absorb_anchored` marks the mentioned
+    ones. ``counts`` is passed on to :func:`candidate_scores`. An empty
+    generic space raises :class:`NoSharedTermError`.
     """
     if not generic.shared:
         raise NoSharedTermError("the clauses share no term, so there is nothing to blend")
@@ -342,14 +341,7 @@ def confabulate(
 
     scores = {t: 1.0 for t in generic.shared}
     scores.update(accepted)
-    provenance = {}
-    for term in scores:
-        if term in anchored:
-            provenance[term] = ANCHORED
-        elif term in generic.shared:
-            provenance[term] = EXPANDED
-        else:
-            provenance[term] = CONFABULATED
+    provenance = {t: EXPANDED if t in generic.shared else CONFABULATED for t in scores}
     return BlendedSpace(
         scores=scores, provenance=provenance, subgraph=graph.induced(scores)
     )

@@ -39,7 +39,7 @@ def _resolve_config(args) -> pipeline.PipelineConfig:
     config = pipeline.apply_env_overrides(config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config.validate()
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:

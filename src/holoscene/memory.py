@@ -380,10 +380,10 @@ class HolographicMemory:
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`, or a version 1 one.
         Text that is not UTF-8 or not JSON, a missing key, a value of the
-        wrong kind, an assembly link that names no node, a signature
-        recorded after the clock, a bad vector reference, a stream
-        fingerprint that does not match and an unknown version raise
-        :class:`GraphFormatError` naming the file."""
+        wrong kind, a node id listed twice, an assembly link that names no
+        node, a signature recorded after the clock, a bad vector reference,
+        a stream fingerprint that does not match and an unknown version
+        raise :class:`GraphFormatError` naming the file."""
         text = read_text(path)
         try:
             data = json.loads(text)
@@ -430,6 +430,8 @@ class HolographicMemory:
         for rec in data["nodes"]:
             if not isinstance(rec["id"], str):
                 raise TypeError(f"node id must be a string, not {rec['id']!r}")
+            if rec["id"] in mem.nodes:
+                raise ValueError(f"node id {rec['id']!r} is listed twice")
             level = Level(rec["level"])
             regenerated = None
             if level is Level.SENSORY:

@@ -819,15 +819,22 @@ def _read_triples(terms: list, lines: list) -> TripleCounts | None:
     return None if (ids < 0).any() else TripleCounts(terms, *ids, np.concatenate(counts))
 
 
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT id, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: OntologyGraph, colors: dict | None = None, name: str = "ontology") -> str:
     """DOT rendering; optional term -> fill color map."""
     lines = [f"graph {name} {{", "  node [style=filled, fillcolor=white];"]
     for term in graph.terms:
-        attrs = [f'label="{term}"']
+        quoted = _dot_id(term)
+        attrs = [f"label={quoted}"]
         if colors and term in colors:
             attrs.append(f'fillcolor="{colors[term]}"')
-        lines.append(f'  "{term}" [{", ".join(attrs)}];')
+        lines.append(f'  {quoted} [{", ".join(attrs)}];')
     for rec in graph.edges():
-        lines.append(f'  "{rec.src}" -- "{rec.dst}" [label="{rec.label}", weight={rec.weight:g}];')
+        lines.append(f"  {_dot_id(rec.src)} -- {_dot_id(rec.dst)} "
+                     f"[label={_dot_id(rec.label)}, weight={rec.weight:g}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

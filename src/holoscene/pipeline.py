@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import blending, hrr, memory, ontology, scenario, textfilter
@@ -72,17 +72,11 @@ class PipelineConfig:
         "time_window": (1, 1 << 20),
     }
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         for name, (lo, hi) in self._RANGES.items():
             value = getattr(self, name)
             if not (lo <= value <= hi):
                 raise ConfigError(f"{name}={value!r} outside [{lo}, {hi}]")
-        return self
-
-
-_INT_KEYS = {"dim", "seed", "depth", "max_path", "time_window"}
-_FLOAT_KEYS = {"threshold", "base_decay", "prune_threshold", "match_threshold", "mix"}
-_PATH_KEYS = {"objects_path", "values_path", "functions_path", "rules_path"}
 
 
 def _number(kind, value: str, name: str):
@@ -95,26 +89,35 @@ def _number(kind, value: str, name: str):
 
 
 def load_config(path) -> PipelineConfig:
-    """key = value file; unknown keys are rejected."""
-    overrides = {}
+    """key = value file; each value is read as its field's annotation says.
+    Any fault, an empty required path too, is a :class:`ConfigError` at its line."""
+    kinds = {f.name: f.type for f in fields(PipelineConfig)}
+    config, seen = PipelineConfig(), set()
     for line_no, line in read_lines(path):
         key, eq, value = (piece.strip() for piece in line.partition("="))
-        if eq != "=":
-            raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
-        if key in _INT_KEYS:
-            overrides[key] = _number(int, value, f"{path}:{line_no}: {key}")
-        elif key in _FLOAT_KEYS:
-            overrides[key] = _number(float, value, f"{path}:{line_no}: {key}")
-        elif key == "relations":
-            overrides[key] = tuple(r.strip() for r in value.split(",") if r.strip()) or None
-        elif key in _PATH_KEYS:
-            try:
-                overrides[key] = str((Path(path).parent / value).resolve()) if value else None
-            except ValueError as exc:  # a NUL byte, which no path can hold
-                raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
-        else:
-            raise ConfigError(f"{path}:{line_no}: unknown configuration key {key!r}")
-    return PipelineConfig(**overrides).validate()
+        try:
+            if eq != "=":
+                raise ConfigError(f"expected key = value, got {line!r}")
+            if key not in kinds:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            if key in seen:
+                raise ConfigError(f"second value for {key!r}")
+            seen.add(key)
+            kind = kinds[key]
+            if kind in ("int", "float"):
+                value = _number(int if kind == "int" else float, value, key)
+            elif kind == "tuple | None":
+                value = tuple(r.strip() for r in value.split(",") if r.strip()) or None
+            elif not value and kind == "str":
+                raise ConfigError(f"{key} must name a file")
+            else:
+                value = str((Path(path).parent / value).resolve()) if value else None
+            config = replace(config, **{key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
+        except ValueError as exc:  # a NUL byte, which no path can hold
+            raise ConfigError(f"{path}:{line_no}: {key}: {exc}") from None
+    return config
 
 
 def apply_env_overrides(config: PipelineConfig, environ=None) -> PipelineConfig:
@@ -126,7 +129,7 @@ def apply_env_overrides(config: PipelineConfig, environ=None) -> PipelineConfig:
                      (ENV_FUNCTIONS, "functions_path")):
         if env.get(var):
             updates[key] = env[var]
-    return replace(config, **updates).validate() if updates else config
+    return replace(config, **updates)
 
 
 @dataclass
@@ -251,7 +254,6 @@ def run_pipeline(
     ``ontology_path`` (load a prebuilt graph file with statistics) must be
     given. Returns (blended space, scene script, diagnostics).
     """
-    config.validate()
     if not input_text.strip():
         raise HolosceneError("input text is empty")
     if (corpus_dir is None) == (ontology_path is None):
@@ -323,7 +325,6 @@ def run_pipeline(
             threshold=config.threshold,
             max_path=config.max_path,
             mix=config.mix,
-            anchored=anchored_union,
             counts=diagnostics.counts,
         )
         blend = blending.absorb_anchored(blend, anchored_union, graph)

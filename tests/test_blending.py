@@ -387,7 +387,7 @@ class TestConfabulate:
     def test_provenance_marking(self):
         graph, dk = toy_six()
         generic = GenericSpace(shared=frozenset({"a", "b"}), correspondences=frozenset())
-        blend = confabulate(generic, graph, dk, threshold=0.3, anchored={"a"})
+        blend = absorb_anchored(confabulate(generic, graph, dk, threshold=0.3), {"a"}, graph)
         assert blend.provenance["a"] == "anchored"
         assert blend.provenance["b"] == "expanded"
         assert all(
@@ -600,7 +600,7 @@ class TestBlendFile:
     def test_roundtrip_and_dot(self, tmp_path):
         graph, dk = toy_six()
         generic = GenericSpace(shared=frozenset({"a", "b"}), correspondences=frozenset())
-        blend = confabulate(generic, graph, dk, threshold=0.3, anchored={"a"})
+        blend = absorb_anchored(confabulate(generic, graph, dk, threshold=0.3), {"a"}, graph)
         path = tmp_path / "toy.blend"
         save_blend(blend, path)
         again = load_blend(path)

@@ -184,19 +184,27 @@ class TestImagine:
             f"error: [parse] {story}:{line_no}: no verb found in sentence: {clause!r}\n")
 
     @pytest.mark.parametrize(
-        "record, message",
-        [("dim = abc", "dim must be an integer, not 'abc'"),
-         ("mix = half", "mix must be a number, not 'half'")],
-        ids=["int", "float"],
+        "records, line_no, message",
+        [("dim = abc", 2, "dim must be an integer, not 'abc'"),
+         ("mix = half", 2, "mix must be a number, not 'half'"),
+         ("dim = 0", 2, "dim=0 outside [1, 1048576]"),
+         ("mix = 1.5", 2, "mix=1.5 outside [0.0, 1.0]"),
+         ("dim = 8\ndim = 16", 3, "second value for 'dim'"),
+         ("objects_path =", 2, "objects_path must name a file"),
+         ("values_path =", 2, "values_path must name a file"),
+         ("functions_path =", 2, "functions_path must name a file")],
+        ids=["int", "float", "dim-range", "mix-range", "repeated-key", "empty-objects",
+             "empty-values", "empty-functions"],
     )
-    def test_unparseable_config_value_reports_file_and_line(self, tmp_path, capsys, record, message):
+    def test_unparseable_config_value_reports_file_and_line(self, tmp_path, capsys, records, line_no,
+                                                            message):
         config = tmp_path / "bad.config"
-        config.write_text(f"# holoscene config\n{record}\n")
+        config.write_text(f"# holoscene config\n{records}\n")
         code = main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
                      "-o", str(tmp_path / "s.json"), "--config", str(config)])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"error: {config}:2: {message}" in err
+        assert f"error: {config}:{line_no}: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["objects_path", "values_path", "functions_path", "rules_path"])

@@ -714,6 +714,15 @@ def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, v
 
 
 @pytest.mark.parametrize("source", ["v1", "v2"])
+def test_node_id_listed_twice_is_rejected(tmp_path, source):
+    snapshot = json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
+    snapshot["nodes"].append({**node_record(snapshot, "a"), "base_intensity": 0.5})
+    path = write_snapshot(tmp_path, snapshot)
+    with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: node id 'a' is listed twice"):
+        HolographicMemory.load(path)
+
+
+@pytest.mark.parametrize("source", ["v1", "v2"])
 @pytest.mark.parametrize(
     "node_id, key, value",
     [("c0003", "assembly_members", "c0001"), ("c0003", "assembly_members", ["c0001", 2]),

@@ -536,6 +536,17 @@ class TestGraphFile:
         assert '"sun" -- "shine"' in dot or '"shine" -- "sun"' in dot
         assert 'fillcolor="yellow"' in dot
 
+    def test_dot_export_escapes_quotes_and_backslashes(self, tmp_path):
+        path = tmp_path / "odd.graph"
+        path.write_text('node a"b entity\nnode c entity\nnode d\\e entity\n'
+                        'edge a"b c qu"ote 1\nedge c d\\e x\\y 2\n')
+        graph, _ = load_graph(path)
+        lines = to_dot(graph).splitlines()
+        assert '  "a\\"b" [label="a\\"b"];' in lines
+        assert '  "d\\\\e" [label="d\\\\e"];' in lines
+        assert '  "a\\"b" -- "c" [label="qu\\"ote", weight=1];' in lines
+        assert '  "c" -- "d\\\\e" [label="x\\\\y", weight=2];' in lines
+
 
 class TestDkScaled:
     def test_scaling_multiplies_all_orders(self):

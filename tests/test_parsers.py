@@ -200,6 +200,7 @@ def test_config_parser_raises_only_typed_errors(data):
 @CLI_PROPERTY
 @given(inputs(CONFIG))
 @example(b"values_path = a\x00b\n")
+@example(b"objects_path =\n")
 def test_imagine_with_any_config_exits_without_traceback(data):
     with written(data, "story.config") as path:
         path.with_name("rules.txt").write_text("beach -> sand\n")

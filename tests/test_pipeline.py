@@ -96,9 +96,14 @@ class TestConfig:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(match_threshold=1.5).validate()
+            PipelineConfig(match_threshold=1.5)
         with pytest.raises(ConfigError):
-            PipelineConfig(depth=-1).validate()
+            PipelineConfig(depth=-1)
+
+    def test_empty_rules_path_means_no_rules(self, tmp_path):
+        path = tmp_path / "story.config"
+        path.write_text("rules_path =\n")
+        assert load_config(path).rules_path is None
 
     def test_env_overrides_seed_and_paths(self):
         config = apply_env_overrides(
