@@ -24,15 +24,13 @@ subtree, so memory does not grow with the degree of the source.
 Scores are bit-identical to a recursive depth-first walk over sorted
 neighbours, not just close to it. Each path's score is built in the same
 order of multiplications: previous score times (step weight times triple
-boost). Within a chunk, each path's depth-first pre-order rank comes from
-the levels by arithmetic, not by sorting: subtree sizes add up bottom-up,
-and a path ranks after its parent and its earlier siblings' subtrees, read
-off exclusive prefix sums of each level's sizes. ``np.add.at`` then adds the
-paths, put in rank order, to each target's running sum one at a time,
-across chunks too. The walk hands back, per source, the ids it reached in
-order of first visit and a mass array over graph ids; each source's total
-adds in that order, and only ``reach_scores`` gives the targets their term
-names.
+boost). Within a chunk, the paths are made in depth-first pre-order: one
+``np.insert`` per level puts its paths right after their parents, siblings
+in neighbour order. ``np.add.at`` then adds them to each target's running
+sum one at a time, across chunks too. The walk hands back, per source, the
+ids it reached in order of first visit and a mass array over graph ids;
+each source's total adds in that order, and only ``reach_scores`` gives
+the targets their term names.
 
 A blend file is a graph file's ``node`` and ``edge`` records plus one
 ``score`` record per term, read by the one reader of both in ``ontology``.
@@ -193,32 +191,20 @@ class _WalkIndex:
         return columns, score[parent] * step, self.pair[edge], parent
 
     def _subtree(self, source, hops):
-        """Targets, scores and depth-first pre-order ranks of every path
-        whose first step is one of the edges ``hops``, level after level."""
+        """Targets and scores of every path whose first step is one of the
+        edges ``hops``, in depth-first pre-order: each level's paths go in
+        right after their parents, siblings in neighbour order."""
         columns = [np.full(len(hops), source), self.indices[hops]]
         score, pair = self.weight[hops], self.pair[hops]
-        targets, scores, parents = [columns[-1]], [score], []
+        targets, scores, at = columns[-1], score, np.arange(len(hops))  # at: the last level's places
         for _ in range(1, self.max_path):
             columns, score, pair, parent = self._extend(columns, score, pair)
             if not len(score):
                 break
-            targets.append(columns[-1])
-            scores.append(score)
-            parents.append(parent)
-        # bottom-up, the paths under each path, itself included (whole
-        # numbers, held as floats)
-        sizes = [np.ones(len(targets[-1]))]
-        for parent, above in zip(parents[::-1], targets[-2::-1]):
-            sizes.insert(0, 1.0 + np.bincount(parent, weights=sizes[0], minlength=len(above)))
-        # top-down, with E_k level k's exclusive sums of sizes: a path r under
-        # p ranks after p and its earlier siblings' subtrees, whose sizes add
-        # to E_k[r] - (E_{k-1}[p] - p); E_{k-1}[p] - p is the size of level k
-        # under the paths before p
-        before = [np.cumsum(size) - size for size in sizes]
-        ranks = [before[0]]
-        for parent, above, here in zip(parents, before, before[1:]):
-            ranks.append(here + (ranks[-1] + 1.0 - above + np.arange(len(above)))[parent])
-        return np.concatenate(targets), np.concatenate(scores), np.concatenate(ranks).astype(np.int64)
+            after = at[parent] + 1
+            targets, scores = np.insert(targets, after, columns[-1]), np.insert(scores, after, score)
+            at = after + np.arange(len(after))
+        return targets, scores
 
     def reach(self, source: str):
         """The ids reached from ``source`` in order of first visit, and the
@@ -226,18 +212,16 @@ class _WalkIndex:
         s = self.number[source]
         mass = np.zeros(len(self.terms))
         unseen = np.iinfo(np.int64).max
-        first = np.full(len(self.terms), unseen)  # pre-order rank of first visit
+        first = np.full(len(self.terms), unseen)  # pre-order place of first visit
         hops = np.arange(self.indptr[s], self.indptr[s + 1])
         bound = self.subtree[self.indices[hops]]
         chunk = (np.cumsum(bound) - bound) // _CHUNK_PATHS
         groups = np.split(hops, np.flatnonzero(np.diff(chunk)) + 1)
         seen = 0
         for group in groups:
-            targets, scores, rank = self._subtree(s, group)
-            order = np.empty_like(rank)
-            order[rank] = np.arange(len(rank))
-            np.add.at(mass, targets[order], scores[order])  # sequential, so sums add in pre-order
-            np.minimum.at(first, targets, seen + rank)
+            targets, scores = self._subtree(s, group)
+            np.add.at(mass, targets, scores)  # sequential, so sums add in pre-order
+            np.minimum.at(first, targets, seen + np.arange(len(targets)))
             seen += len(targets)
         self.paths += seen
         visited = np.flatnonzero(first != unseen)
@@ -321,7 +305,8 @@ def confabulate(
     """Blend the generic space with the best-supported outside concepts.
 
     The highest-scoring candidate always joins; others join when their
-    score, relative to that maximum, clears ``threshold``. Every term is
+    score is above 0 and, relative to that maximum, clears ``threshold``,
+    so a candidate no source reaches never joins. Every term is
     expanded or confabulated; :func:`absorb_anchored` marks the mentioned
     ones. ``counts`` is passed on to :func:`candidate_scores`. An empty
     generic space raises :class:`NoSharedTermError`.
@@ -336,7 +321,7 @@ def confabulate(
         argmax = next(t for t in raw if raw[t] == peak)
         for term in raw:
             relative = raw[term] / peak
-            if term == argmax or relative >= threshold:
+            if raw[term] > 0.0 and (term == argmax or relative >= threshold):
                 accepted[term] = relative
 
     scores = {t: 1.0 for t in generic.shared}

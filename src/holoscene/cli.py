@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import blending, memory, ontology, pipeline
 from .errors import (
+    EmptyTextError,
     GraphFormatError,
     HolosceneError,
     StageError,
@@ -87,6 +88,8 @@ def _cmd_imagine(args) -> int:
         blend, script, diagnostics = pipeline.run_pipeline(
             config, text, ontology_path=args.ontology
         )
+    except EmptyTextError as exc:
+        raise GraphFormatError(args.text_file, None, exc) from exc
     except StageError as exc:
         if not isinstance(exc.cause, UnparseableSentenceError):
             raise

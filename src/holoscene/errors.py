@@ -54,6 +54,10 @@ class UnparseableSentenceError(HolosceneError, ValueError):
         self.text = text
 
 
+class EmptyTextError(HolosceneError, ValueError):
+    """The input text holds nothing but whitespace."""
+
+
 class VocabularyGapError(HolosceneError, ValueError):
     """Sentence terms are missing from the ontology vocabulary."""
 

@@ -47,17 +47,11 @@ class Level(str, Enum):
     SECONDARY = "secondary"
     HIGHER = "higher"
 
-    @property
-    def rank(self) -> int:
-        return _LEVEL_ORDER.index(self)
-
     @staticmethod
     def above(levels) -> "Level":
-        top = max(l.rank for l in levels)
-        return _LEVEL_ORDER[min(top + 1, len(_LEVEL_ORDER) - 1)]
-
-
-_LEVEL_ORDER = [Level.SENSORY, Level.PRIMARY, Level.SECONDARY, Level.HIGHER]
+        """The level after the highest of ``levels`` (the top one is its own)."""
+        order = list(Level)
+        return order[min(max(map(order.index, levels)) + 1, len(order) - 1)]
 
 
 @dataclass
@@ -172,6 +166,22 @@ class HolographicMemory:
             return None, -2.0
         return hrr._nearest(vector, np.array([self.nodes[node_id].vector for node_id in ids]), ids)
 
+    def _recall_or_add(self, vector: hrr.Vector, level: Level, members=()) -> ConceptNode:
+        """The node nearest ``vector`` if its similarity clears
+        ``match_threshold``, else a new node on ``level``. An assembly (a
+        non-empty ``members``) recalls only a node on its own level; each
+        member of a new one is linked to it as its parent."""
+        match_id, sim = self._best_match(vector, level if members else None)
+        if match_id is not None and sim >= self.match_threshold:
+            return self.nodes[match_id]
+        node = ConceptNode(self._new_id(), level, vector, self.base_intensity,
+                           assembly_members=[m.id for m in members], connection_count=len(members))
+        self.nodes[node.id] = node
+        for m in members:
+            m.assembly_parents.add(node.id)
+            m.connection_count += 1
+        return node
+
     # -- operations --------------------------------------------------------
 
     def observe(self, activations) -> list[str]:
@@ -208,25 +218,10 @@ class HolographicMemory:
 
         pattern = hrr.superpose(vectors)
         pattern = pattern / np.linalg.norm(pattern)
-        match_id, sim = self._best_match(pattern)
-        if match_id is not None and sim >= self.match_threshold:
-            node = self.nodes[match_id]
-            if node.id not in affected:  # sensory self-match already recorded
-                self._record(node, pattern, now)
-                affected.append(node.id)
-            return affected
-
-        new_id = self._new_id()
-        members = [self.nodes[s] for s, _ in activations]
-        node = ConceptNode(
-            id=new_id,
-            level=Level.above([m.level for m in members]),
-            vector=pattern,
-            base_intensity=self.base_intensity,
-        )
-        self.nodes[new_id] = node
-        self._record(node, pattern, now)
-        affected.append(new_id)
+        node = self._recall_or_add(pattern, Level.above([self.nodes[s].level for s, _ in activations]))
+        if node.id not in affected:  # a sensory self-match is already recorded
+            self._record(node, pattern, now)
+            affected.append(node.id)
         return affected
 
     def assemble(self, member_ids, now: int) -> str:
@@ -245,26 +240,8 @@ class HolographicMemory:
         for m in members[1:]:
             chain = hrr.convolve(chain, m.vector)
         chain = chain / np.linalg.norm(chain)
-        level = Level.above([m.level for m in members])
-
-        match_id, sim = self._best_match(chain, level=level)
-        if match_id is not None and sim >= self.match_threshold:
-            node = self.nodes[match_id]
-            self._record(node, chain, now)
-        else:
-            node = ConceptNode(
-                id=self._new_id(),
-                level=level,
-                vector=chain,
-                base_intensity=self.base_intensity,
-                assembly_members=list(unique),
-                connection_count=len(unique),
-            )
-            self.nodes[node.id] = node
-            self._record(node, chain, now)
-            for m in members:
-                m.assembly_parents.add(node.id)
-                m.connection_count += 1
+        node = self._recall_or_add(chain, Level.above([m.level for m in members]), members)
+        self._record(node, chain, now)
         for m in members:
             self.reinforce(m.id, now)
         return node.id

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import blending, hrr, memory, ontology, scenario, textfilter
-from .errors import ConfigError, HolosceneError, StageError, read_lines, read_text
+from .errors import ConfigError, EmptyTextError, HolosceneError, StageError, read_lines, read_text
 from .lexicon import default_lexicon
 
 _DEMO_DIR = Path(__file__).parent / "data" / "demo"
@@ -252,10 +252,11 @@ def run_pipeline(
 
     Exactly one of ``corpus_dir`` (build the ontology now) or
     ``ontology_path`` (load a prebuilt graph file with statistics) must be
-    given. Returns (blended space, scene script, diagnostics).
+    given. Returns (blended space, scene script, diagnostics). A text of
+    nothing but whitespace raises :class:`EmptyTextError`.
     """
     if not input_text.strip():
-        raise HolosceneError("input text is empty")
+        raise EmptyTextError("input text is empty")
     if (corpus_dir is None) == (ontology_path is None):
         raise HolosceneError("provide exactly one of corpus_dir or ontology_path")
     lex = lexicon or default_lexicon()

@@ -112,7 +112,7 @@ def oracle_accepted(generic_terms, graph, dk, threshold, max_path=MAX_PATH, mix=
     if peak == 0.0:
         return set(), scores
     argmax = min(t for t in scores if scores[t] == peak)
-    return {t for t in scores if t == argmax or scores[t] / peak >= threshold}, scores
+    return {t for t in scores if scores[t] > 0 and (t == argmax or scores[t] / peak >= threshold)}, scores
 
 
 # -- reference walk ------------------------------------------------------------
@@ -169,6 +169,26 @@ def reference_candidates(generic_terms, graph, dk, max_path=MAX_PATH, mix=MIX):
             product *= raw.get(term, 0.0) / total if total else 0.0
         scores[term] = product
     return scores
+
+
+def assert_subtree_in_pre_order(index, graph, dk, source, max_path, mix=MIX):
+    """The targets ``index.reach`` takes from ``_subtree``, chunk after
+    chunk, are the last terms of the reference walk's paths, in its order."""
+    got = []
+
+    def recorded(s, hops):
+        targets, scores = type(index)._subtree(index, s, hops)
+        got.extend(graph.terms[t] for t in targets)
+        return targets, scores
+
+    index._subtree = recorded
+    try:
+        index.reach(source)
+    finally:
+        del index._subtree
+    paths = []
+    reference_reach(graph, dk, source, max_path, mix, paths=paths)
+    assert got == [path[-1] for path in paths]
 
 
 def assert_walks_match_reference(graph, dk, sources, generic, max_path, mix=MIX):
@@ -366,6 +386,15 @@ class TestConfabulate:
         blend = confabulate(generic, graph, dk, threshold=1.0 + 1e-9)
         assert len(blend.by_provenance("confabulated")) == 1
 
+    def test_threshold_zero_imagines_no_term_that_no_source_reaches(self):
+        # "f" has no edge, so its raw score is 0 and 0 / peak clears a threshold of 0
+        graph, dk = toy_six()
+        generic = GenericSpace(shared=frozenset({"a", "b"}), correspondences=frozenset())
+        assert candidate_scores({"a", "b"}, graph, dk)["f"] == 0.0
+        blend = confabulate(generic, graph, dk, threshold=0.0)
+        assert blend.by_provenance("confabulated") == {"c", "d", "e"}
+        assert oracle_accepted({"a", "b"}, graph, dk, 0.0)[0] == {"c", "d", "e"}
+
     def test_empty_generic_space_rejected(self):
         graph, dk = toy_six()
         with pytest.raises(NoSharedTermError, match="share no term") as err:
@@ -459,9 +488,7 @@ def test_walk_equals_reference_exactly(case, max_path, mix):
     assert_walks_match_reference(graph, dk, sorted(graph.nodes), generic, max_path, mix)
     index = blending._WalkIndex(graph, dk, max_path, mix)
     for source in sorted(graph.nodes):
-        s = graph.ids[source]
-        targets, _, rank = index._subtree(s, np.arange(index.indptr[s], index.indptr[s + 1]))
-        assert sorted(rank.tolist()) == list(range(len(targets)))
+        assert_subtree_in_pre_order(index, graph, dk, source, max_path, mix)
         ref = reference_reach(graph, dk, source, max_path, mix)
         total = added_in_order(ref.values())
         for target in sorted(graph.nodes):
@@ -522,6 +549,7 @@ def test_walk_equals_reference_across_chunks_of_several_first_steps(monkeypatch)
         bound = index.subtree[index.indices[index.indptr[s] : index.indptr[s + 1]]]
         per_chunk = np.bincount(((np.cumsum(bound) - bound) // blending._CHUNK_PATHS).astype(np.int64))
         assert len(per_chunk) >= 2 and per_chunk.min() >= 2
+        assert_subtree_in_pre_order(index, graph, dk, source, max_path=3)
     generic = frozenset(sources[:3])
     assert_walks_match_reference(graph, dk, sources, generic, max_path=3)
     counts, paths = {}, []

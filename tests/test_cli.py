@@ -183,6 +183,12 @@ class TestImagine:
         assert capsys.readouterr().err == (
             f"error: [parse] {story}:{line_no}: no verb found in sentence: {clause!r}\n")
 
+    def test_blank_text_reports_file(self, tmp_path, capsys):
+        story = tmp_path / "blank.txt"
+        story.write_text("  \n\n \t\n")
+        assert main(["imagine", str(story), "--ontology", str(DEMO / "demo.graph")]) == 1
+        assert capsys.readouterr().err == f"error: {story}: input text is empty\n"
+
     @pytest.mark.parametrize(
         "records, line_no, message",
         [("dim = abc", 2, "dim must be an integer, not 'abc'"),
