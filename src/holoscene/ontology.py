@@ -19,16 +19,24 @@ frequency (order 0) is the mean of order 1. The pair frequency over
 2-sentence windows (order 2) is the edge weight, which only
 ``build_from_corpus`` counts.
 
-Each window's sorted term pairs (or sorted triples of term ids) are
-counted with one ``Counter.update``, in C. A sentence is searched only for
-the relation patterns whose surface it contains, and tokenised a second
-time, to find the labelled pairs, only when one of them matches.
+A corpus is scanned once (``_scan_corpus``): each sentence is split off
+and its content terms taken, as ids into the sorted term table.
+``pipeline.build_ontology`` hands that one scan to both ``build_from_corpus``
+and ``extract_dk``; either, called alone, scans for itself. Windows are
+counted by ``_window_rows``: the windows are grouped by their number of
+distinct term ids, every combination of a group is gathered at once
+through one index table, and the rows are counted by ``np.unique``, the
+pairs' in ``build_from_corpus`` and the triples' in :class:`TripleCounts`.
+A sentence is searched only for the relation patterns whose surface it
+contains, and tokenised a second time, to find the labelled pairs, only
+when one of them matches.
 
 Triple counts are held as arrays (:class:`TripleCounts`): the sorted term
 table, one sorted int64 code ``(lo·n + mid)·n + hi`` per triple of term
 ids, and the counts in code order. Only that class knows the code. Its
 one constructor takes columns of term ids, computes and sorts the codes
-and refuses a repeated triple; the graph file reader, ``extract_dk`` and
+and refuses a repeated triple, or, given no counts, counts the repeated
+rows of a triple as its count; the graph file reader, ``extract_dk`` and
 a ``DkStatistics`` given a plain mapping all build through it. Its
 ``count`` looks triples of term ids up a whole array at a time, and its
 ``over`` renumbers them over another term table, such as a graph's.
@@ -50,10 +58,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
@@ -230,22 +238,28 @@ class TripleCounts(Mapping):
 
     Built from three columns ``a``, ``b``, ``c`` of ids into ``terms`` (a
     sorted term list of at most 2^21 terms), one triple per row in any
-    order within it, and each triple's count, finite and positive. Stored
-    as arrays: ``terms``; ``codes``, the sorted int64 code ``(lo·n + mid)·n
-    + hi`` of each triple, its ids sorted into ``lo <= mid <= hi`` and ``n``
-    the number of terms; and ``counts``, floats in code order. Codes sort
-    as the sorted triples do, so iteration yields the triples in sorted
-    order. A repeated triple, a larger table or a count that is not finite
-    and positive raises ValueError.
+    order within it, and each triple's count, finite and positive; or,
+    with no counts, one row per occurrence, each triple counted as often
+    as rows repeat it. Stored as arrays: ``terms``; ``codes``, the sorted
+    int64 code ``(lo·n + mid)·n + hi`` of each triple, its ids sorted into
+    ``lo <= mid <= hi`` and ``n`` the number of terms; and ``counts``,
+    floats in code order. Codes sort as the sorted triples do, so
+    iteration yields the triples in sorted order. A repeated triple given
+    with counts, a larger table or a count that is not finite and
+    positive raises ValueError.
 
     Only this class computes codes: :meth:`count` looks triples of ids
     up and :meth:`over` renumbers the table over other terms."""
 
-    def __init__(self, terms, a, b, c, counts):
+    def __init__(self, terms, a, b, c, counts=None):
         if len(terms) > _MAX_TERMS:
             raise _TooManyTerms(f"{len(terms)} terms: triple codes fit in int64 for at most {_MAX_TERMS}")
         self.terms = terms
         codes = self._code(a, b, c)
+        if counts is None:
+            self.codes, counts = np.unique(codes, return_counts=True)
+            self.counts = counts.astype(float)
+            return
         order = np.argsort(codes)
         self.codes, self.counts = codes[order], np.asarray(counts, dtype=float)[order]
         repeated = np.flatnonzero(self.codes[1:] == self.codes[:-1])
@@ -362,13 +376,50 @@ class DkStatistics:
 # -- corpus scanning ---------------------------------------------------------
 
 
-def _count_windows(term_lists, width: int, counts: Counter) -> None:
-    """Add to ``counts`` the sorted ``width``-term combinations of each window
-    of ``width`` consecutive sentences, or of the one window of all the
-    sentences when there are fewer. Terms may be strings or term ids."""
-    for start in range(max(1, len(term_lists) - width + 1)):
-        window = set(chain.from_iterable(term_lists[start:start + width]))
-        counts.update(combinations(sorted(window), width))
+class _Scan(NamedTuple):
+    """One pass over a corpus: each document's sentences, the terms in
+    first-seen order, the sorted term table, and each document's sentences
+    as lists of ids into that table, one per content term occurrence."""
+
+    sentences: list
+    seen: list
+    terms: list
+    ids: list
+
+
+def _scan_corpus(corpus, lexicon: Lexicon | None = None) -> _Scan:
+    """Split each document of ``corpus`` into sentences and take each
+    sentence's content terms, once."""
+    lex = lexicon or default_lexicon()
+    sentences = [split_sentences(document) for document in corpus]
+    term_lists = [[lex.content_terms(s) for s in document] for document in sentences]
+    seen = list(dict.fromkeys(chain.from_iterable(chain.from_iterable(term_lists))))
+    terms = sorted(seen)
+    number = dict(zip(terms, range(len(terms)))).__getitem__
+    ids = [[list(map(number, t)) for t in document] for document in term_lists]
+    return _Scan(sentences, seen, terms, ids)
+
+
+@lru_cache(maxsize=64)
+def _picks(size: int, width: int) -> np.ndarray:
+    """The ``width``-combinations of ``range(size)``, one row each."""
+    return np.array(list(combinations(range(size), width)), dtype=np.intp).reshape(-1, width)
+
+
+def _window_rows(documents, width: int) -> np.ndarray:
+    """One row per sorted ``width``-combination of the term ids of each
+    window of ``width`` consecutive sentences, or of the one window of all
+    of a document's sentences when it has fewer. ``documents`` holds each
+    document's sentences as id lists. Windows are grouped by their number
+    of distinct ids, and each group's combinations are gathered at once."""
+    by_size = defaultdict(list)
+    for id_lists in documents:
+        for start in range(max(1, len(id_lists) - width + 1)):
+            window = sorted(set(chain.from_iterable(id_lists[start:start + width])))
+            by_size[len(window)].append(window)
+    rows = [np.array(windows, dtype=np.int64)[:, _picks(size, width)].reshape(-1, width)
+            for size, windows in by_size.items() if size >= width]
+    return np.concatenate(rows) if rows else np.zeros((0, width), dtype=np.int64)
 
 
 def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
@@ -408,53 +459,45 @@ def _match_relations(sentence: str, patterns, lex: Lexicon) -> list:
     return out
 
 
-def build_from_corpus(corpus, lexicon: Lexicon | None = None) -> OntologyGraph:
+def build_from_corpus(corpus, lexicon: Lexicon | None = None, *, scan: _Scan | None = None) -> OntologyGraph:
     """Vocabulary graph with co-occurrence edge weights over a corpus.
 
     ``corpus`` is a list of document strings; sentences split on .!? and
     windows never cross document boundaries. The lexicon's relation
     patterns map a surface pattern to an edge label; unmatched pairs get
-    "related-to".
+    "related-to". ``scan``, if given, is ``_scan_corpus(corpus, lexicon)``,
+    so that the corpus is not scanned again.
     """
     lex = lexicon or default_lexicon()
-
-    terms_seen: dict[str, None] = {}
-    pair_counts: Counter = Counter()
+    scan = scan or _scan_corpus(corpus, lex)
     labels: dict[tuple, tuple] = {}
-    for document in corpus:
-        sentences = split_sentences(document)
-        term_lists = [lex.content_terms(s) for s in sentences]
-        terms_seen.update(dict.fromkeys(chain.from_iterable(term_lists)))
-        _count_windows(term_lists, 2, pair_counts)
-        for sentence in sentences:
-            for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
-                labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
+    for sentence in chain.from_iterable(scan.sentences):
+        for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
+            labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
-    src, dst = (list(ends) for ends in zip(*pair_counts)) if pair_counts else ([], [])
+    n = max(len(scan.terms), 1)
+    rows = _window_rows(scan.ids, 2)
+    pairs, weight = np.unique(rows[:, 0] * n + rows[:, 1], return_counts=True)
+    terms = np.array(scan.terms, dtype=object)
+    src, dst = (terms[ends].tolist() for ends in np.divmod(pairs, n))
     label = [GENERIC_RELATION] * len(src)
-    row = dict(zip(pair_counts, range(len(src))))
-    for pair, (a, b, name) in labels.items():  # the few pairs a relation pattern labelled
-        if pair in row:
-            src[row[pair]], dst[row[pair]], label[row[pair]] = a, b, name
-    return OntologyGraph({term: lex.semantic_type(term) for term in terms_seen},
-                         src, dst, label, list(pair_counts.values()))
+    for (lo, hi), (a, b, name) in labels.items():  # both terms share a sentence, so the pair is counted
+        at = int(np.searchsorted(pairs, bisect_left(scan.terms, lo) * n + bisect_left(scan.terms, hi)))
+        src[at], dst[at], label[at] = a, b, name
+    return OntologyGraph({term: lex.semantic_type(term) for term in scan.seen}, src, dst, label, weight)
 
 
-def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None) -> DkStatistics:
+def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None, *,
+               scan: _Scan | None = None) -> DkStatistics:
     """Word and triple frequencies over the same sentences the graph was
     built from; the pair counts are ``graph``'s edge weights. If ``graph``
-    is given, every counted term must be one of its nodes."""
-    lex = lexicon or default_lexicon()
-    documents = [[lex.content_terms(s) for s in split_sentences(document)] for document in corpus]
-    k1 = Counter(chain.from_iterable(chain.from_iterable(documents)))
-    terms = sorted(k1)
-    number = dict(zip(terms, range(len(terms))))
-    k3: Counter = Counter()  # sorted triples of term ids
-    for term_lists in documents:
-        _count_windows([list(map(number.__getitem__, t)) for t in term_lists], 3, k3)
-    ids = np.fromiter(chain.from_iterable(k3), dtype=np.int64, count=3 * len(k3)).reshape(-1, 3)
-    counts = np.fromiter(k3.values(), dtype=float, count=len(k3))
-    stats = DkStatistics(k1=dict(k1), k3=TripleCounts(terms, *ids.T, counts))
+    is given, every counted term must be one of its nodes. ``scan``, if
+    given, is ``_scan_corpus(corpus, lexicon)``."""
+    scan = scan or _scan_corpus(corpus, lexicon)
+    every = np.fromiter(chain.from_iterable(chain.from_iterable(scan.ids)), dtype=np.int64)
+    k1 = dict.fromkeys(scan.seen)  # in first-seen order, as a Counter keeps it
+    k1.update(zip(scan.terms, np.bincount(every, minlength=len(scan.terms)).tolist()))
+    stats = DkStatistics(k1=k1, k3=TripleCounts(scan.terms, *_window_rows(scan.ids, 3).T))
     if graph is not None:
         missing = [t for t in stats.k1 if t not in graph.nodes]
         if missing:

@@ -186,9 +186,15 @@ def read_corpus_dir(corpus_dir) -> list:
 
 
 def build_ontology(corpus_dir, lexicon=None):
+    """The graph and word statistics of the corpus in ``corpus_dir``, from
+    one scan of it. A corpus with no content term raises
+    :class:`HolosceneError`: its graph would have no node to imagine from."""
     corpus = read_corpus_dir(corpus_dir)
-    graph = ontology.build_from_corpus(corpus, lexicon=lexicon)
-    dk = ontology.extract_dk(corpus, graph, lexicon=lexicon)
+    scan = ontology._scan_corpus(corpus, lexicon)
+    if not scan.terms:
+        raise HolosceneError(f"corpus directory {corpus_dir} holds no content term")
+    graph = ontology.build_from_corpus(corpus, lexicon=lexicon, scan=scan)
+    dk = ontology.extract_dk(corpus, graph, lexicon=lexicon, scan=scan)
     return graph, dk
 
 

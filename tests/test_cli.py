@@ -59,6 +59,18 @@ class TestBuildOntology:
         edges = sum(1 for line in out.read_text().splitlines() if line.startswith("edge "))
         assert f" nodes, {edges} edges" in capsys.readouterr().out
 
+    def test_corpus_without_content_terms_is_refused(self, tmp_path, capsys):
+        corpus = tmp_path / "stopwords"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("The a of. Is the!\n")
+        (corpus / "b.txt").write_text("")
+        out = tmp_path / "empty.graph"
+        assert main(["build-ontology", str(corpus), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"corpus directory {corpus} holds no content term" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestImagine:
     def test_writes_script_and_blend(self, built_graph, tmp_path, capsys):

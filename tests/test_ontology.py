@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoscene import ontology
-from holoscene.errors import GraphFormatError, UnknownTermError, UnmappedTermError, read_lines
+from holoscene.errors import GraphFormatError, HolosceneError, UnknownTermError, UnmappedTermError, read_lines
 from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
     GENERIC_RELATION,
@@ -43,6 +43,7 @@ from holoscene.ontology import (
     save_graph,
     to_dot,
 )
+from holoscene.pipeline import build_ontology
 
 from test_parsers import GRAPH, reshaped, written
 
@@ -155,6 +156,26 @@ def assert_scan_matches_reference(corpus, relation_lexicon=None):
         save_graph(graph, got_path, dk)
         save_graph(want, want_path, want_dk)
         assert got_path.read_bytes() == want_path.read_bytes()
+        assert_shared_scan_writes(corpus, lex, graph, got_path.read_bytes(), Path(tmp))
+
+
+def assert_shared_scan_writes(corpus, lex, graph, want: bytes, tmp: Path):
+    """``pipeline.build_ontology``, which scans the corpus once for both
+    ``build_from_corpus`` and ``extract_dk``, writes the graph file ``want``
+    that separate calls wrote (``graph`` their graph), and keeps the node
+    order; a corpus with no content term is refused, naming its directory."""
+    corpus_dir = tmp / "corpus"
+    corpus_dir.mkdir()
+    for i, document in enumerate(corpus):
+        (corpus_dir / f"{i:04d}.txt").write_bytes(document.encode("utf-8"))
+    if not graph.nodes:
+        with pytest.raises(HolosceneError, match=f"corpus directory {corpus_dir}"):
+            build_ontology(corpus_dir, lexicon=lex)
+        return
+    shared, shared_dk = build_ontology(corpus_dir, lexicon=lex)
+    assert list(shared.nodes.items()) == list(graph.nodes.items())
+    save_graph(shared, tmp / "shared.graph", shared_dk)
+    assert (tmp / "shared.graph").read_bytes() == want
 
 
 # stop-words, verbs, adjectives, possessives, sentence ends and every
@@ -183,6 +204,60 @@ def test_scan_matches_reference_on_random_corpora(corpus, relation_lexicon):
 @pytest.mark.parametrize("corpus", [TOY_CORPUS, DEMO_CORPUS], ids=["toy", "demo"])
 def test_scan_matches_reference_on_shipped_corpora(corpus):
     assert_scan_matches_reference(corpus)
+
+
+_WINDOW_CASES = {  # each document's sentences as term id lists
+    "fewer-sentences-than-width": [[[0, 1]], [[2, 0], [1, 3]]],
+    "sentences-without-terms": [[[], [0, 1], [], [2], []]],
+    "fewer-terms-than-width": [[[0], [0], [1]], [[2], [2, 2]]],
+    "term-repeated-in-window": [[[0, 1, 0], [1, 2, 2], [2, 0, 3]]],
+    "only-empty-documents": [[], [], []],
+    "only-termless-sentences": [[[]], [[], [], []]],
+}
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("documents", _WINDOW_CASES.values(), ids=_WINDOW_CASES.keys())
+def test_window_rows_match_reference_windows(documents, width):
+    want = Counter(combo for document in documents for window in reference_windows(document, width)
+                   for combo in combinations(sorted(window), width))
+    rows = ontology._window_rows(documents, width)
+    assert rows.shape == (sum(want.values()), width)
+    assert Counter(map(tuple, rows.tolist())) == want
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [["Ball sand."], ["The ball sand. Is the. The sun. Of the."], ["Ball. Ball sand. Ball."],
+     ["Ball sand ball. Sand ball sand. Sun ball."], ["", ""], ["The a. Is of."]],
+    ids=["fewer-sentences-than-width", "sentences-without-terms", "fewer-terms-than-width",
+         "term-repeated-in-window", "only-empty-documents", "only-stop-words"],
+)
+def test_scan_matches_reference_on_window_edge_cases(corpus):
+    assert_scan_matches_reference(corpus)
+
+
+def assert_doubled_corpus_doubles_counts(corpus):
+    """Listing every document twice doubles every edge weight and every
+    ``k1`` and ``k3`` count, and changes no node, label or triple."""
+    graph, dk = build_from_corpus(corpus), extract_dk(corpus)
+    twice = corpus + corpus
+    doubled, doubled_dk = build_from_corpus(twice), extract_dk(twice)
+    assert list(doubled.nodes.items()) == list(graph.nodes.items())
+    assert doubled.edges() == [rec._replace(weight=2 * rec.weight) for rec in graph.edges()]
+    assert list(doubled_dk.k1.items()) == [(term, 2 * count) for term, count in dk.k1.items()]
+    assert list(doubled_dk.k3.items()) == [(triple, 2 * count) for triple, count in dk.k3.items()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_CORPORA)
+def test_doubling_the_corpus_doubles_every_count(corpus):
+    assert_doubled_corpus_doubles_counts(corpus)
+
+
+@pytest.mark.parametrize("corpus", [TOY_CORPUS, DEMO_CORPUS], ids=["toy", "demo"])
+def test_doubling_a_shipped_corpus_doubles_every_count(corpus):
+    assert_doubled_corpus_doubles_counts(corpus)
 
 
 def oracle_counts(corpus):
@@ -826,6 +901,9 @@ def test_triple_counts_agree_with_a_dict(case):
     assert got.tolist() == [want.get(tuple(sorted(terms[i] for i in row)), 0.0) for row in ids.tolist()]
     assert list(counts.items()) == sorted(want.items())
     assert len(counts) == len(want) and list(counts) == sorted(want)
+    repeated = [row for row, count in zip(rows, want.values()) for _ in range(int(count))]
+    tallied = TripleCounts(terms, *np.array(repeated, dtype=np.int64).reshape(-1, 3).T)
+    assert list(tallied.items()) == sorted(want.items())
     for key in [*product(terms + ["zzz"], repeat=3), ("ball",), "ball", ()]:
         assert (key in counts) == (key in want)
         assert counts.get(key) == want.get(key)
