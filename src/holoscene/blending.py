@@ -3,12 +3,13 @@ coding, and graph confabulation.
 
 Confabulation pulls unmentioned concepts into the blend. A candidate d is
 scored by the product, over the generic-space terms g, of the probability
-of walking from g to d in at most ``max_path`` steps. Step weights come
-from the word statistics: the observed pair frequency relative to the
-source's frequency, smoothed with the target's relative frequency, and a
-boost when a step triple was itself observed. Scores are normalized by
-the maximum so the acceptance threshold is scale-free, and scaling every
-frequency by a positive constant provably leaves the ranking unchanged.
+of walking from g to d in at most ``max_path`` steps (1 to ``MAX_PATH``).
+Step weights come from the word statistics: the observed pair frequency
+relative to the source's frequency, smoothed by ``mix`` (0 to 1) with the
+target's relative frequency, and a boost when a step triple was itself
+observed. Scores are normalized by the maximum so the acceptance threshold
+is scale-free, and scaling every frequency by a positive constant provably
+leaves the ranking unchanged.
 
 The walk reads the graph's CSR rows, less any self-loop. Once per
 ``candidate_scores`` call, for every generic source, it builds only what
@@ -125,6 +126,8 @@ def decode_probe(trace, probe, book: hrr.Codebook):
 # -- dK walk scoring -----------------------------------------------------------
 
 
+MAX_PATH = 3  # the longest walk: shipped and benchmarked configs take 1 or 3 steps
+
 # A chunk of a walk takes consecutive first steps until their path bounds
 # pass this, so it holds at most this many paths plus one first step's.
 _CHUNK_PATHS = 1 << 15
@@ -132,7 +135,8 @@ _CHUNK_PATHS = 1 << 15
 
 class _WalkIndex:
     """The walk's arrays over a graph and its statistics, built once and
-    shared by every source walked with the same ``max_path`` and ``mix``.
+    shared by every source walked with the same ``max_path`` and ``mix``
+    (``ValueError`` outside [1, MAX_PATH] and [0, 1]).
 
     ``indptr`` and ``indices`` are the graph's CSR rows less its
     self-loops, so array order is the order the walk takes neighbours in.
@@ -143,6 +147,10 @@ class _WalkIndex:
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
+        if not 1 <= max_path <= MAX_PATH:
+            raise ValueError(f"max_path must be in [1, {MAX_PATH}], not {max_path!r}")
+        if not 0.0 <= mix <= 1.0:
+            raise ValueError(f"mix must be in [0, 1], not {mix!r}")
         self.terms, self.number = graph.terms, graph.ids
         self.max_path = max_path
         self.paths = 0
@@ -261,9 +269,8 @@ def transition_probability(
     for term in (from_term, to_term):
         if term not in graph.nodes:
             raise UnknownTermError(f"term not in graph: {term!r}", [term])
-    if from_term == to_term:
-        return 1.0
-    return float(_WalkIndex(graph, dk, max_path, mix).probabilities(from_term)[graph.ids[to_term]])
+    index = _WalkIndex(graph, dk, max_path, mix)
+    return 1.0 if from_term == to_term else float(index.probabilities(from_term)[graph.ids[to_term]])
 
 
 def candidate_scores(

@@ -13,12 +13,11 @@ distinct vector once, or ``null``: the ``random_vector(seed, dim, id)``
 of a sensory node, written only when the vector equals it bit for bit.
 A snapshot with a ``null`` also holds ``"stream_sha256"``, the SHA-256 of
 ``random_vector(seed, dim, "")``, so a NumPy that draws another stream is
-refused instead of regenerating other vectors. Version 1 snapshots, with
-every vector inline, still load. A missing key, a value of the wrong kind,
-an assembly link that is not the id of a node of the snapshot, a signature
-recorded after the clock, a bad vector reference, a stream fingerprint that
-does not match or an unknown version is a :class:`GraphFormatError` naming
-the file.
+refused instead of regenerating other vectors. A version other than 2, a
+missing key, a value of the wrong kind, an assembly link that is not the id
+of a node of the snapshot, a signature recorded after the clock, a bad
+vector reference or a stream fingerprint that does not match is a
+:class:`GraphFormatError` naming the file.
 """
 
 from __future__ import annotations
@@ -355,12 +354,12 @@ class HolographicMemory:
 
     @classmethod
     def load(cls, path) -> "HolographicMemory":
-        """Read a snapshot written by :meth:`save`, or a version 1 one.
-        Text that is not UTF-8 or not JSON, a missing key, a value of the
+        """Read a snapshot written by :meth:`save`. Text that is not UTF-8
+        or not JSON, a version other than 2, a missing key, a value of the
         wrong kind, a node id listed twice, an assembly link that names no
-        node, a signature recorded after the clock, a bad vector reference,
-        a stream fingerprint that does not match and an unknown version
-        raise :class:`GraphFormatError` naming the file."""
+        node, a signature recorded after the clock, a bad vector reference
+        and a stream fingerprint that does not match raise
+        :class:`GraphFormatError` naming the file."""
         text = read_text(path)
         try:
             data = json.loads(text)
@@ -371,8 +370,6 @@ class HolographicMemory:
         if not isinstance(data, dict):
             raise GraphFormatError(path, None, "bad snapshot value: not a JSON object")
         try:
-            if _is_int(data.get("version")) and data["version"] == 1:
-                data = _v1_to_v2(data)
             return cls._from_snapshot(data)
         except KeyError as exc:
             raise GraphFormatError(path, None, f"snapshot lacks key {exc.args[0]!r}") from None
@@ -381,9 +378,12 @@ class HolographicMemory:
 
     @classmethod
     def _from_snapshot(cls, data: dict) -> "HolographicMemory":
-        """The memory a version 2 snapshot describes. A missing key raises
-        ``KeyError``; a value of the wrong kind ``TypeError`` or
-        ``ValueError``."""
+        """The memory a version 2 snapshot describes; the version is read
+        before any other key. A missing key raises ``KeyError``; a value of
+        the wrong kind ``TypeError`` or ``ValueError``."""
+        version = data["version"]
+        if not _is_int(version) or version != 2:
+            raise ValueError(f"unknown snapshot version {version!r}")
         mem = cls(
             dim=_int(data, "dim"),
             seed=_int(data, "seed"),
@@ -397,9 +397,6 @@ class HolographicMemory:
             raise ValueError(f"dim must be in [1, {hrr._MAX_DIM}], not {mem.dim!r}")
         mem.clock = _int(data, "clock")
         mem._counter = _int(data, "counter")
-        version = data["version"]
-        if not _is_int(version) or version != 2:
-            raise ValueError(f"unknown snapshot version {version!r}")
         if "stream_sha256" in data and data["stream_sha256"] != _stream_sha256(mem.seed, mem.dim):
             raise ValueError("stream_sha256 does not match this NumPy's random stream, "
                              "so the sensory vectors would not regenerate")
@@ -439,26 +436,6 @@ class HolographicMemory:
                 if link not in mem.nodes:
                     raise ValueError(f"assembly link {link!r} of node {node.id!r} names no node")
         return mem
-
-
-def _v1_to_v2(data: dict) -> dict:
-    """The version 2 shape of a version 1 snapshot: each inline vector
-    becomes a row of the vector table."""
-    table: list = []
-
-    def row(values) -> int:
-        table.append(values)
-        return len(table) - 1
-
-    nodes = [
-        {
-            **rec,
-            "vector": row(rec["vector"]),
-            "signatures": [{**s, "vector": row(s["vector"])} for s in rec["signatures"]],
-        }
-        for rec in data["nodes"]
-    ]
-    return {**data, "version": 2, "vectors": table, "nodes": nodes}
 
 
 def _stream_sha256(seed: int, dim: int) -> str:

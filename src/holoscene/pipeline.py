@@ -67,7 +67,7 @@ class PipelineConfig:
         "base_decay": (1e-9, 1e9),
         "prune_threshold": (0.0, 1e9),
         "match_threshold": (1e-9, 1.0 - 1e-9),
-        "max_path": (1, 8),
+        "max_path": (1, blending.MAX_PATH),
         "mix": (0.0, 1.0),
         "time_window": (1, 1 << 20),
     }

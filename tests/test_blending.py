@@ -481,7 +481,7 @@ def test_confabulation_matches_exhaustive_oracle(case):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(random_graph_case(), st.integers(1, 4), st.sampled_from([0.0, 0.3, MIX, 1.0]))
+@given(random_graph_case(), st.integers(1, blending.MAX_PATH), st.sampled_from([0.0, 0.3, MIX, 1.0]))
 def test_walk_equals_reference_exactly(case, max_path, mix):
     edges, k1, k3, generic = case
     graph, dk = graph_from(edges, k1, k3)
@@ -525,38 +525,51 @@ def test_walk_equals_reference_on_a_300_node_graph():
     assert_walks_match_reference(graph, dk, sources, frozenset(sources[:3]), max_path=3)
 
 
-def test_walk_equals_reference_across_chunks_at_max_path_8():
-    # on a near-complete 8-node graph every first step's walk bound exceeds a
-    # chunk, so each first step is walked alone and sums carry across chunks
-    terms = [f"t{i}" for i in range(8)]
-    edges = [(a, b, 1 + (i * j) % 4) for (i, a), (j, b) in combinations(enumerate(terms), 2)
-             if (i, j) != (2, 5)]
-    k3 = [(a, b, c, 1 + i % 3) for i, (a, b, c) in enumerate(combinations(terms, 3)) if i % 4 == 0]
-    graph, dk = graph_from(edges, {t: 2 + i for i, t in enumerate(terms)}, k3)
-    assert blending._WalkIndex(graph, dk, 8, MIX).subtree.min() > blending._CHUNK_PATHS
-    assert_walks_match_reference(graph, dk, terms[:3], frozenset(terms[:2]), max_path=8)
-
-
 def test_walk_equals_reference_across_chunks_of_several_first_steps(monkeypatch):
-    # chunks small enough that each source's walk spans several, and large
-    # enough that each chunk walks several first steps together
-    monkeypatch.setattr(blending, "_CHUNK_PATHS", 400)
+    # chunks of 400 paths: each source's walk spans several chunks of several
+    # first steps; chunks one path below the smallest first-step bound: every
+    # first step is walked alone, and the sums carry across chunks
     graph, dk = seeded_graph()
-    index = blending._WalkIndex(graph, dk, 3, MIX)
     sources = random.Random(5).sample(sorted(graph.nodes), 5)
-    for source in sources:
-        s = graph.ids[source]
-        bound = index.subtree[index.indices[index.indptr[s] : index.indptr[s + 1]]]
-        per_chunk = np.bincount(((np.cumsum(bound) - bound) // blending._CHUNK_PATHS).astype(np.int64))
-        assert len(per_chunk) >= 2 and per_chunk.min() >= 2
-        assert_subtree_in_pre_order(index, graph, dk, source, max_path=3)
     generic = frozenset(sources[:3])
-    assert_walks_match_reference(graph, dk, sources, generic, max_path=3)
-    counts, paths = {}, []
-    candidate_scores(generic, graph, dk, 3, counts=counts)
-    for source in sorted(generic):
-        reference_reach(graph, dk, source, 3, paths=paths)
-    assert counts["walk_paths"] == len(paths)
+    smallest = int(blending._WalkIndex(graph, dk, 3, MIX).subtree.min())
+    for alone in (False, True):
+        monkeypatch.setattr(blending, "_CHUNK_PATHS", smallest - 1 if alone else 400)
+        index = blending._WalkIndex(graph, dk, 3, MIX)
+        for source in sources:
+            s = graph.ids[source]
+            bound = index.subtree[index.indices[index.indptr[s] : index.indptr[s + 1]]]
+            chunk = (np.cumsum(bound) - bound) // blending._CHUNK_PATHS
+            per_chunk = np.unique(chunk, return_counts=True)[1]  # first steps in each chunk
+            assert len(per_chunk) >= 2
+            assert (per_chunk == 1).all() if alone else per_chunk.min() >= 2
+            assert_subtree_in_pre_order(index, graph, dk, source, max_path=3)
+        assert_walks_match_reference(graph, dk, sources, generic, max_path=3)
+        counts, paths = {}, []
+        candidate_scores(generic, graph, dk, 3, counts=counts)
+        for source in sorted(generic):
+            reference_reach(graph, dk, source, 3, paths=paths)
+        assert counts["walk_paths"] == len(paths)
+
+
+@pytest.mark.parametrize(
+    "max_path, mix, message",
+    [(0, MIX, r"max_path must be in \[1, 3\], not 0"), (4, MIX, r"max_path must be in \[1, 3\], not 4"),
+     (3, -0.1, r"mix must be in \[0, 1\], not -0.1"), (3, 1.1, r"mix must be in \[0, 1\], not 1.1"),
+     (3, float("nan"), r"mix must be in \[0, 1\], not nan")],
+    ids=["max_path-0", "max_path-4", "mix-below-0", "mix-above-1", "mix-nan"],
+)
+def test_every_walk_entry_refuses_a_walk_out_of_range(max_path, mix, message):
+    graph, dk = toy_six()
+    generic = GenericSpace(frozenset({"a", "d"}), frozenset())
+    walks = [lambda: reach_scores(graph, dk, "a", max_path, mix),
+             lambda: transition_probability(graph, dk, "a", "b", max_path, mix),
+             lambda: transition_probability(graph, dk, "a", "a", max_path, mix),
+             lambda: candidate_scores(generic.shared, graph, dk, max_path, mix),
+             lambda: confabulate(generic, graph, dk, 0.3, max_path, mix)]
+    for walk in walks:
+        with pytest.raises(ValueError, match=message):
+            walk()
 
 
 def test_walk_reads_each_pair_count_from_its_edge():

@@ -32,7 +32,6 @@ from holoscene.pipeline import PipelineConfig, load_config, run_pipeline
 from holoscene.scenario import load_actor_functions
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
-V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
 
 GRAPH = """# holoscene graph v1
 node ball entity
@@ -357,7 +356,7 @@ def _snapshot_v2():
     return mem.snapshot()
 
 
-SNAPSHOTS = [_snapshot_v2(), json.loads(V1_FIXTURE.read_text())]
+SNAPSHOT = _snapshot_v2()
 _JSON_VALUES = st.sampled_from(
     [None, True, False, -1, 0, 1, 2, 1.5, 2 ** 40, -(2 ** 40), float("nan"), float("inf"),
      "x", "", "sensory", "woman", [], {}, [None], [0.5, 0.5, 0.5, 0.5], {"id": "x"}]
@@ -379,9 +378,9 @@ def _places(value, at=()):
 
 @st.composite
 def mutated_snapshot(draw):
-    """A snapshot, version 2 or 1, with one to three values replaced or
-    their keys deleted; half of them top-level values."""
-    snapshot = json.loads(json.dumps(draw(st.sampled_from(SNAPSHOTS))))
+    """A snapshot with one to three values replaced or their keys deleted;
+    half of them top-level values."""
+    snapshot = json.loads(json.dumps(SNAPSHOT))
     for _ in range(draw(st.integers(1, 3))):
         places = list(_places(snapshot))
         place = draw(st.sampled_from([p for p in places if len(p) == 1]) | st.sampled_from(places))
@@ -399,7 +398,7 @@ def mutated_snapshot(draw):
 @given(st.binary(max_size=200) | mutated_snapshot())
 @example(b"1" * 5000)
 @example(b"[" * 100_000)
-@example(json.dumps({**SNAPSHOTS[0], "dim": 2 ** 40}).encode())
+@example(json.dumps({**SNAPSHOT, "dim": 2 ** 40}).encode())
 def test_snapshot_parser_raises_only_typed_errors(data):
     with written(data) as path:
         refused = refuses(HolographicMemory.load, path)
