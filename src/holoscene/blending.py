@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import hrr
 from .errors import GraphFormatError, NoSharedTermError, UnknownTermError
 from .ontology import (PROVENANCES, DkStatistics, OntologyGraph, _blend_fields, _graph_from_columns,
-                       _graph_records, _read_records, running_sum)
+                       _graph_records, _read_records, _record_text, _text_column, _write_records, running_sum)
 from .textfilter import MentalSpace
 
 ANCHORED, EXPANDED, CONFABULATED = PROVENANCES
@@ -357,11 +356,12 @@ def absorb_anchored(blend: BlendedSpace, anchored, graph: OntologyGraph) -> Blen
 
 def save_blend(blend: BlendedSpace, path) -> None:
     """Graph-format file with extra ``score <term> <value> <provenance>``
-    records."""
-    lines = [BLEND_HEADER, *_graph_records(blend.subgraph)]
-    for term in sorted(blend.scores):
-        lines.append(f"score {term} {blend.scores[term]!r} {blend.provenance[term]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records, each score written as the ``repr`` of its float."""
+    terms = sorted(blend.scores)
+    scores = _text_column([repr(float(blend.scores[term])) for term in terms])
+    provenance = _text_column([blend.provenance[term] for term in terms])
+    _write_records(path, BLEND_HEADER, _graph_records(blend.subgraph),
+                   _record_text("score", (terms, np.arange(len(terms))), scores, provenance))
 
 
 def load_blend(path) -> BlendedSpace:

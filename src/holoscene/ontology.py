@@ -52,6 +52,15 @@ lines are then split and parsed at once, and repeated terms found by
 comparing lengths. Line numbers are worked out only when a check fails,
 in one pass over the same lines, which then reads each kind line by line
 to name the first bad one.
+
+Both files are written by one record writer, ``_record_text``. Each field
+of a kind's records is a column: a table of distinct strings (the terms,
+the labels, the node types, the provenances, or the text of each distinct
+weight, count or score) and each record's index into it. Each string is
+formatted once, with the separator that follows it; ``_BLOCK`` records at
+a time are gathered by index and joined into one string, and the file is
+written a block at a time, never held whole. Distinct numbers are told
+apart by bit pattern, so that 0.0 and -0.0 keep their own texts.
 """
 
 from __future__ import annotations
@@ -64,7 +73,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import add, itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -154,19 +162,13 @@ class OntologyGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def _columns(self, rows, at) -> tuple:
-        """The source, target and label lists, and the weight array, of the
-        edge of each entry ``at`` of rows ``rows``."""
+    def _records(self, rows, at) -> list:
+        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
         terms = np.array(self.terms, dtype=object)
         here, there, forward = terms[rows], terms[self.indices[at]], self.forward[at]
         labels = np.array(self.labels, dtype=object)[self.label[at]]
-        return (np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
-                labels.tolist(), self.weight[at])
-
-    def _records(self, rows, at) -> list:
-        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
-        src, dst, label, weight = self._columns(rows, at)
-        records = zip(src, dst, label, weight.tolist())
+        records = zip(np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
+                      labels.tolist(), self.weight[at].tolist())
         return list(map(tuple.__new__, repeat(EdgeRec), records))  # not EdgeRec's Python __new__
 
     def _row(self, term) -> np.ndarray:
@@ -224,7 +226,7 @@ def _refusal(nodes: dict, src, dst, weight) -> Exception:
     return ValueError(f"second edge between {lo!r} and {hi!r}")
 
 
-_BLOCK = 8192  # triples read or decoded at a time
+_BLOCK = 8192  # records read, decoded or written at a time
 _MAX_TERMS = 1 << 21  # codes over at most this many terms fit in int64
 
 
@@ -633,13 +635,60 @@ def _counts(values: np.ndarray) -> list:
     return texts
 
 
-def _graph_records(graph: OntologyGraph) -> list:
-    """The ``node`` and ``edge`` lines of ``graph``, shared by the graph and
-    blend files; the edge lines are formatted from its arrays."""
-    lines = list(map("node {} {}".format, graph.terms, map(graph.nodes.__getitem__, graph.terms)))
-    src, dst, label, weight = graph._columns(*graph._edges.T)
-    lines += map("edge {} {} {} {}".format, src, dst, label, _counts(weight))
-    return lines
+def _number_column(values: np.ndarray) -> tuple:
+    """The floats ``values`` as a :func:`_record_text` column: the
+    :func:`_counts` text of each distinct float, told apart by bit pattern
+    so that 0.0 and -0.0 keep their own texts, and each value's index into
+    them."""
+    bits, ids = np.unique(values.view(np.int64), return_inverse=True)
+    return _counts(bits.view(float)), ids
+
+
+def _text_column(texts: list) -> tuple:
+    """``texts`` as a :func:`_record_text` column: its distinct strings and
+    each one's index into them."""
+    table = list(dict.fromkeys(texts))
+    number = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(number.__getitem__, texts), dtype=np.intp, count=len(texts))
+
+
+def _record_text(kind: str, *columns):
+    """The text of one ``kind`` record per row of ``columns``, a block of
+    ``_BLOCK`` lines at a time. Each column is a pair ``(table, ids)``: its
+    distinct strings and an array of each row's index into them. Each table
+    entry is formatted once, with the separator that follows it; a block's
+    lines are gathered by ids into an object array, the kind first, and
+    joined once."""
+    ends = [" "] * (len(columns) - 1) + ["\n"]
+    tables = [np.array([f"{text}{end}" for text in table], dtype=object)
+              for (table, _), end in zip(columns, ends)]
+    n = len(columns[0][1])
+    for at in range(0, n, _BLOCK):
+        rows = np.empty((min(_BLOCK, n - at), len(columns) + 1), dtype=object)
+        rows[:, 0] = kind + " "
+        for j, (table, (_, ids)) in enumerate(zip(tables, columns), 1):
+            rows[:, j] = table[ids[at:at + _BLOCK]]
+        yield "".join(rows.ravel().tolist())
+
+
+def _graph_records(graph: OntologyGraph):
+    """The text blocks of the ``node`` and ``edge`` records of ``graph``,
+    shared by the graph and blend files; the columns come from its arrays."""
+    terms = graph.terms
+    rows, at = graph._edges.T
+    there, forward = graph.indices[at], graph.forward[at]
+    return chain(
+        _record_text("node", (terms, np.arange(len(terms))), _text_column([graph.nodes[t] for t in terms])),
+        _record_text("edge", (terms, np.where(forward, rows, there)), (terms, np.where(forward, there, rows)),
+                     (graph.labels, graph.label[at]), _number_column(graph.weight[at])))
+
+
+def _write_records(path, header: str, *blocks) -> None:
+    """Write ``header`` and then the text blocks of each of ``blocks`` to
+    ``path``, one block at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        out.writelines(chain(*blocks))
 
 
 def _graph_from_columns(path, nodes: dict, columns, line_no) -> OntologyGraph:
@@ -656,14 +705,14 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
     """Line-oriented graph file: node/edge records plus optional freq and
     triple records carrying the word statistics. Every weight and count is
     written so that it reads back as the same float."""
-    lines = ["# holoscene graph v1", *_graph_records(graph)]
+    blocks = [_graph_records(graph)]
     if dk is not None:
         terms = sorted(dk.k1)
-        freq = _counts(np.fromiter(map(dk.k1.__getitem__, terms), dtype=float, count=len(terms)))
-        lines += [f"freq {term} {count}" for term, count in zip(terms, freq)]
-        triples = zip(dk.k3.items(), _counts(dk.k3.counts))
-        lines += [f"triple {a} {b} {c} {count}" for ((a, b, c), _), count in triples]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        freq = np.fromiter(map(dk.k1.__getitem__, terms), dtype=float, count=len(terms))
+        triples = [(dk.k3.terms, ids) for ids in dk.k3.ids()]
+        blocks += [_record_text("freq", (terms, np.arange(len(terms))), _number_column(freq)),
+                   _record_text("triple", *triples, _number_column(dk.k3.counts))]
+    _write_records(path, "# holoscene graph v1", *blocks)
 
 
 _WIDTHS = {"node": 3, "edge": 5, "freq": 3, "triple": 5, "score": 4}  # fields per record, the kind included

@@ -7,20 +7,25 @@ its array walk; the two must agree bit for bit, key order included.
 ``reference_load_blend`` keeps the blend file reader that parsed each line
 as it read it, before blend files were read in bulk by the graph file's
 reader: ``load_blend`` must load what it loaded, and refuse what it refused
-at the same line with the same message.
+at the same line with the same message. ``reference_save_blend`` keeps the
+blend file writer that formatted each line with its own f-string:
+``save_blend`` must write its bytes.
 """
 
 import random
+import tempfile
 from dataclasses import replace
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoscene import blending, hrr
 from holoscene.blending import (
     ANCHORED,
+    BLEND_HEADER,
     CONFABULATED,
     EXPANDED,
     BlendedSpace,
@@ -41,6 +46,7 @@ from holoscene.errors import GraphFormatError, NoSharedTermError, UnknownTermErr
 from holoscene.ontology import DkStatistics, OntologyGraph, load_graph, save_graph
 from holoscene.textfilter import MentalSpace, UniversalStructure
 
+from test_ontology import graphs, reference_graph_lines
 from test_parsers import reshaped, written
 
 MIX = 0.5
@@ -809,3 +815,60 @@ def test_blend_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.blend"
     path.write_text(text, encoding="utf-8")
     assert_blend_loads_as_reference(path)
+
+
+# -- the blend file writer against the line-by-line one ---------------------------
+
+
+def reference_save_blend(blend, path) -> None:
+    """The blend file writer that formatted each line with its own f-string,
+    each score the ``repr`` of its float."""
+    lines = [BLEND_HEADER, *reference_graph_lines(blend.subgraph)]
+    for term in sorted(blend.scores):
+        lines.append(f"score {term} {float(blend.scores[term])!r} {blend.provenance[term]}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# zeros of both signs, a half, a third, 1e-300 and NumPy floats, which a
+# plain repr would write as np.float64(...)
+_SCORES = (st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+           | st.floats(0.0, 1.0).map(np.float64))
+
+
+@st.composite
+def blends(draw):
+    """A blend over a drawn graph: a score and a provenance for some of its
+    nodes."""
+    graph = draw(graphs())
+    terms = draw(st.lists(st.sampled_from(graph.terms), unique=True)) if graph.terms else []
+    return BlendedSpace(scores={term: draw(_SCORES) for term in terms},
+                        provenance={term: draw(st.sampled_from([ANCHORED, EXPANDED, CONFABULATED])) for term in terms},
+                        subgraph=graph)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blends())
+@example(BlendedSpace(scores={}, provenance={}, subgraph=OntologyGraph()))
+def test_blend_writer_matches_line_writer(blend):
+    """``save_blend`` writes the bytes the line-by-line writer wrote, and
+    the file loads back as the blend."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.blend", Path(tmp) / "want.blend"
+        save_blend(blend, got)
+        reference_save_blend(blend, want)
+        assert got.read_bytes() == want.read_bytes()
+        again = load_blend(got)
+    assert [(t, repr(s)) for t, s in again.scores.items()] == [
+        (t, repr(float(blend.scores[t]))) for t in sorted(blend.scores)]
+    assert again.provenance == blend.provenance
+    assert repr(again.subgraph.edges()) == repr(blend.subgraph.edges())
+
+
+def test_numpy_score_is_written_as_its_float(tmp_path):
+    graph = OntologyGraph(dict.fromkeys("ab", "entity"), ["a"], ["b"], ["near"], [2])
+    blend = BlendedSpace(scores={"a": 1.0, "b": np.float64(0.5)},
+                         provenance={"a": ANCHORED, "b": CONFABULATED}, subgraph=graph)
+    path = tmp_path / "numpy.blend"
+    save_blend(blend, path)
+    assert "score b 0.5 confabulated" in path.read_text().splitlines()
+    assert load_blend(path).scores == {"a": 1.0, "b": 0.5}

@@ -9,6 +9,8 @@ relation surface, so the faster scan is pinned to it record for record.
 ``reference_load_graph`` keeps the graph file reader as it was before
 records were read in bulk by kind: the bulk reader must load what it
 loaded, and refuse what it refused at the same line with the same message.
+``reference_save_graph`` keeps the graph file writer that formatted each
+line with its own f-string: ``save_graph`` must write its bytes.
 """
 
 import math
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoscene import ontology
 from holoscene.errors import GraphFormatError, HolosceneError, UnknownTermError, UnmappedTermError, read_lines
@@ -943,3 +945,94 @@ def test_term_table_bound_is_where_codes_fill_int64():
     assert widest.count(np.append(top, 0), np.append(top, 0), np.append(top, 1)).tolist() == [5.0, 0.0]
     with pytest.raises(ValueError, match="2097153 terms"):
         TripleCounts(range(2**21 + 1), *[np.zeros(0, dtype=np.int64)] * 3, [])
+
+
+# -- the graph file writer against the line-by-line one ---------------------------
+
+
+def reference_number(value: float) -> str:
+    """A weight or count as the writer formatted each one alone: a whole
+    number in [0, 10^6) without a sign bit as an int, any other as its
+    ``:g`` text where that reads back as the same float, else its ``repr``."""
+    if math.copysign(1.0, value) > 0 and value < 1e6 and value == math.trunc(value):
+        return str(int(value))
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+def reference_graph_lines(graph) -> list:
+    """The ``node`` and ``edge`` lines of ``graph``, one f-string each, from
+    its public reads."""
+    return ([f"node {term} {graph.nodes[term]}" for term in graph.terms]
+            + [f"edge {rec.src} {rec.dst} {rec.label} {reference_number(rec.weight)}" for rec in graph.edges()])
+
+
+def reference_save_graph(graph, path, dk=None) -> None:
+    """The graph file writer that formatted each line with its own f-string
+    and decoded every triple to its terms first."""
+    lines = ["# holoscene graph v1", *reference_graph_lines(graph)]
+    if dk is not None:
+        lines += [f"freq {term} {reference_number(float(dk.k1[term]))}" for term in sorted(dk.k1)]
+        lines += [f"triple {a} {b} {c} {reference_number(count)}" for (a, b, c), count in dk.k3.items()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# halves, a million and more, 1e-300 and a third: texts from int, from :g
+# and from repr
+_COUNTS = (st.sampled_from([0.5, 2.5, 123456.5, 999999.0, 1e6, 2345678.0, 3e6, 1e-300, 1 / 3, 7.0])
+           | st.integers(1, 10**7).map(float) | st.floats(1e-300, 1e9))
+_WEIGHTS = _COUNTS | st.sampled_from([0.0, -0.0])
+_TYPES = st.sampled_from(["entity", "action", "attribute"])
+_LABELS = st.sampled_from([GENERIC_RELATION, "near", "part-of"])
+
+
+@st.composite
+def graphs(draw):
+    """A graph over some of ``_NAMES``; an edge may join a term to itself."""
+    terms = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    nodes = {term: draw(_TYPES) for term in terms}
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(terms)] * 2), unique_by=frozenset)) if terms else []
+    return OntologyGraph(nodes, *zip(*[(a, b, draw(_LABELS), draw(_WEIGHTS)) for a, b in pairs]))
+
+
+@st.composite
+def statistics(draw):
+    """Word statistics over some of ``_NAMES``, with any finite positive
+    counts, whole or not, ``k1``'s as ``extract_dk`` counts them too (ints);
+    ``k3`` may be empty."""
+    k1 = draw(st.dictionaries(st.sampled_from(_NAMES), _COUNTS | st.integers(1, 10**7)))
+    terms = st.sampled_from(sorted(k1)) if k1 else st.nothing()
+    triples = st.tuples(terms, terms, terms).map(lambda t: tuple(sorted(t)))
+    return DkStatistics(k1=k1, k3=draw(st.dictionaries(triples, _COUNTS)))
+
+
+_SIGNED_ZEROS = OntologyGraph(dict.fromkeys(["moon", "sky", "sun"], "entity"),
+                              ["moon", "sky", "sun"], ["sky", "sun", "moon"], ["near"] * 3, [0.0, -0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(graphs(), st.none() | statistics()))
+@example((OntologyGraph(), None))
+@example((_SIGNED_ZEROS, None))
+@example((_SIGNED_ZEROS, DkStatistics(k1={"moon": 0.5, "sky": 1 / 3, "sun": 2345678.0}, k3={})))
+def test_writer_matches_line_writer(case):
+    """``save_graph`` writes the bytes the line-by-line writer wrote, for
+    any graph, with or without statistics."""
+    graph, dk = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.graph", Path(tmp) / "want.graph"
+        save_graph(graph, got, dk)
+        reference_save_graph(graph, want, dk)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_zero_and_minus_zero_weights_keep_their_signs(tmp_path):
+    # a table of distinct weights keyed by value would hold one zero for both
+    path = tmp_path / "zeros.graph"
+    save_graph(_SIGNED_ZEROS, path)
+    edges = [line for line in path.read_text().splitlines() if line.startswith("edge ")]
+    assert edges == ["edge moon sky near 0", "edge sun moon near 0", "edge sky sun near -0"]
+    graph, dk = load_graph(path)
+    assert dk is None
+    assert [(rec.src, rec.dst, math.copysign(1.0, rec.weight)) for rec in graph.edges()] == [
+        ("moon", "sky", 1.0), ("sun", "moon", 1.0), ("sky", "sun", -1.0)]
