@@ -45,13 +45,20 @@ counts, in sorted order.
 
 Graph and blend files share one record grammar and one reader,
 ``_read_records``, given the kinds a file may hold (a blend holds
-``score`` records where a graph holds ``freq`` and ``triple``). It sets a
-file's stripped lines aside by kind with ``itertools.groupby`` on their
-first character, so no Python statement runs once per line. Each kind's
-lines are then split and parsed at once, and repeated terms found by
-comparing lengths. Line numbers are worked out only when a check fails,
-in one pass over the same lines, which then reads each kind line by line
-to name the first bad one.
+``score`` records where a graph holds ``freq`` and ``triple``). It reads
+the text once and cuts it at line ends into blocks of ``_BLOCK`` lines.
+A block's stripped lines are set aside by kind with ``itertools.groupby``
+on their first character, so no Python statement runs once per line, and
+each kind's lines are split at once into compact columns: each term an
+int id into one first-seen name table per file, each number a float, and
+each label, node type or provenance the one shared string of its value.
+The block's strings are then dropped, so no kind's fields are ever all
+alive as strings at once. The nodes, the edge columns, ``k1`` and the
+triple counts (their name ids renumbered over the sorted ``k1`` terms)
+are built from the columns, and repeated terms found by comparing
+lengths. Line numbers are worked out only when a check fails, in one pass
+over the kept text, which then reads each kind line by line to name the
+first bad one.
 
 Both files are written by one record writer, ``_record_text``. Each field
 of a kind's records is a column: a table of distinct strings (the terms,
@@ -66,19 +73,19 @@ apart by bit pattern, so that 0.0 and -0.0 keep their own texts.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, groupby, islice, repeat
+from itertools import chain, combinations, count, groupby, islice, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (GraphFormatError, UnknownTermError, UnmappedTermError, add_once, read_lines,
-                     stripped_lines)
+from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, add_once, read_lines, read_text
 from .lexicon import Lexicon, _TOKEN_RE, default_lexicon, load_word_map, read_arrows, split_sentences
 
 GENERIC_RELATION = "related-to"
@@ -226,7 +233,7 @@ def _refusal(nodes: dict, src, dst, weight) -> Exception:
     return ValueError(f"second edge between {lo!r} and {hi!r}")
 
 
-_BLOCK = 8192  # records read, decoded or written at a time
+_BLOCK = 1024  # lines read, records decoded or written at a time
 _MAX_TERMS = 1 << 21  # codes over at most this many terms fit in int64
 
 
@@ -263,7 +270,8 @@ class TripleCounts(Mapping):
             self.counts = counts.astype(float)
             return
         order = np.argsort(codes)
-        self.codes, self.counts = codes[order], np.asarray(counts, dtype=float)[order]
+        codes = codes[order]  # the unsorted codes are freed before the counts are sorted
+        self.codes, self.counts = codes, np.asarray(counts, dtype=float)[order]
         repeated = np.flatnonzero(self.codes[1:] == self.codes[:-1])
         if len(repeated):
             triple, _ = next(islice(self.items(), int(repeated[0]), None))
@@ -284,7 +292,15 @@ class TripleCounts(Mapping):
         """The code of each triple of term ids ``(a[i], b[i], c[i])``."""
         lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
         n = len(self.terms)
-        return (lo * n + (a + b + c - lo - hi)) * n + hi
+        mid = a + b  # then updated in place, as lo is, so that few temporaries are alive at once
+        mid += c
+        mid -= lo
+        mid -= hi
+        lo *= n
+        lo += mid
+        lo *= n
+        lo += hi
+        return lo
 
     def count(self, a, b, c):
         """The count of each triple of term ids ``(a[i], b[i], c[i])``, in
@@ -483,9 +499,12 @@ def build_from_corpus(corpus, lexicon: Lexicon | None = None, *, scan: _Scan | N
     terms = np.array(scan.terms, dtype=object)
     src, dst = (terms[ends].tolist() for ends in np.divmod(pairs, n))
     label = [GENERIC_RELATION] * len(src)
-    for (lo, hi), (a, b, name) in labels.items():  # both terms share a sentence, so the pair is counted
-        at = int(np.searchsorted(pairs, bisect_left(scan.terms, lo) * n + bisect_left(scan.terms, hi)))
-        src[at], dst[at], label[at] = a, b, name
+    number = dict(zip(scan.terms, range(len(scan.terms))))
+    ends = np.fromiter(map(number.__getitem__, chain.from_iterable(labels)), dtype=np.int64,
+                       count=2 * len(labels)).reshape(-1, 2)
+    at = np.searchsorted(pairs, ends[:, 0] * n + ends[:, 1])  # both terms share a sentence: the pair is counted
+    for i, (a, b, name) in zip(at.tolist(), labels.values()):
+        src[i], dst[i], label[i] = a, b, name
     return OntologyGraph({term: lex.semantic_type(term) for term in scan.seen}, src, dst, label, weight)
 
 
@@ -715,7 +734,8 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
     _write_records(path, "# holoscene graph v1", *blocks)
 
 
-_WIDTHS = {"node": 3, "edge": 5, "freq": 3, "triple": 5, "score": 4}  # fields per record, the kind included
+_COLUMNS = {"node": "ts", "edge": "ttsf", "freq": "tf", "triple": "tttf", "score": "tfs"}  # see _columns
+_WIDTHS = {kind: 1 + len(types) for kind, types in _COLUMNS.items()}  # fields per record, the kind included
 _FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
 PROVENANCES = ("anchored", "expanded", "confabulated")  # how a term entered a blend
 
@@ -741,36 +761,46 @@ def _fields(kind: str, lines: list) -> list:
     return columns[1:]
 
 
-def _graph_fields(records: dict) -> tuple:
-    """The nodes, a dict in file order, and the edge columns of ``records``;
-    ValueError if one does not parse or a term has two nodes."""
-    (terms, types), (src, dst, label, weight) = (_fields(kind, records[kind]) for kind in ("node", "edge"))
-    nodes = dict(zip(terms, types))
-    if len(nodes) < len(terms):
+def _columns(kind: str, lines: list, names: defaultdict, shared: dict) -> list:
+    """The :func:`_fields` of the ``kind`` records ``lines`` as compact
+    columns, by the field's letter in ``_COLUMNS``: a term (``t``) as an
+    int64 array of ids into ``names``, a term to id table that numbers each
+    new term as it comes; a number (``f``) as a float array; any other text
+    (``s``) as a list holding the one string of ``shared`` equal to it.
+    ValueError if a record or a number does not parse."""
+    columns = []
+    for letter, fields in zip(_COLUMNS[kind], _fields(kind, lines)):
+        if letter == "t":
+            columns.append(np.fromiter(map(names.__getitem__, fields), dtype=np.int64, count=len(fields)))
+        elif letter == "f":
+            columns.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+        else:
+            columns.append(list(map(shared.setdefault, fields, fields)))
+    return columns
+
+
+def _graph_fields(columns: dict, names: np.ndarray) -> tuple:
+    """The nodes, a dict in file order, and the edge columns of the
+    :func:`_read_records` ``columns``, terms named by ``names``; ValueError
+    if a term has two nodes."""
+    (terms, types), (src, dst, label, weight) = columns["node"], columns["edge"]
+    nodes = dict(zip(names[terms].tolist(), types))
+    if len(nodes) < len(types):
         raise ValueError("a second node record for a term")
-    return nodes, [src, dst, label, np.fromiter(map(float, weight), dtype=float, count=len(weight))]
+    return nodes, [names[src].tolist(), names[dst].tolist(), label, weight]  # lists of pointers to names
 
 
-def _blend_fields(records: dict) -> tuple:
-    """The :func:`_graph_fields` of a blend file's ``records``, then its
-    scores and provenances in file order; ValueError if a score record does
-    not parse, repeats a term, or holds an unknown provenance or a score
-    outside [0, 1]."""
-    terms, texts, provenance = _fields("score", records["score"])
-    scores = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    if (len(set(terms)) < len(terms) or not set(provenance) <= set(PROVENANCES)
+def _blend_fields(columns: dict, names: np.ndarray, lines) -> tuple:
+    """The :func:`_graph_fields` of a blend file's ``columns``, then its
+    scores and provenances in file order; ValueError if a score record
+    repeats a term, or holds an unknown provenance or a score outside
+    [0, 1]."""
+    terms, scores, provenance = columns["score"]
+    if (len(np.unique(terms)) < len(terms) or not set(provenance) <= set(PROVENANCES)
             or not ((scores >= 0.0) & (scores <= 1.0)).all()):
         raise ValueError("a bad score record")
-    return (*_graph_fields(records), dict(zip(terms, scores.tolist())), dict(zip(terms, provenance)))
-
-
-def _positive(counts: list) -> np.ndarray:
-    """``counts`` as floats; ValueError unless each parses and is finite
-    and positive."""
-    values = np.fromiter(map(float, counts), dtype=float, count=len(counts))
-    if not ((values > 0.0) & (values < math.inf)).all():
-        raise ValueError("a count that is not finite and positive")
-    return values
+    terms = names[terms].tolist()
+    return (*_graph_fields(columns, names), dict(zip(terms, scores.tolist())), dict(zip(terms, provenance)))
 
 
 def _first_fault(kind: str, lines: list):
@@ -803,42 +833,69 @@ def _first_fault(kind: str, lines: list):
     return None
 
 
+def _blocks(text: str):
+    """``text`` cut at line ends into blocks of ``_BLOCK`` lines; the last
+    block holds the rest. A line ends at a line feed alone, as
+    :func:`~holoscene.errors.read_text` counts lines."""
+    return (m.group() for m in re.finditer(rf"(?:[^\n]*\n){{1,{_BLOCK}}}|[^\n]+", text))
+
+
+def _joined(parts: list):
+    """The column of which ``parts`` holds a block each, which are then
+    dropped, so that one column at a time is held twice."""
+    column = list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
+    parts.clear()
+    return column
+
+
 def _read_records(path, kinds: tuple, parse):
-    """``parse(records)`` of a graph or blend file of records of ``kinds``,
-    ``records`` mapping each kind to its lines, and ``line_no(kind, i)``, the
-    line of record ``i`` of a kind. If ``parse`` raises ValueError, the first
-    bad line, found by :func:`_first_fault` on each kind, is a
-    :class:`GraphFormatError`."""
-    lines = stripped_lines(path)
+    """``parse(columns, names, lines)`` of a graph or blend file of records
+    of ``kinds``, and ``line_no(kind, i)``, the line of record ``i`` of a
+    kind. ``columns`` maps each kind to its :func:`_columns`, ``names`` is
+    the object array of the file's terms by id and ``lines(kind)`` gives a
+    kind's stripped lines. The text is read once and parsed a block of
+    lines at a time, so that no kind's fields are all alive as strings at
+    once. If ``parse`` raises ValueError, the first bad line, found by
+    :func:`_first_fault` on each kind, is a :class:`GraphFormatError`."""
+    text = read_text(path)
     first = {kind[0]: kind for kind in kinds}  # no two kinds start with the same letter
 
-    def line_numbers():  # each kind's line numbers up to the first line of no kind; that line's fault
-        line_nos = {kind: [] for kind in kinds}
-        for line_no, line in read_lines(path, lines):
+    def by_kind():  # each kind's lines and line numbers up to the first line of no kind; that line's fault
+        lines, line_nos = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
+        for line_no, line in read_lines(path, map(str.strip, text.split("\n"))):
             if line[0] not in first:
-                return line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
+                return lines, line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
+            lines[first[line[0]]].append(line)
             line_nos[first[line[0]]].append(line_no)
-        return line_nos, []
+        return lines, line_nos, []
 
-    records = {kind: [] for kind in kinds}
+    names, shared = defaultdict(count().__next__), {}  # term ids in first-seen order; one string per text
+    # each column's blocks, the first an empty column of its type
+    parts = {kind: [[column] for column in _columns(kind, [], names, shared)] for kind in kinds}
     try:
-        for char, group in groupby(lines, _FIRST):
-            if char in first:
-                records[first[char]].extend(group)
-            elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
-                raise ValueError("a line of no record kind")
-        parsed = parse(records)
+        for block in _blocks(text):
+            records = defaultdict(list)  # the block's lines of each kind it holds
+            for char, group in groupby(map(str.strip, block.split("\n")), _FIRST):
+                if char in first:
+                    records[first[char]].extend(group)
+                elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
+                    raise ValueError("a line of no record kind")
+            for kind, lines in records.items():
+                for part, column in zip(parts[kind], _columns(kind, lines, names, shared)):
+                    part.append(column)
+        columns = {kind: list(map(_joined, parts[kind])) for kind in kinds}
+        parsed = parse(columns, np.array(list(names), dtype=object), lambda kind: by_kind()[0][kind])
     except _TooManyTerms as exc:
         raise GraphFormatError(path, None, str(exc)) from None
     except ValueError:
-        line_nos, faults = line_numbers()
+        lines, line_nos, faults = by_kind()
         for kind in kinds:
-            fault = _first_fault(kind, records[kind])
+            fault = _first_fault(kind, lines[kind])
             if fault:
                 faults.append((line_nos[kind][fault[0]], fault[1]))
         raise GraphFormatError(path, *min(faults)) from None
 
-    return parsed, lambda kind, at: line_numbers()[0][kind][at]
+    return parsed, lambda kind, at: by_kind()[1][kind][at]
 
 
 def load_graph(path):
@@ -852,19 +909,31 @@ def load_graph(path):
     pair counts) included, must be finite and positive. Any breach is a
     :class:`GraphFormatError` naming its line.
 
-    The file is read by :func:`_read_records`, each kind split, parsed and
-    checked in bulk, and the graph built from the edge columns.
+    The file is read by :func:`_read_records`, each kind parsed and checked
+    in bulk, the graph built from the edge columns and the triple counts
+    from the triples' term ids, renumbered over the sorted ``k1`` terms.
     """
-    def parse(records):  # k3 is None if a triple names a term with no freq
-        nodes, columns = _graph_fields(records)
-        freq_terms, freq = _fields("freq", records["freq"])
-        k1 = dict(zip(freq_terms, _positive(freq).tolist()))
+    def parse(columns, names, lines):  # k3 is None if a triple names a term with no freq
+        nodes, edges = _graph_fields(columns, names)
+        freq_ids, freq = columns["freq"]
+        freq_terms = names[freq_ids].tolist()
+        if not ((freq > 0.0) & (freq < math.inf)).all():
+            raise ValueError("a count that is not finite and positive")
+        k1 = dict(zip(freq_terms, freq.tolist()))
         if len(k1) < len(freq_terms):
             raise ValueError("a second freq record for a term")
-        k3 = _read_triples(sorted(k1), records["triple"])
-        if k3 is None and _first_fault("triple", records["triple"]):
+        terms = sorted(k1)
+        number = dict(zip(terms, range(len(terms))))
+        renumber = np.fromiter(map(number.get, names.tolist(), repeat(-1)), dtype=np.int64, count=len(names))
+        *ids, counts = columns["triple"]
+        for column in ids:  # each name id becomes its term's id in place, -1 for a name with no freq
+            np.take(renumber, column, out=column)
+        if all((column >= 0).all() for column in ids):
+            return nodes, edges, freq_terms, k1, TripleCounts(terms, *ids, counts), None
+        triples = lines("triple")
+        if _first_fault("triple", triples):
             raise ValueError("a bad triple record")
-        return nodes, columns, freq_terms, k1, k3, records["triple"]
+        return nodes, edges, freq_terms, k1, None, triples
 
     (nodes, columns, freq_terms, k1, k3, triples), line_no = _read_records(
         path, ("node", "edge", "freq", "triple"), parse)
@@ -892,23 +961,6 @@ def load_graph(path):
         missing = min(set(chain.from_iterable(named)) - declared)
         raise GraphFormatError(path, line_no("triple", at), f"k3 term {missing!r} missing from k1")
     return graph, DkStatistics(k1=k1, k3=k3)
-
-
-def _read_triples(terms: list, lines: list) -> TripleCounts | None:
-    """The counts of the triple records ``lines`` over ``terms`` (the sorted
-    ``k1`` terms), or None if one names another term. ValueError if a
-    record does not parse, a count is not finite and positive or a sorted
-    triple has two records; :class:`_TooManyTerms` if there are more terms
-    than :class:`TripleCounts` holds."""
-    number = dict(zip(terms, range(len(terms))))
-    ids, counts = [np.empty((3, 0), dtype=np.int64)], [np.empty(0)]
-    for at in range(0, len(lines), _BLOCK):  # a block at a time: few field strings live at once
-        *names, block_counts = _fields("triple", lines[at:at + _BLOCK])
-        counts.append(np.fromiter(map(float, block_counts), dtype=float, count=len(block_counts)))
-        ids.append(np.fromiter(map(number.get, chain(*names), repeat(-1)), dtype=np.int64,
-                               count=3 * len(block_counts)).reshape(3, -1))
-    ids = np.concatenate(ids, axis=1)
-    return None if (ids < 0).any() else TripleCounts(terms, *ids, np.concatenate(counts))
 
 
 def _dot_id(text: str) -> str:

@@ -7,7 +7,8 @@ its array walk; the two must agree bit for bit, key order included.
 ``reference_load_blend`` keeps the blend file reader that parsed each line
 as it read it, before blend files were read in bulk by the graph file's
 reader: ``load_blend`` must load what it loaded, and refuse what it refused
-at the same line with the same message. ``reference_save_blend`` keeps the
+at the same line with the same message, whatever the size of the blocks of
+lines it reads. ``reference_save_blend`` keeps the
 blend file writer that formatted each line with its own f-string:
 ``save_blend`` must write its bytes.
 """
@@ -17,12 +18,13 @@ import tempfile
 from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoscene import blending, hrr
+from holoscene import blending, hrr, ontology
 from holoscene.blending import (
     ANCHORED,
     BLEND_HEADER,
@@ -46,7 +48,7 @@ from holoscene.errors import GraphFormatError, NoSharedTermError, UnknownTermErr
 from holoscene.ontology import DkStatistics, OntologyGraph, load_graph, save_graph
 from holoscene.textfilter import MentalSpace, UniversalStructure
 
-from test_ontology import graphs, reference_graph_lines
+from test_ontology import BLOCK_SIZES, graphs, reference_graph_lines
 from test_parsers import reshaped, written
 
 MIX = 0.5
@@ -751,19 +753,23 @@ def reference_load_blend(path) -> BlendedSpace:
 def assert_blend_loads_as_reference(path):
     """``load_blend`` and the reference give the same scores (to the bit),
     provenances, nodes and edges, each in the same order, or the same error
-    at the same line."""
+    at the same line, with the reader's own block size and each of
+    ``BLOCK_SIZES``."""
     try:
         want = reference_load_blend(path)
     except GraphFormatError as exc:
-        with pytest.raises(GraphFormatError) as err:
-            load_blend(path)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        for block in (ontology._BLOCK, *BLOCK_SIZES):
+            with mock.patch.object(ontology, "_BLOCK", block), pytest.raises(GraphFormatError) as err:
+                load_blend(path)
+            assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
-    got = load_blend(path)
-    assert [(t, repr(s)) for t, s in got.scores.items()] == [(t, repr(s)) for t, s in want.scores.items()]
-    assert list(got.provenance.items()) == list(want.provenance.items())
-    assert list(got.subgraph.nodes.items()) == list(want.subgraph.nodes.items())
-    assert repr(got.subgraph.edges()) == repr(want.subgraph.edges())
+    for block in (ontology._BLOCK, *BLOCK_SIZES):
+        with mock.patch.object(ontology, "_BLOCK", block):
+            got = load_blend(path)
+        assert [(t, repr(s)) for t, s in got.scores.items()] == [(t, repr(s)) for t, s in want.scores.items()]
+        assert list(got.provenance.items()) == list(want.provenance.items())
+        assert list(got.subgraph.nodes.items()) == list(want.subgraph.nodes.items())
+        assert repr(got.subgraph.edges()) == repr(want.subgraph.edges())
 
 
 BLEND = """# holoscene blend v1

@@ -8,7 +8,8 @@ it was before windows were counted in C and sentences were skipped by
 relation surface, so the faster scan is pinned to it record for record.
 ``reference_load_graph`` keeps the graph file reader as it was before
 records were read in bulk by kind: the bulk reader must load what it
-loaded, and refuse what it refused at the same line with the same message.
+loaded, and refuse what it refused at the same line with the same message,
+whatever the size of the blocks of lines it reads.
 ``reference_save_graph`` keeps the graph file writer that formatted each
 line with its own f-string: ``save_graph`` must write its bytes.
 """
@@ -16,10 +17,12 @@ line with its own f-string: ``save_graph`` must write its bytes.
 import math
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, combinations, combinations_with_replacement, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -607,6 +610,18 @@ class TestGraphFile:
             load_graph(path)
         assert (err.value.path, err.value.line_no) == (str(path), None)
 
+    @pytest.mark.parametrize("line", ["node moon", "edge sun sky near one"], ids=["node", "edge"])
+    def test_record_fault_is_named_before_a_term_table_larger_than_codes_hold(self, tmp_path, monkeypatch,
+                                                                             line):
+        path = tmp_path / "wide.graph"
+        path.write_text("node sun entity\nnode sky entity\nnode moon entity\n"
+                        f"freq sun 1\nfreq sky 2\nfreq moon 3\n{line}\n")
+        monkeypatch.setattr(ontology, "_MAX_TERMS", 2)
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert err.value.line_no == 7
+        assert "terms" not in str(err.value)
+
     def test_dot_export(self):
         graph = build_from_corpus(["The sun shines."])
         dot = to_dot(graph, colors={"sun": "yellow"})
@@ -780,24 +795,34 @@ def reference_load_graph(path):
     return nodes, edges, freq, k3
 
 
+# block sizes, in lines, besides the reader's own: with them every record,
+# blank or comment line and fault of a small file falls on a block's edge
+BLOCK_SIZES = (1, 2, 3, 7)
+
+
 def assert_loads_as_reference(path):
     """``load_graph`` and the reference give the same nodes, edges, k1 and
-    k3 (k3 in sorted order), or the same error at the same line. The graph
-    is read through its public reads."""
+    k3 (k3 in sorted order), or the same error at the same line, with the
+    reader's own block size and each of :data:`BLOCK_SIZES`. The graph is
+    read through its public reads."""
     try:
-        want_nodes, want_edges, want_k1, want_k3 = reference_load_graph(path)
+        want = reference_load_graph(path)
     except GraphFormatError as exc:
-        with pytest.raises(GraphFormatError) as err:
-            load_graph(path)
-        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        for block in (ontology._BLOCK, *BLOCK_SIZES):
+            with mock.patch.object(ontology, "_BLOCK", block), pytest.raises(GraphFormatError) as err:
+                load_graph(path)
+            assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
-    graph, dk = load_graph(path)
-    assert_reads_match_model(graph, want_nodes, want_edges)
-    if want_k1 is None:
-        assert dk is None
-    else:
-        assert list(dk.k1.items()) == list(want_k1.items())
-        assert list(dk.k3.items()) == sorted(want_k3.items())
+    want_nodes, want_edges, want_k1, want_k3 = want
+    for block in (ontology._BLOCK, *BLOCK_SIZES):
+        with mock.patch.object(ontology, "_BLOCK", block):
+            graph, dk = load_graph(path)
+        assert_reads_match_model(graph, want_nodes, want_edges)
+        if want_k1 is None:
+            assert dk is None
+        else:
+            assert list(dk.k1.items()) == list(want_k1.items())
+            assert list(dk.k3.items()) == sorted(want_k3.items())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -873,6 +898,25 @@ def test_bulk_reader_matches_line_reader_on_a_bench_sized_graph(tmp_path, edit):
         lines[1] = "node t000"
     path.write_text("\n".join(lines), encoding="utf-8")
     assert_loads_as_reference(path)
+
+
+def test_bench_sized_graph_loads_in_less_than_four_times_its_size(tmp_path):
+    """The reader holds the text and compact columns (term ids, floats, one
+    string per distinct label), never every line or field as a string."""
+    path = tmp_path / "bench.graph"
+    bench_sized_graph(path)
+    load_graph(path)  # compiled patterns and other first-call caches are not the load's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 # -- triple counts -------------------------------------------------------------
