@@ -128,7 +128,10 @@ def _cmd_inspect_memory(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    if read_text(args.input_file).startswith(blending.BLEND_HEADER):
+    header = blending.BLEND_HEADER.encode()
+    with open(args.input_file, "rb") as file:  # the loader decodes the file, and names a line that is not UTF-8
+        is_blend = file.read(len(header)) == header
+    if is_blend:
         dot = blending.blend_to_dot(blending.load_blend(args.input_file))
     else:
         graph, _ = ontology.load_graph(args.input_file)

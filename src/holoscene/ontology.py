@@ -46,19 +46,24 @@ counts, in sorted order.
 Graph and blend files share one record grammar and one reader,
 ``_read_records``, given the kinds a file may hold (a blend holds
 ``score`` records where a graph holds ``freq`` and ``triple``). It reads
-the text once and cuts it at line ends into blocks of ``_BLOCK`` lines.
-A block's stripped lines are set aside by kind with ``itertools.groupby``
-on their first character, so no Python statement runs once per line, and
-each kind's lines are split at once into compact columns: each term an
-int id into one first-seen name table per file, each number a float, and
-each label, node type or provenance the one shared string of its value.
-The block's strings are then dropped, so no kind's fields are ever all
-alive as strings at once. The nodes, the edge columns, ``k1`` and the
-triple counts (their name ids renumbered over the sorted ``k1`` terms)
-are built from the columns, and repeated terms found by comparing
-lengths. Line numbers are worked out only when a check fails, in one pass
-over the kept text, which then reads each kind line by line to name the
-first bad one.
+the text once and cuts it at line ends into blocks of about ``_READ``
+characters, and each block again where a run of lines that start with one
+kind's word ends. A run costs one ``str.split``: its line feeds become a
+NUL token that must fall after every record, and its fields are taken by
+stride. The few other lines (the header comment, blank, indented or
+unknown lines) are stripped and set aside by kind with
+``itertools.groupby`` on their first character, then split the same way.
+Every kind's fields become compact columns: each term an int id into one
+first-seen name table per file, each number a float, parsed once per
+distinct text, and each label, node type or provenance the one shared
+string of its value. A block's strings are then dropped, so no kind's
+fields are ever all alive as strings at once, and the text is dropped
+once the last block is parsed. The nodes, ``k1`` and the triple counts
+are built from the columns, the graph from the edges' name ids, which,
+like the triples', are renumbered onto the sorted terms; repeated terms
+are found by comparing lengths. Line numbers are worked out only when a
+check fails, by reading the file again line by line to name the first
+bad line.
 
 Both files are written by one record writer, ``_record_text``. Each field
 of a kind's records is a column: a table of distinct strings (the terms,
@@ -119,24 +124,40 @@ class OntologyGraph:
     pair order. An edge with an end that is not a node, a weight that is not
     finite and non-negative, or a pair already given raises
     :class:`UnknownTermError` or ValueError, its ``record`` the index of the
-    first such edge."""
+    first such edge.
+
+    The constructor maps the edge ends to term ids and builds through
+    :meth:`_checked`, which the graph and blend file readers call with the
+    ids they already hold."""
 
     def __init__(self, nodes=(), src=(), dst=(), label=(), weight=()):
         nodes = dict(nodes)
         terms = sorted(nodes)
         ids = dict(zip(terms, range(len(terms))))
-        n, m = len(terms), len(src)
-        a, b = (np.fromiter(map(ids.get, ends, repeat(-1)), dtype=np.int64, count=m) for ends in (src, dst))
+        a, b = (np.fromiter(map(ids.get, ends, repeat(-1)), dtype=np.int64, count=len(src)) for ends in (src, dst))
+        self._checked(nodes, terms, ids, a, b, label, weight, lambda at: (src[at], dst[at]))
+
+    def _checked(self, nodes, terms, ids, a, b, label, weight, ends, positive=False) -> None:
+        """Check the edges from term id ``a[i]`` to ``b[i]`` (-1 for an end
+        that is not a node), with labels ``label``, and build from them.
+        ``ends(i)`` names edge ``i``'s ends for a refusal. With ``positive``
+        a zero weight is refused too, after the other faults of its edge."""
+        n, m = len(terms), len(a)
         weight = np.asarray(weight, dtype=float)
         pair = np.minimum(a, b) * n + np.maximum(a, b)
-        refused = (a < 0) | (b < 0) | ~((weight >= 0.0) & (weight < math.inf))
         order = np.argsort(pair, kind="stable")  # a pair's first edge comes first
-        refused[order[1:][np.diff(pair[order]) == 0]] = True  # a second edge for the pair
+        second = np.zeros(m, dtype=bool)
+        second[order[1:][np.diff(pair[order]) == 0]] = True
+        del pair, order
+        refused = (a < 0) | (b < 0) | ~((weight >= 0.0) & (weight < math.inf)) | second
+        if positive:
+            refused |= weight == 0.0
         if refused.any():
             at = int(np.argmax(refused))
-            exc = _refusal(nodes, src[at], dst[at], float(weight[at]))
+            exc = _refusal(nodes, *ends(at), float(weight[at]), bool(second[at]))
             exc.record = at
             raise exc
+        del second, refused
         labels = sorted(set(label))
         label_id = dict(zip(labels, range(len(labels))))
         label = np.fromiter(map(label_id.__getitem__, label), dtype=np.int64, count=m)
@@ -144,18 +165,23 @@ class OntologyGraph:
 
     def _build(self, nodes, terms, ids, labels, a, b, label, weight) -> None:
         """Set every attribute from the node tables and the checked edges
-        from term id ``a[i]`` to ``b[i]``, with label ids ``label``."""
+        from term id ``a[i]`` to ``b[i]``, with label ids ``label``. Each
+        temporary is dropped once used, so that few are alive at once."""
         self.nodes: dict[str, str] = nodes
         self.terms, self.ids, self.labels = terms, ids, labels
         n, m = len(terms), len(a)
         back = np.flatnonzero(a != b)  # a self-loop has one entry, forward
         rows, cols = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
         order = np.argsort(rows * n + cols)
-        record, rows = np.concatenate([np.arange(m), back])[order], rows[order]
-        self.indptr = np.searchsorted(rows, np.arange(n + 1))
-        self.indices = cols[order]
+        rows, self.indices = rows[order], cols[order]
+        del cols
+        record = np.concatenate([np.arange(m), back])[order]
+        del back
         self.weight, self.label = weight[record], label[record]
+        del record
         self.forward = order < m
+        del order
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
         upper = np.flatnonzero(self.indices >= rows)
         self._edges = np.column_stack([rows[upper], upper])
 
@@ -219,9 +245,10 @@ class OntologyGraph:
         return sub
 
 
-def _refusal(nodes: dict, src, dst, weight) -> Exception:
+def _refusal(nodes: dict, src, dst, weight, second: bool) -> Exception:
     """The error that refuses an edge from ``src`` to ``dst`` of ``weight``
-    among ``nodes``."""
+    among ``nodes``, ``second`` if an earlier edge joins the same pair; a
+    zero weight if nothing else is wrong."""
     if src not in nodes or dst not in nodes:
         return UnknownTermError(
             f"edge endpoints must be nodes: {src!r}, {dst!r}",
@@ -229,11 +256,14 @@ def _refusal(nodes: dict, src, dst, weight) -> Exception:
         )
     if not 0.0 <= weight < math.inf:
         return ValueError(f"edge weight must be finite and non-negative, not {weight!r}")
-    lo, hi = sorted((src, dst))
-    return ValueError(f"second edge between {lo!r} and {hi!r}")
+    if second:
+        lo, hi = sorted((src, dst))
+        return ValueError(f"second edge between {lo!r} and {hi!r}")
+    return ValueError("edge weight is a pair count and must be positive, not 0.0")
 
 
-_BLOCK = 1024  # lines read, records decoded or written at a time
+_BLOCK = 1024  # records decoded or written at a time
+_READ = 1 << 15  # characters of a graph or blend file parsed at a time, about _BLOCK lines
 _MAX_TERMS = 1 << 21  # codes over at most this many terms fit in int64
 
 
@@ -710,16 +740,6 @@ def _write_records(path, header: str, *blocks) -> None:
         out.writelines(chain(*blocks))
 
 
-def _graph_from_columns(path, nodes: dict, columns, line_no) -> OntologyGraph:
-    """The graph of a graph or blend file's ``nodes`` and edge ``columns``
-    (src, dst, label and weight). An edge the graph refuses is a
-    :class:`GraphFormatError` at ``line_no("edge", i)``, ``i`` its index."""
-    try:
-        return OntologyGraph(nodes, *columns)
-    except (UnknownTermError, ValueError) as exc:
-        raise GraphFormatError(path, line_no("edge", exc.record), str(exc)) from None
-
-
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
     """Line-oriented graph file: node/edge records plus optional freq and
     triple records carrying the word statistics. Every weight and count is
@@ -740,54 +760,64 @@ _FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
 PROVENANCES = ("anchored", "expanded", "confabulated")  # how a term entered a blend
 
 
-def _fields(kind: str, lines: list) -> list:
-    """The fields after the kind of ``lines``, which should each be a
-    ``kind`` record, one list per field; ValueError if one is not. All
-    lines are split at once, joined by a NUL token, which must then fall
-    after every record and nowhere else. A NUL in a line sends the lines
-    to a split each."""
-    width, n = _WIDTHS[kind], len(lines)
-    joined = " \0 ".join(lines)
-    tokens = joined.split()
+class _Numbers(dict):
+    """Each number text of a file read so far, mapped to its float. A file
+    holds few distinct counts, so each is parsed once."""
+
+    def __missing__(self, text):
+        self[text] = value = float(text)
+        return value
+
+
+def _fields(kind: str, text: str) -> list:
+    """The fields after the kind of the lines of ``text``, each ended by a
+    line feed, which should each be a ``kind`` record, one list per field;
+    ValueError if one is not. All lines are split at once, each line feed
+    turned into a NUL token, which must then fall after every record and
+    nowhere else. A NUL in the text, which may be a field, sends the lines
+    to a split each, each line's end marked by None."""
+    width, n = _WIDTHS[kind], text.count("\n")
     stride = width + 1
-    if n and (len(tokens) != n * stride - 1 or joined.count("\0") != n - 1
-              or tokens[width::stride].count("\0") != n - 1):
-        tokens = list(chain.from_iterable([*line.split(), "\0"] for line in lines))
-        if len(tokens) != n * stride or tokens[width::stride].count("\0") != n:
-            raise ValueError(f"a {kind} record with another number of fields")
+    if "\0" in text:
+        end, tokens = None, list(chain.from_iterable([*line.split(), None] for line in text.split("\n")[:-1]))
+    else:
+        end, tokens = "\0", text.replace("\n", " \0 ").split()
+    if len(tokens) != n * stride or tokens[width::stride].count(end) != n:
+        raise ValueError(f"a {kind} record with another number of fields")
     columns = [tokens[i::stride] for i in range(width)]
     if columns[0].count(kind) != n:
         raise ValueError(f"a record that is not {kind}")
     return columns[1:]
 
 
-def _columns(kind: str, lines: list, names: defaultdict, shared: dict) -> list:
-    """The :func:`_fields` of the ``kind`` records ``lines`` as compact
+def _columns(kind: str, text: str, names: defaultdict, shared: dict, numbers: _Numbers) -> list:
+    """The :func:`_fields` of the ``kind`` records ``text`` as compact
     columns, by the field's letter in ``_COLUMNS``: a term (``t``) as an
     int64 array of ids into ``names``, a term to id table that numbers each
-    new term as it comes; a number (``f``) as a float array; any other text
-    (``s``) as a list holding the one string of ``shared`` equal to it.
-    ValueError if a record or a number does not parse."""
+    new term as it comes; a number (``f``) as a float array, each distinct
+    text parsed once by ``numbers``; any other text (``s``) as a list
+    holding the one string of ``shared`` equal to it. ValueError if a
+    record or a number does not parse."""
     columns = []
-    for letter, fields in zip(_COLUMNS[kind], _fields(kind, lines)):
+    for letter, fields in zip(_COLUMNS[kind], _fields(kind, text)):
         if letter == "t":
             columns.append(np.fromiter(map(names.__getitem__, fields), dtype=np.int64, count=len(fields)))
         elif letter == "f":
-            columns.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
+            columns.append(np.fromiter(map(numbers.__getitem__, fields), dtype=float, count=len(fields)))
         else:
             columns.append(list(map(shared.setdefault, fields, fields)))
     return columns
 
 
 def _graph_fields(columns: dict, names: np.ndarray) -> tuple:
-    """The nodes, a dict in file order, and the edge columns of the
-    :func:`_read_records` ``columns``, terms named by ``names``; ValueError
-    if a term has two nodes."""
+    """The nodes, a dict in file order, and the edges of the
+    :func:`_read_records` ``columns``: ``names`` and each edge's end ids
+    into it, label and weight; ValueError if a term has two nodes."""
     (terms, types), (src, dst, label, weight) = columns["node"], columns["edge"]
     nodes = dict(zip(names[terms].tolist(), types))
     if len(nodes) < len(types):
         raise ValueError("a second node record for a term")
-    return nodes, [names[src].tolist(), names[dst].tolist(), label, weight]  # lists of pointers to names
+    return nodes, (names, src, dst, label, weight)
 
 
 def _blend_fields(columns: dict, names: np.ndarray, lines) -> tuple:
@@ -801,6 +831,24 @@ def _blend_fields(columns: dict, names: np.ndarray, lines) -> tuple:
         raise ValueError("a bad score record")
     terms = names[terms].tolist()
     return (*_graph_fields(columns, names), dict(zip(terms, scores.tolist())), dict(zip(terms, provenance)))
+
+
+def _graph_from_columns(path, nodes: dict, edges: tuple, line_no, positive: bool = False) -> OntologyGraph:
+    """The graph of a graph or blend file's ``nodes`` and ``edges`` (see
+    :func:`_graph_fields`), the edge ends renumbered onto the sorted terms.
+    An edge the graph refuses, or with ``positive`` one of zero weight, is
+    a :class:`GraphFormatError` at ``line_no("edge", i)``, ``i`` its index."""
+    names, src, dst, label, weight = edges
+    terms = sorted(nodes)
+    ids = dict(zip(terms, range(len(terms))))
+    number = np.fromiter(map(ids.get, names.tolist(), repeat(-1)), dtype=np.int64, count=len(names))
+    graph = object.__new__(OntologyGraph)
+    try:
+        graph._checked(nodes, terms, ids, number[src], number[dst], label, weight,
+                       lambda at: names[[src[at], dst[at]]].tolist(), positive)
+    except (UnknownTermError, ValueError) as exc:
+        raise GraphFormatError(path, line_no("edge", exc.record), str(exc)) from None
+    return graph
 
 
 def _first_fault(kind: str, lines: list):
@@ -833,11 +881,18 @@ def _first_fault(kind: str, lines: list):
     return None
 
 
-def _blocks(text: str):
-    """``text`` cut at line ends into blocks of ``_BLOCK`` lines; the last
-    block holds the rest. A line ends at a line feed alone, as
-    :func:`~holoscene.errors.read_text` counts lines."""
-    return (m.group() for m in re.finditer(rf"(?:[^\n]*\n){{1,{_BLOCK}}}|[^\n]+", text))
+def _lines_by_kind(path, kinds: tuple) -> tuple:
+    """Each kind's stripped lines of ``path`` and their line numbers, up to
+    the first line of no kind, and that line's fault in a list, if there is
+    one. The file is read again: this runs only to name a bad line."""
+    first = {kind[0]: kind for kind in kinds}
+    lines, line_nos = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
+    for line_no, line in read_lines(path):
+        if line[0] not in first:
+            return lines, line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
+        lines[first[line[0]]].append(line)
+        line_nos[first[line[0]]].append(line_no)
+    return lines, line_nos, []
 
 
 def _joined(parts: list):
@@ -853,49 +908,64 @@ def _read_records(path, kinds: tuple, parse):
     of ``kinds``, and ``line_no(kind, i)``, the line of record ``i`` of a
     kind. ``columns`` maps each kind to its :func:`_columns`, ``names`` is
     the object array of the file's terms by id and ``lines(kind)`` gives a
-    kind's stripped lines. The text is read once and parsed a block of
-    lines at a time, so that no kind's fields are all alive as strings at
-    once. If ``parse`` raises ValueError, the first bad line, found by
-    :func:`_first_fault` on each kind, is a :class:`GraphFormatError`."""
+    kind's stripped lines.
+
+    The text is read once and cut into blocks of about ``_READ``
+    characters at line ends, and each block at the end of every run of
+    lines that start with one kind's word and a space. Such a run is split
+    at once by :func:`_fields`. Any other lines (blank, comment, indented
+    or unknown ones) are stripped and set aside by kind with
+    ``itertools.groupby`` on their first character, then split by kind in
+    the same way. The text is dropped once every block is parsed; a fault
+    reads the file again to name its line. If ``parse`` raises ValueError,
+    the first bad line, found by :func:`_first_fault` on each kind, is a
+    :class:`GraphFormatError`."""
     text = read_text(path)
+    if not text.endswith("\n"):
+        text += "\n"  # _fields counts a line feed per line
     first = {kind[0]: kind for kind in kinds}  # no two kinds start with the same letter
-
-    def by_kind():  # each kind's lines and line numbers up to the first line of no kind; that line's fault
-        lines, line_nos = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
-        for line_no, line in read_lines(path, map(str.strip, text.split("\n"))):
-            if line[0] not in first:
-                return lines, line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
-            lines[first[line[0]]].append(line)
-            line_nos[first[line[0]]].append(line_no)
-        return lines, line_nos, []
-
-    names, shared = defaultdict(count().__next__), {}  # term ids in first-seen order; one string per text
+    # the line feed that ends a run of one kind's records, or the lines before a record; each
+    # search ends at a line feed, so one always matches
+    run_end = {kind: re.compile(rf"\n(?!{kind} )") for kind in kinds}
+    record_start = re.compile(rf"\n(?=(?:{'|'.join(kinds)}) |\Z)")
+    names, shared, numbers = defaultdict(count().__next__), {}, _Numbers()  # term ids in first-seen order
     # each column's blocks, the first an empty column of its type
-    parts = {kind: [[column] for column in _columns(kind, [], names, shared)] for kind in kinds}
+    parts = {kind: [[column] for column in _columns(kind, "", names, shared, numbers)] for kind in kinds}
     try:
-        for block in _blocks(text):
-            records = defaultdict(list)  # the block's lines of each kind it holds
-            for char, group in groupby(map(str.strip, block.split("\n")), _FIRST):
-                if char in first:
-                    records[first[char]].extend(group)
-                elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
-                    raise ValueError("a line of no record kind")
-            for kind, lines in records.items():
-                for part, column in zip(parts[kind], _columns(kind, lines, names, shared)):
+        at = 0
+        while at < len(text):
+            end = text.find("\n", at + _READ) + 1 or len(text)
+            kind = first.get(text[at])
+            if kind is not None and text.startswith(kind + " ", at):
+                stop = run_end[kind].search(text, at, end).end()
+                runs = {kind: text[at:stop]}
+            else:  # lines up to the next that starts with a kind's word
+                stop = record_start.search(text, at, end).end()
+                runs = defaultdict(list)
+                for char, group in groupby(map(str.strip, text[at:stop].split("\n")), _FIRST):
+                    if char in first:
+                        runs[first[char]].extend(group)
+                    elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
+                        raise ValueError("a line of no record kind")
+                runs = {kind: "\n".join(lines) + "\n" for kind, lines in runs.items()}
+            for kind, run in runs.items():
+                for part, column in zip(parts[kind], _columns(kind, run, names, shared, numbers)):
                     part.append(column)
+            at = stop
+        del text, runs
         columns = {kind: list(map(_joined, parts[kind])) for kind in kinds}
-        parsed = parse(columns, np.array(list(names), dtype=object), lambda kind: by_kind()[0][kind])
+        parsed = parse(columns, np.array(list(names), dtype=object), lambda kind: _lines_by_kind(path, kinds)[0][kind])
     except _TooManyTerms as exc:
         raise GraphFormatError(path, None, str(exc)) from None
     except ValueError:
-        lines, line_nos, faults = by_kind()
+        lines, line_nos, faults = _lines_by_kind(path, kinds)
         for kind in kinds:
             fault = _first_fault(kind, lines[kind])
             if fault:
                 faults.append((line_nos[kind][fault[0]], fault[1]))
         raise GraphFormatError(path, *min(faults)) from None
 
-    return parsed, lambda kind, at: by_kind()[1][kind][at]
+    return parsed, lambda kind, at: _lines_by_kind(path, kinds)[1][kind][at]
 
 
 def load_graph(path):
@@ -910,8 +980,8 @@ def load_graph(path):
     :class:`GraphFormatError` naming its line.
 
     The file is read by :func:`_read_records`, each kind parsed and checked
-    in bulk, the graph built from the edge columns and the triple counts
-    from the triples' term ids, renumbered over the sorted ``k1`` terms.
+    in bulk, the graph built from the edges' term ids and the triple counts
+    from the triples', each renumbered onto the sorted terms.
     """
     def parse(columns, names, lines):  # k3 is None if a triple names a term with no freq
         nodes, edges = _graph_fields(columns, names)
@@ -935,16 +1005,9 @@ def load_graph(path):
             raise ValueError("a bad triple record")
         return nodes, edges, freq_terms, k1, None, triples
 
-    (nodes, columns, freq_terms, k1, k3, triples), line_no = _read_records(
+    (nodes, edges, freq_terms, k1, k3, triples), line_no = _read_records(
         path, ("node", "edge", "freq", "triple"), parse)
-    weight = columns[3]
-    zero = int(np.argmax(weight == 0.0)) if k1 and (weight == 0.0).any() else len(weight)
-    if zero < len(weight):  # the graph checks the edges before it first
-        columns = [column[:zero + 1] for column in columns]
-    graph = _graph_from_columns(path, nodes, columns, line_no)
-    if zero < len(weight):
-        raise GraphFormatError(path, line_no("edge", zero),
-                               "edge weight is a pair count and must be positive, not 0.0")
+    graph = _graph_from_columns(path, nodes, edges, line_no, positive=bool(k1))
     if not k1:
         return graph, None
 

@@ -753,18 +753,18 @@ def reference_load_blend(path) -> BlendedSpace:
 def assert_blend_loads_as_reference(path):
     """``load_blend`` and the reference give the same scores (to the bit),
     provenances, nodes and edges, each in the same order, or the same error
-    at the same line, with the reader's own block size and each of
+    at the same line, with the reader's own character budget and each of
     ``BLOCK_SIZES``."""
     try:
         want = reference_load_blend(path)
     except GraphFormatError as exc:
-        for block in (ontology._BLOCK, *BLOCK_SIZES):
-            with mock.patch.object(ontology, "_BLOCK", block), pytest.raises(GraphFormatError) as err:
+        for block in (ontology._READ, *BLOCK_SIZES):
+            with mock.patch.object(ontology, "_READ", block), pytest.raises(GraphFormatError) as err:
                 load_blend(path)
             assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
-    for block in (ontology._BLOCK, *BLOCK_SIZES):
-        with mock.patch.object(ontology, "_BLOCK", block):
+    for block in (ontology._READ, *BLOCK_SIZES):
+        with mock.patch.object(ontology, "_READ", block):
             got = load_blend(path)
         assert [(t, repr(s)) for t, s in got.scores.items()] == [(t, repr(s)) for t, s in want.scores.items()]
         assert list(got.provenance.items()) == list(want.provenance.items())
@@ -813,10 +813,12 @@ def test_blend_reader_matches_line_reader(data):
     "node a entity\nscore a 1 anchored expanded\nscores a 1 anchored\n",
     "node a entity\ns\n",
     "node a entity\nedge a a self 1\nscore a 1 anchored\n\n# end\n",
+    "node a entity\r\nnode b entity\r\n  node c entity\r\nscore a 1 anchored\r\nscore b 0.5 expanded\r\n"
+    "\tscore c 0 confabulated\r\nscore c 1 anchored",
 ], ids=["score-before-node", "score-without-node", "freq", "triple", "nul-term", "provenance-and-repeat",
         "repeat-and-no-number", "nan", "inf", "negative", "minus-zero-and-underflow",
         "refused-edge-after-scores", "second-edge-after-scores", "wide-score-then-scores", "bare-s",
-        "self-loop"])
+        "self-loop", "runs-crlf-indented-unended"])
 def test_blend_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.blend"
     path.write_text(text, encoding="utf-8")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from holoscene import lexicon
+from holoscene import blending, cli, errors, lexicon, ontology
 from holoscene.cli import main
 from holoscene.memory import HolographicMemory
 
@@ -403,6 +403,31 @@ class TestInspectAndDot:
         out = capsys.readouterr().out
         assert out.startswith("graph ontology {")
         assert '"blender" -- "sun"' in out
+
+
+@pytest.mark.parametrize("kind", ["graph", "blend"])
+def test_export_dot_decodes_its_input_once(tmp_path, capsys, monkeypatch, kind):
+    """The DOT of a graph or blend file is its loader's, and the file is
+    decoded once, by the loader: the CLI reads only the header's bytes."""
+    if kind == "graph":
+        path = DEMO / "demo.graph"
+        want = ontology.to_dot(ontology.load_graph(path)[0])
+    else:
+        path = tmp_path / "small.blend"
+        path.write_text("# holoscene blend v1\nnode ball entity\nnode sand entity\nedge ball sand near 1\n"
+                        "score ball 1 anchored\nscore sand 0.5 expanded\n", encoding="utf-8")
+        want = blending.blend_to_dot(blending.load_blend(path))
+    decoded = []
+
+    def read_text(path):
+        decoded.append(path)
+        return errors.read_text(path)
+
+    monkeypatch.setattr(cli, "read_text", read_text)
+    monkeypatch.setattr(ontology, "read_text", read_text)
+    assert main(["export-dot", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    assert decoded == [str(path)]
 
 
 def _spoiled(source, path, line_no):

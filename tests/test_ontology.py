@@ -795,27 +795,29 @@ def reference_load_graph(path):
     return nodes, edges, freq, k3
 
 
-# block sizes, in lines, besides the reader's own: with them every record,
-# blank or comment line and fault of a small file falls on a block's edge
-BLOCK_SIZES = (1, 2, 3, 7)
+# the reader's character budgets besides its own: with 0 every line is a
+# block of its own; with the others a block of a small file holds one, two
+# or several lines, so every record, blank or comment line and fault falls
+# on a block's edge and runs of one kind are split at once
+BLOCK_SIZES = (0, 13, 40, 100)
 
 
 def assert_loads_as_reference(path):
     """``load_graph`` and the reference give the same nodes, edges, k1 and
     k3 (k3 in sorted order), or the same error at the same line, with the
-    reader's own block size and each of :data:`BLOCK_SIZES`. The graph is
-    read through its public reads."""
+    reader's own character budget and each of :data:`BLOCK_SIZES`. The
+    graph is read through its public reads."""
     try:
         want = reference_load_graph(path)
     except GraphFormatError as exc:
-        for block in (ontology._BLOCK, *BLOCK_SIZES):
-            with mock.patch.object(ontology, "_BLOCK", block), pytest.raises(GraphFormatError) as err:
+        for block in (ontology._READ, *BLOCK_SIZES):
+            with mock.patch.object(ontology, "_READ", block), pytest.raises(GraphFormatError) as err:
                 load_graph(path)
             assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
     want_nodes, want_edges, want_k1, want_k3 = want
-    for block in (ontology._BLOCK, *BLOCK_SIZES):
-        with mock.patch.object(ontology, "_BLOCK", block):
+    for block in (ontology._READ, *BLOCK_SIZES):
+        with mock.patch.object(ontology, "_READ", block):
             graph, dk = load_graph(path)
         assert_reads_match_model(graph, want_nodes, want_edges)
         if want_k1 is None:
@@ -842,6 +844,10 @@ _SKIPPED_LINES = ("# holoscene graph v1\n\nnode a entity\n  node b entity\r\n# a
                   "edge b c near 1\ntriple a b c 1\n\r\n")
 
 
+# runs of one kind of record, as the writer leaves them
+_RUN = "# holoscene graph v1\nnode a entity\nnode b entity\nnode c entity\nedge a b near 2\nedge b c near 1\n"
+
+
 @pytest.mark.parametrize("text", [
     "node a\nnode node b c\n",  # two bad records whose fields add up
     "node a entity\nfreq a 1\ntriple a a\ntriple a a a a 1\n",
@@ -857,10 +863,25 @@ _SKIPPED_LINES = ("# holoscene graph v1\n\nnode a entity\n  node b entity\r\n# a
     _SKIPPED_LINES + "\nnode d entity\r\n",
     _SKIPPED_LINES + "  freq zz 1\n# after\n",
     _SKIPPED_LINES + "\ttriple a b zz 1\n\n",
+    # odd lines inside runs of one kind, which the reader splits a run at a time
+    _RUN + "  node d entity\nnode\te\tentity\nnode f entity\nedge d e near 1\nedge\te f near 1\nedge f a near 1\n",
+    _RUN + "  node d\nnode e entity\n",
+    _RUN + "edge c a near 4",
+    _RUN + "edge c a near",
+    _RUN.replace("\n", "\r\n") + "freq a 1\r\nfreq b 2\r\nfreq c 3\r\ntriple a b c 1\r\ntriple a a b 2\r\n",
+    _RUN.replace("\n", "\r\n") + "freq a 1\r\nfreq b 2\r\nfreq c 3\r\nfreq d 1\r\n",
+    _RUN + "node a\x00 entity\nnode d entity\nedge a\x00 d x 1\nedge d a x 1\n",
+    _RUN + "  node\n  node \x00 node y z\n",  # a NUL field where the record end would fall
+    _RUN + "node node entity\nnode edge entity\nnode freq entity\nedge node edge freq 2\nedge edge a node 1\n",
+    _RUN + "node d entity\n\nnode e entity\n# a comment\nnode f entity\nedge d e x 1\n\nedge e f x 1\n"
+           "# a comment\nedge f d x 1\n\nedge d e y 1\n",
 ], ids=["misaligned", "triple-short", "kind-terms", "nul-term", "blanks", "nodes", "n", "bare-freq",
         "short-edge", "tripled", "stray-terms", "skipped-lines", "skipped-then-unknown-kind",
         "skipped-then-refused-edge", "skipped-then-zero-weight", "skipped-then-node-without-freq",
-        "skipped-then-undeclared-freq", "skipped-then-stray-triple"])
+        "skipped-then-undeclared-freq", "skipped-then-stray-triple", "run-indented-and-tabbed",
+        "run-then-short-indented-node", "run-last-line-unended", "run-last-line-unended-short", "run-crlf",
+        "run-crlf-undeclared-freq", "run-nul-field", "run-nul-token-aligned", "run-kind-terms",
+        "run-broken-by-blank-and-comment"])
 def test_bulk_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.graph"
     path.write_text(text, encoding="utf-8")
