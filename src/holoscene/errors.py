@@ -111,20 +111,13 @@ def read_text(path) -> str:
         raise GraphFormatError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
 
 
-def stripped_lines(path) -> list:
-    """Every line of ``path``, stripped, blank and ``#`` comment lines
-    included, so that line ``n`` is item ``n - 1``."""
+def read_lines(path):
+    """``(line number, line)`` for each line of ``path``, stripped, that is
+    neither blank nor a ``#`` comment: the one line reader of every
+    line-oriented input file."""
     # split on "\n" alone, as read_text counts lines; splitlines() would also
     # break at \x0c, \x85, \u2028 and others
-    return list(map(str.strip, read_text(path).split("\n")))
-
-
-def read_lines(path, lines: list | None = None):
-    """``(line number, line)`` for each of the :func:`stripped_lines` of
-    ``path`` that is neither blank nor a ``#`` comment: the one line reader
-    of every line-oriented input file. ``lines``, when given, are those
-    stripped lines, already read."""
-    for line_no, line in enumerate(stripped_lines(path) if lines is None else lines, start=1):
+    for line_no, line in enumerate(map(str.strip, read_text(path).split("\n")), start=1):
         if line and line[0] != "#":  # not startswith: ~6 ms slower on a 41,694-line graph
             yield line_no, line
 

@@ -69,15 +69,6 @@ def random_vector(seed: int, dim: int, term: str | None = None) -> Vector:
     return rng.standard_normal(dim) / np.sqrt(dim)
 
 
-def delta(dim: int) -> Vector:
-    """Unit impulse at index 0: the identity of convolution."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    v = np.zeros(dim)
-    v[0] = 1.0
-    return v
-
-
 def convolve(x, y) -> Vector:
     """Circular convolution: z[j] = sum_k x[k] * y[(j-k) mod n]."""
     x = _as_vector(x, "x")

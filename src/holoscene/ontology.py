@@ -36,8 +36,8 @@ table, one sorted int64 code ``(lo·n + mid)·n + hi`` per triple of term
 ids, and the counts in code order. Only that class knows the code. Its
 one constructor takes columns of term ids, computes and sorts the codes
 and refuses a repeated triple, or, given no counts, counts the repeated
-rows of a triple as its count; the graph file reader, ``extract_dk`` and
-a ``DkStatistics`` given a plain mapping all build through it. Its
+rows of a triple as its count; the graph file reader and ``extract_dk``
+both build through it, and ``DkStatistics`` takes nothing else. Its
 ``count`` looks triples of term ids up a whole array at a time, and its
 ``over`` renumbers them over another term table, such as a graph's.
 ``DkStatistics.k3`` reads as a mapping from sorted term triples to
@@ -49,10 +49,11 @@ Graph and blend files share one record grammar and one reader,
 the text once and cuts it at line ends into blocks of about ``_READ``
 characters, and each block again where a run of lines that start with one
 kind's word ends. A run costs one ``str.split``: its line feeds become a
-NUL token that must fall after every record, and its fields are taken by
-stride. The few other lines (the header comment, blank, indented or
-unknown lines) are stripped and set aside by kind with
-``itertools.groupby`` on their first character, then split the same way.
+NUL token (a lone surrogate in a text with a NUL) that must fall after
+every record, and its fields are taken by stride. The few other lines
+(the header comment, blank, indented or unknown lines) are stripped and
+set aside by kind with ``itertools.groupby`` on their first character,
+then split the same way.
 Every kind's fields become compact columns: each term an int id into one
 first-seen name table per file, each number a float, parsed once per
 distinct text, and each label, node type or provenance the one shared
@@ -127,8 +128,8 @@ class OntologyGraph:
     first such edge.
 
     The constructor maps the edge ends to term ids and builds through
-    :meth:`_checked`, which the graph and blend file readers call with the
-    ids they already hold."""
+    :meth:`_checked`, which ``build_from_corpus`` and the graph and blend
+    file readers call with the ids they already hold."""
 
     def __init__(self, nodes=(), src=(), dst=(), label=(), weight=()):
         nodes = dict(nodes)
@@ -195,8 +196,9 @@ class OntologyGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def _records(self, rows, at) -> list:
-        """The edge of each entry ``at`` of rows ``rows``, as an :class:`EdgeRec`."""
+    def edges(self) -> list:
+        """Every edge, as an :class:`EdgeRec`, in sorted term pair order."""
+        rows, at = self._edges.T
         terms = np.array(self.terms, dtype=object)
         here, there, forward = terms[rows], terms[self.indices[at]], self.forward[at]
         labels = np.array(self.labels, dtype=object)[self.label[at]]
@@ -204,23 +206,11 @@ class OntologyGraph:
                       labels.tolist(), self.weight[at].tolist())
         return list(map(tuple.__new__, repeat(EdgeRec), records))  # not EdgeRec's Python __new__
 
-    def _row(self, term) -> np.ndarray:
-        """The entries of ``term``'s row; none if it is not a node."""
-        i = self.ids.get(term)
-        return np.arange(0) if i is None else np.arange(self.indptr[i], self.indptr[i + 1])
-
-    def edges(self) -> list:
-        """Every edge, in sorted term pair order."""
-        return self._records(*self._edges.T)
-
-    def edge_between(self, a: str, b: str) -> EdgeRec | None:
-        at = self._row(a)
-        at = at[self.indices[at] == self.ids.get(b, -1)]
-        return self._records([self.ids[a]], at)[0] if len(at) else None
-
     def neighbors(self, term: str, relations=None) -> list:
-        """Sorted neighbor terms, optionally restricted to edge labels."""
-        at = self._row(term)
+        """Sorted neighbor terms, optionally restricted to edge labels; none
+        if ``term`` is not a node."""
+        i = self.ids.get(term)
+        at = np.arange(0) if i is None else np.arange(self.indptr[i], self.indptr[i + 1])
         if relations is not None:
             at = at[[self.labels[label] in relations for label in self.label[at].tolist()]]
         return [self.terms[j] for j in self.indices[at].tolist()]
@@ -309,15 +299,6 @@ class TripleCounts(Mapping):
         if not ((self.counts > 0.0) & (self.counts < math.inf)).all():
             raise ValueError("a triple count that is not finite and positive")
 
-    @classmethod
-    def from_counts(cls, terms: list, triples) -> "TripleCounts":
-        """From a mapping of sorted triples of ``terms`` (a sorted list) to
-        their counts."""
-        number = dict(zip(terms, range(len(terms))))
-        ids = np.fromiter(map(number.__getitem__, chain.from_iterable(triples)),
-                          dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
-        return cls(terms, *ids.T, np.fromiter(triples.values(), dtype=float, count=len(triples)))
-
     def _code(self, a, b, c):
         """The code of each triple of term ids ``(a[i], b[i], c[i])``."""
         lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
@@ -399,18 +380,16 @@ def running_sum(values):
 class DkStatistics:
     """Word statistics at orders 1 and 3 (single and triple), with order 0
     (average) derived from order 1. Order 2, the pair counts, is the graph's
-    edge weights. ``k3`` is held over ``sorted(k1)``; any other mapping of
-    sorted triples to counts is converted to that form."""
+    edge weights. ``k3`` is a :class:`TripleCounts`, which ``extract_dk``
+    and ``load_graph`` build over ``sorted(k1)``; anything else is a
+    TypeError."""
 
     k1: dict
     k3: TripleCounts
 
     def __post_init__(self):
         if not isinstance(self.k3, TripleCounts):
-            object.__setattr__(self, "k3", TripleCounts.from_counts(sorted(self.k1), self.k3))
-
-    def triple(self, a: str, b: str, c: str) -> float:
-        return self.k3.get(tuple(sorted((a, b, c))), 0)
+            raise TypeError(f"k3 must be TripleCounts, not {type(self.k3).__name__}")
 
     @property
     def total_frequency(self) -> float:
@@ -523,19 +502,21 @@ def build_from_corpus(corpus, lexicon: Lexicon | None = None, *, scan: _Scan | N
         for src, dst, label in _match_relations(sentence, lex.relation_patterns, lex):
             labels.setdefault(tuple(sorted((src, dst))), (src, dst, label))
 
-    n = max(len(scan.terms), 1)
+    terms, n = scan.terms, max(len(scan.terms), 1)
     rows = _window_rows(scan.ids, 2)
     pairs, weight = np.unique(rows[:, 0] * n + rows[:, 1], return_counts=True)
-    terms = np.array(scan.terms, dtype=object)
-    src, dst = (terms[ends].tolist() for ends in np.divmod(pairs, n))
-    label = [GENERIC_RELATION] * len(src)
-    number = dict(zip(scan.terms, range(len(scan.terms))))
+    src, dst = np.divmod(pairs, n)
+    label = [GENERIC_RELATION] * len(pairs)
+    number = dict(zip(terms, range(len(terms))))
     ends = np.fromiter(map(number.__getitem__, chain.from_iterable(labels)), dtype=np.int64,
                        count=2 * len(labels)).reshape(-1, 2)
     at = np.searchsorted(pairs, ends[:, 0] * n + ends[:, 1])  # both terms share a sentence: the pair is counted
     for i, (a, b, name) in zip(at.tolist(), labels.values()):
-        src[i], dst[i], label[i] = a, b, name
-    return OntologyGraph({term: lex.semantic_type(term) for term in scan.seen}, src, dst, label, weight)
+        src[i], dst[i], label[i] = number[a], number[b], name
+    graph = object.__new__(OntologyGraph)
+    graph._checked({term: lex.semantic_type(term) for term in scan.seen}, terms, number, src, dst, label, weight,
+                   lambda at: (terms[src[at]], terms[dst[at]]))
+    return graph
 
 
 def extract_dk(corpus, graph: OntologyGraph | None = None, lexicon: Lexicon | None = None, *,
@@ -774,14 +755,13 @@ def _fields(kind: str, text: str) -> list:
     line feed, which should each be a ``kind`` record, one list per field;
     ValueError if one is not. All lines are split at once, each line feed
     turned into a NUL token, which must then fall after every record and
-    nowhere else. A NUL in the text, which may be a field, sends the lines
-    to a split each, each line's end marked by None."""
+    nowhere else. A text that holds a NUL, which may be a field, marks its
+    line ends with a lone surrogate instead, which no text decoded from
+    UTF-8 holds; a NUL-free text keeps the NUL, whose text splits faster."""
     width, n = _WIDTHS[kind], text.count("\n")
     stride = width + 1
-    if "\0" in text:
-        end, tokens = None, list(chain.from_iterable([*line.split(), None] for line in text.split("\n")[:-1]))
-    else:
-        end, tokens = "\0", text.replace("\n", " \0 ").split()
+    end = "\ud800" if "\0" in text else "\0"
+    tokens = text.replace("\n", f" {end} ").split()
     if len(tokens) != n * stride or tokens[width::stride].count(end) != n:
         raise ValueError(f"a {kind} record with another number of fields")
     columns = [tokens[i::stride] for i in range(width)]
