@@ -34,7 +34,8 @@ each source's total adds in that order, and only ``reach_scores`` gives
 the targets their term names.
 
 A blend file is a graph file's ``node`` and ``edge`` records plus one
-``score`` record per term, read by the one reader of both in ``ontology``.
+``score`` record per term, read and written by the one reader and writer
+of both in ``records``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hrr
-from .errors import GraphFormatError, NoSharedTermError, UnknownTermError
-from .ontology import (PROVENANCES, DkStatistics, OntologyGraph, _blend_fields, _graph_from_columns,
-                       _graph_records, _read_records, _record_text, _text_column, _write_records, running_sum)
+from .errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_text
+from .ontology import DkStatistics, OntologyGraph, _blend_fields, _graph_from_columns, _graph_records, running_sum
+from .records import PROVENANCES, _read_records, _record_text, _text_column, _write_records
 from .textfilter import MentalSpace
 
 ANCHORED, EXPANDED, CONFABULATED = PROVENANCES
@@ -370,7 +371,7 @@ def load_blend(path) -> BlendedSpace:
     line, as is any record that does not parse and any score that is not a
     number in [0, 1] for a ``node`` of the file."""
     (nodes, edges, scores, provenance), line_no = _read_records(
-        path, ("node", "edge", "score"), _blend_fields)
+        path, read_text(path), ("node", "edge", "score"), _blend_fields)
     subgraph = _graph_from_columns(path, nodes, edges, line_no)
     at, term = next(((at, term) for at, term in enumerate(scores) if term not in nodes), (None, None))
     if at is not None:

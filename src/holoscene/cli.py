@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import blending, memory, ontology, pipeline
@@ -72,6 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("input_file")
     p_dot.add_argument("-o", "--output", metavar="DOT_FILE")
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser of :func:`main`, built once per
+    process: parsing leaves it as it was."""
+    return build_parser()
 
 
 def _cmd_build_ontology(args) -> int:
@@ -153,9 +161,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -43,56 +43,46 @@ both build through it, and ``DkStatistics`` takes nothing else. Its
 ``DkStatistics.k3`` reads as a mapping from sorted term triples to
 counts, in sorted order.
 
-Graph and blend files share one record grammar and one reader,
-``_read_records``, given the kinds a file may hold (a blend holds
-``score`` records where a graph holds ``freq`` and ``triple``). It reads
-the text once and cuts it at line ends into blocks of about ``_READ``
-characters, and each block again where a run of lines that start with one
-kind's word ends. A run costs one ``str.split``: its line feeds become a
-NUL token (a lone surrogate in a text with a NUL) that must fall after
-every record, and its fields are taken by stride. The few other lines
-(the header comment, blank, indented or unknown lines) are stripped and
-set aside by kind with ``itertools.groupby`` on their first character,
-then split the same way.
-Every kind's fields become compact columns: each term an int id into one
-first-seen name table per file, each number a float, parsed once per
-distinct text, and each label, node type or provenance the one shared
-string of its value. A block's strings are then dropped, so no kind's
-fields are ever all alive as strings at once, and the text is dropped
-once the last block is parsed. The nodes, ``k1`` and the triple counts
-are built from the columns, the graph from the edges' name ids, which,
-like the triples', are renumbered onto the sorted terms; repeated terms
-are found by comparing lengths. Line numbers are worked out only when a
-check fails, by reading the file again line by line to name the first
-bad line.
+Graph and blend files share one record grammar, read and written by
+``records``, which knows columns, not graphs. Here the nodes, ``k1`` and
+the triple counts are built from the reader's columns, the graph from the
+edges' name ids, which, like the triples', are renumbered onto the sorted
+terms; repeated terms are found by comparing lengths.
 
-Both files are written by one record writer, ``_record_text``. Each field
-of a kind's records is a column: a table of distinct strings (the terms,
-the labels, the node types, the provenances, or the text of each distinct
-weight, count or score) and each record's index into it. Each string is
-formatted once, with the separator that follows it; ``_BLOCK`` records at
-a time are gathered by index and joined into one string, and the file is
-written a block at a time, never held whole. Distinct numbers are told
-apart by bit pattern, so that 0.0 and -0.0 keep their own texts.
+``load_graph`` reads a file's bytes once and keys them by SHA-256. The
+process keeps one load: the graph and statistics of bytes loaded twice in
+a row, which it hands back again, without a parse, while the same bytes
+are loaded. A load of other bytes drops it, so that loads that do not
+repeat hold nothing (a process that loads a graph once, to check it, does
+not hold it through its later work), and a load that fails keeps
+nothing. What it hands out is therefore shared and read-only: every
+array of a graph and of its triple counts is not writeable, a graph's
+``terms`` and ``labels`` and the triple counts' ``terms`` are tuples,
+and a graph's ``nodes`` and ``ids`` and the statistics' ``k1`` are
+:class:`ReadOnlyDict`. Each still pickles and copies, and its copies
+are read-only too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-import re
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, count, groupby, islice, repeat
-from operator import add, itemgetter
+from itertools import chain, combinations, islice, repeat
+from operator import add
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, add_once, read_lines, read_text
+from .errors import GraphFormatError, UnknownTermError, UnmappedTermError, add_once, decode_text, read_lines
 from .lexicon import Lexicon, _TOKEN_RE, default_lexicon, load_word_map, read_arrows, split_sentences
+from .records import (PROVENANCES, _BLOCK, _TooManyTerms, _first_fault, _number_column, _read_records,
+                      _record_text, _text_column, _write_records)
 
 GENERIC_RELATION = "related-to"
 
@@ -109,6 +99,19 @@ class EdgeRec(NamedTuple):
     @property
     def pair(self) -> tuple:
         return tuple(sorted((self.src, self.dst)))
+
+
+class ReadOnlyDict(dict):
+    """A dict that refuses every change with TypeError. It pickles and
+    copies as itself; ``copy()`` gives a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a ReadOnlyDict cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class OntologyGraph:
@@ -167,9 +170,11 @@ class OntologyGraph:
     def _build(self, nodes, terms, ids, labels, a, b, label, weight) -> None:
         """Set every attribute from the node tables and the checked edges
         from term id ``a[i]`` to ``b[i]``, with label ids ``label``. Each
-        temporary is dropped once used, so that few are alive at once."""
-        self.nodes: dict[str, str] = nodes
-        self.terms, self.ids, self.labels = terms, ids, labels
+        temporary is dropped once used, so that few are alive at once. The
+        graph is read-only: its arrays are not writeable, ``terms`` and
+        ``labels`` are tuples, and ``nodes`` and ``ids`` are read-only."""
+        self.nodes: Mapping[str, str] = ReadOnlyDict(nodes)
+        self.terms, self.ids, self.labels = tuple(terms), ReadOnlyDict(ids), tuple(labels)
         n, m = len(terms), len(a)
         back = np.flatnonzero(a != b)  # a self-loop has one entry, forward
         rows, cols = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
@@ -185,6 +190,8 @@ class OntologyGraph:
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
         upper = np.flatnonzero(self.indices >= rows)
         self._edges = np.column_stack([rows[upper], upper])
+        for array in (self.indices, self.weight, self.label, self.forward, self.indptr, self._edges):
+            array.flags.writeable = False
 
     def __contains__(self, term: str) -> bool:
         return term in self.nodes
@@ -252,21 +259,14 @@ def _refusal(nodes: dict, src, dst, weight, second: bool) -> Exception:
     return ValueError("edge weight is a pair count and must be positive, not 0.0")
 
 
-_BLOCK = 1024  # records decoded or written at a time
-_READ = 1 << 15  # characters of a graph or blend file parsed at a time, about _BLOCK lines
 _MAX_TERMS = 1 << 21  # codes over at most this many terms fit in int64
-
-
-class _TooManyTerms(ValueError):
-    """A term table larger than triple codes can number. It is a fault of a
-    whole graph file, not of one line, so ``load_graph`` names no line."""
 
 
 class TripleCounts(Mapping):
     """Read-only map from sorted term triples to their window counts.
 
     Built from three columns ``a``, ``b``, ``c`` of ids into ``terms`` (a
-    sorted term list of at most 2^21 terms), one triple per row in any
+    sorted sequence of at most 2^21 terms, held as a tuple), one triple per row in any
     order within it, and each triple's count, finite and positive; or,
     with no counts, one row per occurrence, each triple counted as often
     as rows repeat it. Stored as arrays: ``terms``; ``codes``, the sorted
@@ -275,7 +275,7 @@ class TripleCounts(Mapping):
     floats in code order. Codes sort as the sorted triples do, so
     iteration yields the triples in sorted order. A repeated triple given
     with counts, a larger table or a count that is not finite and
-    positive raises ValueError.
+    positive raises ValueError. The arrays are not writeable.
 
     Only this class computes codes: :meth:`count` looks triples of ids
     up and :meth:`over` renumbers the table over other terms."""
@@ -283,21 +283,22 @@ class TripleCounts(Mapping):
     def __init__(self, terms, a, b, c, counts=None):
         if len(terms) > _MAX_TERMS:
             raise _TooManyTerms(f"{len(terms)} terms: triple codes fit in int64 for at most {_MAX_TERMS}")
-        self.terms = terms
+        self.terms = tuple(terms)
         codes = self._code(a, b, c)
         if counts is None:
             self.codes, counts = np.unique(codes, return_counts=True)
             self.counts = counts.astype(float)
-            return
-        order = np.argsort(codes)
-        codes = codes[order]  # the unsorted codes are freed before the counts are sorted
-        self.codes, self.counts = codes, np.asarray(counts, dtype=float)[order]
-        repeated = np.flatnonzero(self.codes[1:] == self.codes[:-1])
-        if len(repeated):
-            triple, _ = next(islice(self.items(), int(repeated[0]), None))
-            raise ValueError(f"second count for triple {triple}")
-        if not ((self.counts > 0.0) & (self.counts < math.inf)).all():
-            raise ValueError("a triple count that is not finite and positive")
+        else:
+            order = np.argsort(codes)
+            codes = codes[order]  # the unsorted codes are freed before the counts are sorted
+            self.codes, self.counts = codes, np.asarray(counts, dtype=float)[order]
+            repeated = np.flatnonzero(self.codes[1:] == self.codes[:-1])
+            if len(repeated):
+                triple, _ = next(islice(self.items(), int(repeated[0]), None))
+                raise ValueError(f"second count for triple {triple}")
+            if not ((self.counts > 0.0) & (self.counts < math.inf)).all():
+                raise ValueError("a triple count that is not finite and positive")
+        self.codes.flags.writeable = self.counts.flags.writeable = False
 
     def _code(self, a, b, c):
         """The code of each triple of term ids ``(a[i], b[i], c[i])``."""
@@ -322,10 +323,10 @@ class TripleCounts(Mapping):
         at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
         return np.where(self.codes[at] == codes, self.counts[at], 0.0)
 
-    def over(self, terms: list) -> "TripleCounts":
-        """The counts of the triples of ``terms`` (a sorted list), ids
+    def over(self, terms) -> "TripleCounts":
+        """The counts of the triples of ``terms`` (a sorted sequence), ids
         renumbered into it; itself when ``terms`` is its own table."""
-        if terms == self.terms:
+        if tuple(terms) == self.terms:
             return self
         number = dict(zip(terms, range(len(terms))))
         ids = np.fromiter(map(number.get, self.terms, repeat(-1)), dtype=np.int64,
@@ -382,14 +383,16 @@ class DkStatistics:
     (average) derived from order 1. Order 2, the pair counts, is the graph's
     edge weights. ``k3`` is a :class:`TripleCounts`, which ``extract_dk``
     and ``load_graph`` build over ``sorted(k1)``; anything else is a
-    TypeError."""
+    TypeError. ``k1`` is held as a :class:`ReadOnlyDict` copy of the
+    mapping given."""
 
-    k1: dict
+    k1: Mapping
     k3: TripleCounts
 
     def __post_init__(self):
         if not isinstance(self.k3, TripleCounts):
             raise TypeError(f"k3 must be TripleCounts, not {type(self.k3).__name__}")
+        object.__setattr__(self, "k1", ReadOnlyDict(self.k1))
 
     @property
     def total_frequency(self) -> float:
@@ -652,55 +655,6 @@ class ValueMap:
 # -- graph file format ---------------------------------------------------------
 
 
-def _counts(values: np.ndarray) -> list:
-    """Each float of ``values`` as a record writes it, so that it reads back
-    as the same float: a whole number in [0, 10^6), as nearly every count
-    is, as an int, which formats as ``:g`` would format the float; any
-    other as its ``:g`` text where that is exact, else as its ``repr``."""
-    other = (values != np.trunc(values)) | ~(np.abs(values) < 1e6) | np.signbit(values)
-    texts = np.where(other, 0, values).astype(np.int64).tolist()
-    for at in np.flatnonzero(other).tolist():
-        value = float(values[at])
-        texts[at] = f"{value:g}" if float(f"{value:g}") == value else repr(value)
-    return texts
-
-
-def _number_column(values: np.ndarray) -> tuple:
-    """The floats ``values`` as a :func:`_record_text` column: the
-    :func:`_counts` text of each distinct float, told apart by bit pattern
-    so that 0.0 and -0.0 keep their own texts, and each value's index into
-    them."""
-    bits, ids = np.unique(values.view(np.int64), return_inverse=True)
-    return _counts(bits.view(float)), ids
-
-
-def _text_column(texts: list) -> tuple:
-    """``texts`` as a :func:`_record_text` column: its distinct strings and
-    each one's index into them."""
-    table = list(dict.fromkeys(texts))
-    number = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(number.__getitem__, texts), dtype=np.intp, count=len(texts))
-
-
-def _record_text(kind: str, *columns):
-    """The text of one ``kind`` record per row of ``columns``, a block of
-    ``_BLOCK`` lines at a time. Each column is a pair ``(table, ids)``: its
-    distinct strings and an array of each row's index into them. Each table
-    entry is formatted once, with the separator that follows it; a block's
-    lines are gathered by ids into an object array, the kind first, and
-    joined once."""
-    ends = [" "] * (len(columns) - 1) + ["\n"]
-    tables = [np.array([f"{text}{end}" for text in table], dtype=object)
-              for (table, _), end in zip(columns, ends)]
-    n = len(columns[0][1])
-    for at in range(0, n, _BLOCK):
-        rows = np.empty((min(_BLOCK, n - at), len(columns) + 1), dtype=object)
-        rows[:, 0] = kind + " "
-        for j, (table, (_, ids)) in enumerate(zip(tables, columns), 1):
-            rows[:, j] = table[ids[at:at + _BLOCK]]
-        yield "".join(rows.ravel().tolist())
-
-
 def _graph_records(graph: OntologyGraph):
     """The text blocks of the ``node`` and ``edge`` records of ``graph``,
     shared by the graph and blend files; the columns come from its arrays."""
@@ -711,14 +665,6 @@ def _graph_records(graph: OntologyGraph):
         _record_text("node", (terms, np.arange(len(terms))), _text_column([graph.nodes[t] for t in terms])),
         _record_text("edge", (terms, np.where(forward, rows, there)), (terms, np.where(forward, there, rows)),
                      (graph.labels, graph.label[at]), _number_column(graph.weight[at])))
-
-
-def _write_records(path, header: str, *blocks) -> None:
-    """Write ``header`` and then the text blocks of each of ``blocks`` to
-    ``path``, one block at a time."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        out.writelines(chain(*blocks))
 
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:
@@ -733,60 +679,6 @@ def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> No
         blocks += [_record_text("freq", (terms, np.arange(len(terms))), _number_column(freq)),
                    _record_text("triple", *triples, _number_column(dk.k3.counts))]
     _write_records(path, "# holoscene graph v1", *blocks)
-
-
-_COLUMNS = {"node": "ts", "edge": "ttsf", "freq": "tf", "triple": "tttf", "score": "tfs"}  # see _columns
-_WIDTHS = {kind: 1 + len(types) for kind, types in _COLUMNS.items()}  # fields per record, the kind included
-_FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
-PROVENANCES = ("anchored", "expanded", "confabulated")  # how a term entered a blend
-
-
-class _Numbers(dict):
-    """Each number text of a file read so far, mapped to its float. A file
-    holds few distinct counts, so each is parsed once."""
-
-    def __missing__(self, text):
-        self[text] = value = float(text)
-        return value
-
-
-def _fields(kind: str, text: str) -> list:
-    """The fields after the kind of the lines of ``text``, each ended by a
-    line feed, which should each be a ``kind`` record, one list per field;
-    ValueError if one is not. All lines are split at once, each line feed
-    turned into a NUL token, which must then fall after every record and
-    nowhere else. A text that holds a NUL, which may be a field, marks its
-    line ends with a lone surrogate instead, which no text decoded from
-    UTF-8 holds; a NUL-free text keeps the NUL, whose text splits faster."""
-    width, n = _WIDTHS[kind], text.count("\n")
-    stride = width + 1
-    end = "\ud800" if "\0" in text else "\0"
-    tokens = text.replace("\n", f" {end} ").split()
-    if len(tokens) != n * stride or tokens[width::stride].count(end) != n:
-        raise ValueError(f"a {kind} record with another number of fields")
-    columns = [tokens[i::stride] for i in range(width)]
-    if columns[0].count(kind) != n:
-        raise ValueError(f"a record that is not {kind}")
-    return columns[1:]
-
-
-def _columns(kind: str, text: str, names: defaultdict, shared: dict, numbers: _Numbers) -> list:
-    """The :func:`_fields` of the ``kind`` records ``text`` as compact
-    columns, by the field's letter in ``_COLUMNS``: a term (``t``) as an
-    int64 array of ids into ``names``, a term to id table that numbers each
-    new term as it comes; a number (``f``) as a float array, each distinct
-    text parsed once by ``numbers``; any other text (``s``) as a list
-    holding the one string of ``shared`` equal to it. ValueError if a
-    record or a number does not parse."""
-    columns = []
-    for letter, fields in zip(_COLUMNS[kind], _fields(kind, text)):
-        if letter == "t":
-            columns.append(np.fromiter(map(names.__getitem__, fields), dtype=np.int64, count=len(fields)))
-        elif letter == "f":
-            columns.append(np.fromiter(map(numbers.__getitem__, fields), dtype=float, count=len(fields)))
-        else:
-            columns.append(list(map(shared.setdefault, fields, fields)))
-    return columns
 
 
 def _graph_fields(columns: dict, names: np.ndarray) -> tuple:
@@ -831,121 +723,7 @@ def _graph_from_columns(path, nodes: dict, edges: tuple, line_no, positive: bool
     return graph
 
 
-def _first_fault(kind: str, lines: list):
-    """``(index, message)`` of the first of ``lines`` that is not a ``kind``
-    record of the right width, or names an unknown provenance, repeats the
-    term (or sorted term triple) of an earlier one, or holds a number that
-    does not parse, a count that is not finite and positive or a score
-    outside [0, 1]; None if there is none. The graph checks edge weights."""
-    seen = set()
-    for at, line in enumerate(lines):
-        fields = line.split()
-        try:
-            if fields[0] != kind or len(fields) != _WIDTHS[kind]:
-                raise ValueError(f"unrecognized record {fields[0]!r}")
-            if kind == "score" and fields[3] not in PROVENANCES:
-                raise ValueError(f"unknown provenance {fields[3]!r}")
-            if kind != "edge":
-                key = " ".join(sorted(fields[1:4])) if kind == "triple" else fields[1]
-                if key in seen:
-                    raise ValueError(f"second {kind} record for {key!r}")
-                seen.add(key)
-            if kind != "node":
-                count = float(fields[2 if kind == "score" else -1])
-                if kind == "score" and not 0.0 <= count <= 1.0:
-                    raise ValueError(f"score must be a number in [0, 1], not {fields[2]!r}")
-                if kind in ("freq", "triple") and not 0.0 < count < math.inf:
-                    raise ValueError(f"{kind} count must be finite and positive, not {count!r}")
-        except ValueError as exc:
-            return at, str(exc)
-    return None
-
-
-def _lines_by_kind(path, kinds: tuple) -> tuple:
-    """Each kind's stripped lines of ``path`` and their line numbers, up to
-    the first line of no kind, and that line's fault in a list, if there is
-    one. The file is read again: this runs only to name a bad line."""
-    first = {kind[0]: kind for kind in kinds}
-    lines, line_nos = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
-    for line_no, line in read_lines(path):
-        if line[0] not in first:
-            return lines, line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
-        lines[first[line[0]]].append(line)
-        line_nos[first[line[0]]].append(line_no)
-    return lines, line_nos, []
-
-
-def _joined(parts: list):
-    """The column of which ``parts`` holds a block each, which are then
-    dropped, so that one column at a time is held twice."""
-    column = list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
-    parts.clear()
-    return column
-
-
-def _read_records(path, kinds: tuple, parse):
-    """``parse(columns, names, lines)`` of a graph or blend file of records
-    of ``kinds``, and ``line_no(kind, i)``, the line of record ``i`` of a
-    kind. ``columns`` maps each kind to its :func:`_columns`, ``names`` is
-    the object array of the file's terms by id and ``lines(kind)`` gives a
-    kind's stripped lines.
-
-    The text is read once and cut into blocks of about ``_READ``
-    characters at line ends, and each block at the end of every run of
-    lines that start with one kind's word and a space. Such a run is split
-    at once by :func:`_fields`. Any other lines (blank, comment, indented
-    or unknown ones) are stripped and set aside by kind with
-    ``itertools.groupby`` on their first character, then split by kind in
-    the same way. The text is dropped once every block is parsed; a fault
-    reads the file again to name its line. If ``parse`` raises ValueError,
-    the first bad line, found by :func:`_first_fault` on each kind, is a
-    :class:`GraphFormatError`."""
-    text = read_text(path)
-    if not text.endswith("\n"):
-        text += "\n"  # _fields counts a line feed per line
-    first = {kind[0]: kind for kind in kinds}  # no two kinds start with the same letter
-    # the line feed that ends a run of one kind's records, or the lines before a record; each
-    # search ends at a line feed, so one always matches
-    run_end = {kind: re.compile(rf"\n(?!{kind} )") for kind in kinds}
-    record_start = re.compile(rf"\n(?=(?:{'|'.join(kinds)}) |\Z)")
-    names, shared, numbers = defaultdict(count().__next__), {}, _Numbers()  # term ids in first-seen order
-    # each column's blocks, the first an empty column of its type
-    parts = {kind: [[column] for column in _columns(kind, "", names, shared, numbers)] for kind in kinds}
-    try:
-        at = 0
-        while at < len(text):
-            end = text.find("\n", at + _READ) + 1 or len(text)
-            kind = first.get(text[at])
-            if kind is not None and text.startswith(kind + " ", at):
-                stop = run_end[kind].search(text, at, end).end()
-                runs = {kind: text[at:stop]}
-            else:  # lines up to the next that starts with a kind's word
-                stop = record_start.search(text, at, end).end()
-                runs = defaultdict(list)
-                for char, group in groupby(map(str.strip, text[at:stop].split("\n")), _FIRST):
-                    if char in first:
-                        runs[first[char]].extend(group)
-                    elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
-                        raise ValueError("a line of no record kind")
-                runs = {kind: "\n".join(lines) + "\n" for kind, lines in runs.items()}
-            for kind, run in runs.items():
-                for part, column in zip(parts[kind], _columns(kind, run, names, shared, numbers)):
-                    part.append(column)
-            at = stop
-        del text, runs
-        columns = {kind: list(map(_joined, parts[kind])) for kind in kinds}
-        parsed = parse(columns, np.array(list(names), dtype=object), lambda kind: _lines_by_kind(path, kinds)[0][kind])
-    except _TooManyTerms as exc:
-        raise GraphFormatError(path, None, str(exc)) from None
-    except ValueError:
-        lines, line_nos, faults = _lines_by_kind(path, kinds)
-        for kind in kinds:
-            fault = _first_fault(kind, lines[kind])
-            if fault:
-                faults.append((line_nos[kind][fault[0]], fault[1]))
-        raise GraphFormatError(path, *min(faults)) from None
-
-    return parsed, lambda kind, at: _lines_by_kind(path, kinds)[1][kind][at]
+_kept = (b"", None)  # the SHA-256 digest of the last graph file loaded, and its load if it was loaded twice in a row
 
 
 def load_graph(path):
@@ -959,10 +737,33 @@ def load_graph(path):
     pair counts) included, must be finite and positive. Any breach is a
     :class:`GraphFormatError` naming its line.
 
-    The file is read by :func:`_read_records`, each kind parsed and checked
-    in bulk, the graph built from the edges' term ids and the triple counts
-    from the triples', each renumbered onto the sorted terms.
+    The file's bytes are read once and hashed. The load of bytes loaded
+    twice in a row is kept, and handed back, the same graph and statistics,
+    while the same bytes are loaded again; any other load parses the bytes
+    it hashed, and a load that fails keeps nothing. What is handed back is
+    shared and read-only.
     """
+    global _kept
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    last, loaded = _kept
+    if digest == last and loaded is not None:
+        return loaded
+    _kept = (digest, None)  # a kept load of other bytes is dropped before this one parses
+    text = decode_text(path, data)
+    del data
+    loaded = _parse_graph(path, text)
+    if digest == last:
+        _kept = (digest, loaded)
+    return loaded
+
+
+def _parse_graph(path, text: str) -> tuple:
+    """The :func:`load_graph` of ``text``, the decoded graph file ``path``.
+
+    The text is read by :func:`_read_records`, each kind parsed and checked
+    in bulk, the graph built from the edges' term ids and the triple counts
+    from the triples', each renumbered onto the sorted terms."""
     def parse(columns, names, lines):  # k3 is None if a triple names a term with no freq
         nodes, edges = _graph_fields(columns, names)
         freq_ids, freq = columns["freq"]
@@ -986,7 +787,7 @@ def load_graph(path):
         return nodes, edges, freq_terms, k1, None, triples
 
     (nodes, edges, freq_terms, k1, k3, triples), line_no = _read_records(
-        path, ("node", "edge", "freq", "triple"), parse)
+        path, text, ("node", "edge", "freq", "triple"), parse)
     graph = _graph_from_columns(path, nodes, edges, line_no, positive=bool(k1))
     if not k1:
         return graph, None

@@ -408,7 +408,8 @@ class TestInspectAndDot:
 @pytest.mark.parametrize("kind", ["graph", "blend"])
 def test_export_dot_decodes_its_input_once(tmp_path, capsys, monkeypatch, kind):
     """The DOT of a graph or blend file is its loader's, and the file is
-    decoded once, by the loader: the CLI reads only the header's bytes."""
+    decoded once, by the loader, which parses it afresh here: the CLI reads
+    only the header's bytes."""
     if kind == "graph":
         path = DEMO / "demo.graph"
         want = ontology.to_dot(ontology.load_graph(path)[0])
@@ -419,15 +420,35 @@ def test_export_dot_decodes_its_input_once(tmp_path, capsys, monkeypatch, kind):
         want = blending.blend_to_dot(blending.load_blend(path))
     decoded = []
 
-    def read_text(path):
+    def decode_text(path, data):
         decoded.append(path)
-        return errors.read_text(path)
+        return decode(path, data)
 
-    monkeypatch.setattr(cli, "read_text", read_text)
-    monkeypatch.setattr(ontology, "read_text", read_text)
+    decode = errors.decode_text
+    monkeypatch.setattr(errors, "decode_text", decode_text)  # read_text's, wherever it is called
+    monkeypatch.setattr(ontology, "decode_text", decode_text)
+    monkeypatch.setattr(ontology, "_kept", (b"", None))
     assert main(["export-dot", str(path)]) == 0
     assert capsys.readouterr().out == want
     assert decoded == [str(path)]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """Calls of ``main`` share one parser, and one call's options do not
+    leak into the next."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "demo.dot"
+        assert main(["export-dot", str(DEMO / "demo.graph"), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert main(["export-dot", str(DEMO / "demo.graph")]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def _spoiled(source, path, line_no):

@@ -14,7 +14,11 @@ whatever the size of the blocks of lines it reads.
 line with its own f-string: ``save_graph`` must write its bytes.
 """
 
+import copy
+import dataclasses
 import math
+import os
+import pickle
 import random
 import tempfile
 import tracemalloc
@@ -28,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoscene import ontology
+from holoscene import ontology, records
 from holoscene.errors import GraphFormatError, HolosceneError, UnknownTermError, UnmappedTermError, read_lines
 from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
@@ -624,7 +628,7 @@ class TestGraphFile:
         assert load_graph(path)[1].k1 == {"sun": 1.0, "sky": 2.0, "moon": 3.0}
         monkeypatch.setattr(ontology, "_MAX_TERMS", 2)
         with pytest.raises(GraphFormatError, match="3 terms") as err:
-            load_graph(path)
+            parsed_load(path)
         assert (err.value.path, err.value.line_no) == (str(path), None)
 
     @pytest.mark.parametrize("line", ["node moon", "edge sun sky near one"], ids=["node", "edge"])
@@ -635,7 +639,7 @@ class TestGraphFile:
                         f"freq sun 1\nfreq sky 2\nfreq moon 3\n{line}\n")
         monkeypatch.setattr(ontology, "_MAX_TERMS", 2)
         with pytest.raises(GraphFormatError) as err:
-            load_graph(path)
+            parsed_load(path)
         assert err.value.line_no == 7
         assert "terms" not in str(err.value)
 
@@ -810,23 +814,30 @@ def reference_load_graph(path):
 BLOCK_SIZES = (0, 13, 40, 100)
 
 
+def parsed_load(path):
+    """``load_graph(path)`` parsed from the file, not handed back from a
+    load the process kept: for a test that changes how the reader parses."""
+    with mock.patch.object(ontology, "_kept", (b"", None)):
+        return load_graph(path)
+
+
 def assert_loads_as_reference(path):
     """``load_graph`` and the reference give the same nodes, edges, k1 and
     k3 (k3 in sorted order), or the same error at the same line, with the
-    reader's own character budget and each of :data:`BLOCK_SIZES`. The
-    graph is read through its public reads."""
+    reader's own character budget and each of :data:`BLOCK_SIZES`, each
+    load parsed. The graph is read through its public reads."""
     try:
         want = reference_load_graph(path)
     except GraphFormatError as exc:
-        for block in (ontology._READ, *BLOCK_SIZES):
-            with mock.patch.object(ontology, "_READ", block), pytest.raises(GraphFormatError) as err:
-                load_graph(path)
+        for block in (records._READ, *BLOCK_SIZES):
+            with mock.patch.object(records, "_READ", block), pytest.raises(GraphFormatError) as err:
+                parsed_load(path)
             assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
         return
     want_nodes, want_edges, want_k1, want_k3 = want
-    for block in (ontology._READ, *BLOCK_SIZES):
-        with mock.patch.object(ontology, "_READ", block):
-            graph, dk = load_graph(path)
+    for block in (records._READ, *BLOCK_SIZES):
+        with mock.patch.object(records, "_READ", block):
+            graph, dk = parsed_load(path)
         assert_reads_match_model(graph, want_nodes, want_edges)
         if want_k1 is None:
             assert dk is None
@@ -950,12 +961,156 @@ def test_bench_sized_graph_loads_in_less_than_four_times_its_size(tmp_path):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        load_graph(path)
+        parsed_load(path)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert peak < 4 * path.stat().st_size
+
+
+# -- load reuse ----------------------------------------------------------------
+
+
+SMALL_GRAPH = ("# holoscene graph v1\nnode moon entity\nnode sky entity\nnode sun entity\n"
+               "edge moon sky near 2\nedge sky sun related-to 1\nfreq moon 1\nfreq sky 2\nfreq sun 3\n"
+               "triple moon sky sun 1\n")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts ``load_graph`` parses, from a process that has kept no
+    load."""
+    monkeypatch.setattr(ontology, "_kept", (b"", None))
+    texts = []
+    parse = ontology._parse_graph
+
+    def counted(path, text):
+        texts.append(text)
+        return parse(path, text)
+
+    monkeypatch.setattr(ontology, "_parse_graph", counted)
+    return texts
+
+
+def loaded_as(loaded) -> tuple:
+    """What a load reads as, through its public reads."""
+    graph, dk = loaded
+    return (list(graph.nodes.items()), graph.edges(), None if dk is None else
+            (list(dk.k1.items()), list(dk.k3.items())))
+
+
+def test_unchanged_bytes_loaded_again_are_not_parsed_again(tmp_path, parses):
+    path = tmp_path / "small.graph"
+    path.write_text(SMALL_GRAPH, encoding="utf-8")
+    first, second, third, fourth = (load_graph(path) for _ in range(4))
+    assert len(parses) == 2  # bytes are kept once they have been loaded twice in a row
+    assert third is second and fourth is second
+    assert loaded_as(first) == loaded_as(second) == loaded_as(parsed_load(path))
+
+
+def test_a_file_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "small.graph"
+    path.write_text(SMALL_GRAPH, encoding="utf-8")
+    load_graph(path)
+    load_graph(path)
+    stat = path.stat()
+    path.write_text(SMALL_GRAPH.replace("near 2", "near 5"), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    graph, _ = load_graph(path)
+    assert len(parses) == 3
+    assert EdgeRec("moon", "sky", "near", 5.0) in graph.edges()
+
+
+def test_a_corrupt_file_fails_at_its_line_on_every_load(tmp_path, parses):
+    path = tmp_path / "small.graph"
+    path.write_text(SMALL_GRAPH, encoding="utf-8")
+    load_graph(path)
+    load_graph(path)
+    path.write_text(SMALL_GRAPH.replace("freq sky 2", "freq sky two"), encoding="utf-8")
+    faults = []
+    for _ in range(3):
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        faults.append((str(err.value), err.value.line_no))
+    assert faults == [(f"{path}:8: could not convert string to float: 'two'", 8)] * 3
+    assert len(parses) == 5
+    assert ontology._kept[1] is None
+
+
+def test_a_fault_is_named_from_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    """The file is rewritten, good, once its bytes are decoded: the line
+    named is still the line of the bytes that failed."""
+    path = tmp_path / "small.graph"
+    bad = SMALL_GRAPH.replace("edge sky sun related-to 1", "edge sky sun related-to -1")
+    path.write_text(bad, encoding="utf-8")
+    decode = ontology.decode_text
+
+    def decode_then_mend(where, data):
+        text = decode(where, data)
+        path.write_text("\n" * 20 + SMALL_GRAPH, encoding="utf-8")
+        return text
+
+    monkeypatch.setattr(ontology, "decode_text", decode_then_mend)
+    with pytest.raises(GraphFormatError) as err:
+        parsed_load(path)
+    assert err.value.line_no == 6
+
+
+def test_loads_that_do_not_repeat_keep_nothing(tmp_path, parses):
+    a, b = tmp_path / "a.graph", tmp_path / "b.graph"
+    a.write_text(SMALL_GRAPH, encoding="utf-8")
+    b.write_text(SMALL_GRAPH.replace("near 2", "near 3"), encoding="utf-8")
+    for path in (a, b, a, b):
+        load_graph(path)
+    assert len(parses) == 4
+    assert ontology._kept[1] is None
+
+
+def test_a_kept_load_is_read_only(tmp_path, parses):
+    path = tmp_path / "small.graph"
+    path.write_text(SMALL_GRAPH, encoding="utf-8")
+    load_graph(path)
+    graph, dk = load_graph(path)
+    arrays = [v for v in (*vars(graph).values(), *vars(dk.k3).values()) if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+    for table, key in ((graph.nodes, "moon"), (graph.ids, "moon"), (dk.k1, "moon")):
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            table["comet"] = table[key]
+        with pytest.raises((TypeError, AttributeError)):
+            table.pop(key)
+    for terms in (graph.terms, graph.labels, dk.k3.terms):
+        assert isinstance(terms, tuple)
+    assert load_graph(path)[0] is graph
+    assert loaded_as((graph, dk)) == loaded_as(parsed_load(path))
+
+
+def test_a_load_pickles_and_copies_read_only(tmp_path):
+    """A loaded graph and its statistics survive a pickle round trip and a
+    deep copy, and the copies are read-only too; ``asdict`` reads ``k1``."""
+    path = tmp_path / "small.graph"
+    path.write_text(SMALL_GRAPH, encoding="utf-8")
+    loaded = load_graph(path)
+    for again in (pickle.loads(pickle.dumps(loaded)), copy.deepcopy(loaded)):
+        graph, dk = again
+        assert loaded_as(again) == loaded_as(loaded)
+        assert graph.neighbors("sky") == ["moon", "sun"] and dk.k3.over(graph.terms) is dk.k3
+        for table in (graph.nodes, graph.ids, dk.k1):
+            with pytest.raises(TypeError):
+                table["comet"] = table["moon"]
+    graph, dk = loaded
+    assert dataclasses.asdict(dk)["k1"] == {"moon": 1.0, "sky": 2.0, "sun": 3.0}
+    mutable = graph.nodes.copy()
+    mutable["comet"] = "entity"
+    assert type(mutable) is dict and "comet" not in graph
 
 
 # -- triple counts -------------------------------------------------------------
@@ -1000,7 +1155,7 @@ def test_triple_counts_agree_with_a_dict(case):
 
     assert counts.over(list(terms)) is counts
     narrow = counts.over(other)
-    assert narrow.terms == other
+    assert narrow.terms == tuple(other) and counts.over(tuple(terms)) is counts
     assert list(narrow.items()) == sorted((t, n) for t, n in want.items() if set(t) <= set(other))
 
     if want:
