@@ -1,8 +1,11 @@
 """Exception types shared across the package, and the UTF-8 text and line
 readers that raise one of them. A file is read as bytes and decoded in two
 steps (:func:`decode_text`), so that a caller that hashes a file's bytes
-parses the very bytes it hashed."""
+parses the very bytes it hashed. What a line of an input file is, is said
+once, by :func:`line_runs`."""
 
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -104,7 +107,7 @@ class StageError(HolosceneError):
 def read_text(path) -> str:
     """The UTF-8 text of ``path``, every line end kept as it is in the file;
     bytes that are not UTF-8 raise :class:`GraphFormatError` at their line.
-    A line ends at a line feed alone, here and in :func:`text_lines`."""
+    A line ends at a line feed alone, here and in :func:`line_runs`."""
     return decode_text(path, Path(path).read_bytes())
 
 
@@ -119,19 +122,32 @@ def decode_text(path, data: bytes) -> str:
         raise GraphFormatError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
 
 
+def line_runs(text: str):
+    """``(line number, lines)`` for each run of consecutive lines of
+    ``text``, each stripped, that start with one character: the one rule
+    for what a line of an input file is. Only a line feed ends a line, as
+    :func:`read_text` counts them (``splitlines`` would also break at
+    ``\\x0c``, ``\\x85``, ``\\u2028`` and others); blank lines and ``#``
+    comments are skipped. The line number is that of the run's first line."""
+    line_no = 1
+    for first, run in groupby(map(str.strip, text.split("\n")), itemgetter(slice(0, 1))):
+        run = list(run)
+        if first not in ("", "#"):
+            yield line_no, run
+        line_no += len(run)
+
+
 def text_lines(text: str):
-    """``(line number, line)`` for each line of ``text``, stripped, that is
-    neither blank nor a ``#`` comment."""
-    # split on "\n" alone, as read_text counts lines; splitlines() would also
-    # break at \x0c, \x85, \u2028 and others
-    for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
-        if line and line[0] != "#":  # not startswith: ~6 ms slower on a 41,694-line graph
-            yield line_no, line
+    """``(line number, line)`` for each line of ``text`` that
+    :func:`line_runs` yields."""
+    for line_no, run in line_runs(text):
+        yield from enumerate(run, line_no)
 
 
 def read_lines(path):
-    """The :func:`text_lines` of ``path``: the one line reader of every
-    line-oriented input file."""
+    """The :func:`text_lines` of ``path``: the line reader of every
+    line-oriented input file but graph and blend files, which are read a
+    run at a time."""
     yield from text_lines(read_text(path))
 
 

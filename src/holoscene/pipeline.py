@@ -1,7 +1,7 @@
-"""End-to-end pipeline: corpus or graph file in, blended space and scene
-script out.
+"""End-to-end pipeline: graph file and text in, blended space and scene
+script out; and the corpus scan that builds a graph file.
 
-Stages: load/build the ontology with its word statistics, parse the input
+Stages: load the ontology with its word statistics, parse the input
 text, build one mental space per clause, intersect them into the generic
 space, confabulate the blend, absorb the mentioned terms, and plan the
 scene script. A decaying concept memory observes each clause as it goes
@@ -10,7 +10,7 @@ a holographic round-trip check encodes each scene triple and decodes it
 back through a codebook of the concepts the scene is made of: the blend
 subgraph's terms and labels, and the scene's own graph terms.
 
-Every stage is deterministic given (config, corpus bytes, input bytes), so
+Every stage is deterministic given (config, graph bytes, input bytes), so
 repeated runs write byte-identical outputs.
 """
 
@@ -250,33 +250,25 @@ def decode_checks(script, book: hrr.Codebook) -> list:
 def run_pipeline(
     config: PipelineConfig,
     input_text: str,
-    corpus_dir=None,
-    ontology_path=None,
+    ontology_path,
     lexicon=None,
 ):
-    """Run the full text-to-script pipeline.
-
-    Exactly one of ``corpus_dir`` (build the ontology now) or
-    ``ontology_path`` (load a prebuilt graph file with statistics) must be
-    given. Returns (blended space, scene script, diagnostics). A text of
-    nothing but whitespace raises :class:`EmptyTextError`.
+    """Run the full text-to-script pipeline on the graph file with
+    statistics at ``ontology_path``. Returns (blended space, scene script,
+    diagnostics). A text of nothing but whitespace raises
+    :class:`EmptyTextError`.
     """
     if not input_text.strip():
         raise EmptyTextError("input text is empty")
-    if (corpus_dir is None) == (ontology_path is None):
-        raise HolosceneError("provide exactly one of corpus_dir or ontology_path")
     lex = lexicon or default_lexicon()
     diagnostics = Diagnostics()
 
     with _StageTimer(diagnostics, "ontology"):
-        if corpus_dir is not None:
-            graph, dk = build_ontology(corpus_dir, lexicon=lex)
-        else:
-            graph, dk = ontology.load_graph(ontology_path)
-            if dk is None:
-                raise HolosceneError(
-                    f"{ontology_path} carries no freq records; rebuild it with build-ontology"
-                )
+        graph, dk = ontology.load_graph(ontology_path)
+        if dk is None:
+            raise HolosceneError(
+                f"{ontology_path} carries no freq records; rebuild it with build-ontology"
+            )
         rules = ontology.load_rewrite_rules(config.rules_path) if config.rules_path else None
 
     with _StageTimer(diagnostics, "parse"):

@@ -9,19 +9,18 @@ read here, and hands the graph's columns to the writer.
 
 The reader, :func:`_read_records`, is given the decoded text and the kinds
 a file may hold. It cuts the text at line ends into blocks of about
-``_READ`` characters, and each block again where a run of lines that start
-with one kind's word ends. A run costs one ``str.split``: its line feeds
-become a NUL token (a lone surrogate in a text with a NUL) that must fall
-after every record, and its fields are taken by stride. The few other
-lines (the header comment, blank, indented or unknown lines) are stripped
-and set aside by kind with ``itertools.groupby`` on their first character,
-then split the same way. Every kind's fields become compact columns: each
-term an int id into one first-seen name table per file, each number a
-float, parsed once per distinct text, and each label, node type or
-provenance the one shared string of its value. A block's strings are then
-dropped, so no kind's fields are ever all alive as strings at once. Line
-numbers are worked out only when a check fails, from the same text, line
-by line, to name the first bad line.
+``_READ`` characters, and each block into lines by the rule every input
+file is read by, :func:`errors.line_runs`: stripped lines, no blank or
+comment line, in runs that start with one character, which names the
+kind. A run costs one ``str.split``: its lines are joined with an end
+token (a NUL, or a lone surrogate in a text with a NUL) that must then
+fall after every record, and its fields are taken by stride. Every kind's fields become compact columns: each term an int id
+into one first-seen name table per file, each number a float, parsed once
+per distinct text, and each label, node type or provenance the one shared
+string of its value. A block's strings are then dropped, so no kind's
+fields are ever all alive as strings at once. Line numbers are worked out
+only when a check fails, from the same text and by the same rule, to name
+the first bad line.
 
 The writer, :func:`_record_text`, takes each field of a kind's records as
 a column: a table of distinct strings (the terms, the labels, the node
@@ -36,14 +35,12 @@ told apart by bit pattern, so that 0.0 and -0.0 keep their own texts.
 from __future__ import annotations
 
 import math
-import re
 from collections import defaultdict
-from itertools import chain, count, groupby
-from operator import itemgetter
+from itertools import chain, count
 
 import numpy as np
 
-from .errors import GraphFormatError, text_lines
+from .errors import GraphFormatError, line_runs
 
 _BLOCK = 1024  # records decoded or written at a time
 _READ = 1 << 15  # characters of a graph or blend file parsed at a time, about _BLOCK lines
@@ -120,7 +117,6 @@ def _write_records(path, header: str, *blocks) -> None:
 
 _COLUMNS = {"node": "ts", "edge": "ttsf", "freq": "tf", "triple": "tttf", "score": "tfs"}  # see _columns
 _WIDTHS = {kind: 1 + len(types) for kind, types in _COLUMNS.items()}  # fields per record, the kind included
-_FIRST = itemgetter(slice(0, 1))  # a line's first character, "" for a blank one
 
 
 class _Numbers(dict):
@@ -132,18 +128,15 @@ class _Numbers(dict):
         return value
 
 
-def _fields(kind: str, text: str) -> list:
-    """The fields after the kind of the lines of ``text``, each ended by a
-    line feed, which should each be a ``kind`` record, one list per field;
-    ValueError if one is not. All lines are split at once, each line feed
-    turned into a NUL token, which must then fall after every record and
-    nowhere else. A text that holds a NUL, which may be a field, marks its
-    line ends with a lone surrogate instead, which no text decoded from
-    UTF-8 holds; a NUL-free text keeps the NUL, whose text splits faster."""
-    width, n = _WIDTHS[kind], text.count("\n")
+def _fields(kind: str, lines: list, end: str) -> list:
+    """The fields after the kind of ``lines``, stripped lines that should
+    each be a ``kind`` record, one list per field; ValueError if one is
+    not. All lines are split at once, each ended by the token ``end``,
+    which no line holds and which must then fall after every record and
+    nowhere else."""
+    width, n = _WIDTHS[kind], len(lines)
     stride = width + 1
-    end = "\ud800" if "\0" in text else "\0"
-    tokens = text.replace("\n", f" {end} ").split()
+    tokens = f" {end} ".join([*lines, ""]).split()
     if len(tokens) != n * stride or tokens[width::stride].count(end) != n:
         raise ValueError(f"a {kind} record with another number of fields")
     columns = [tokens[i::stride] for i in range(width)]
@@ -152,16 +145,16 @@ def _fields(kind: str, text: str) -> list:
     return columns[1:]
 
 
-def _columns(kind: str, text: str, names: defaultdict, shared: dict, numbers: _Numbers) -> list:
-    """The :func:`_fields` of the ``kind`` records ``text`` as compact
-    columns, by the field's letter in ``_COLUMNS``: a term (``t``) as an
-    int64 array of ids into ``names``, a term to id table that numbers each
-    new term as it comes; a number (``f``) as a float array, each distinct
-    text parsed once by ``numbers``; any other text (``s``) as a list
-    holding the one string of ``shared`` equal to it. ValueError if a
-    record or a number does not parse."""
+def _columns(kind: str, lines: list, end: str, names: defaultdict, shared: dict, numbers: _Numbers) -> list:
+    """The :func:`_fields` of the ``kind`` records ``lines``, each ended by
+    ``end``, as compact columns, by the field's letter in ``_COLUMNS``: a
+    term (``t``) as an int64 array of ids into ``names``, a term to id
+    table that numbers each new term as it comes; a number (``f``) as a
+    float array, each distinct text parsed once by ``numbers``; any other
+    text (``s``) as a list holding the one string of ``shared`` equal to
+    it. ValueError if a record or a number does not parse."""
     columns = []
-    for letter, fields in zip(_COLUMNS[kind], _fields(kind, text)):
+    for letter, fields in zip(_COLUMNS[kind], _fields(kind, lines, end)):
         if letter == "t":
             columns.append(np.fromiter(map(names.__getitem__, fields), dtype=np.int64, count=len(fields)))
         elif letter == "f":
@@ -207,11 +200,12 @@ def _lines_by_kind(text: str, kinds: tuple) -> tuple:
     one. This runs only to name a bad line."""
     first = {kind[0]: kind for kind in kinds}
     lines, line_nos = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
-    for line_no, line in text_lines(text):
-        if line[0] not in first:
-            return lines, line_nos, [(line_no, f"unrecognized record {line.split()[0]!r}")]
-        lines[first[line[0]]].append(line)
-        line_nos[first[line[0]]].append(line_no)
+    for line_no, run in line_runs(text):
+        kind = first.get(run[0][0])
+        if kind is None:
+            return lines, line_nos, [(line_no, f"unrecognized record {run[0].split()[0]!r}")]
+        lines[kind] += run
+        line_nos[kind] += range(line_no, line_no + len(run))
     return lines, line_nos, []
 
 
@@ -231,46 +225,30 @@ def _read_records(path, text: str, kinds: tuple, parse):
     id and ``lines(kind)`` gives a kind's stripped lines.
 
     The text is cut into blocks of about ``_READ`` characters at line ends,
-    and each block at the end of every run of lines that start with one
-    kind's word and a space. Such a run is split at once by
-    :func:`_fields`. Any other lines (blank, comment, indented or unknown
-    ones) are stripped and set aside by kind with ``itertools.groupby`` on
-    their first character, then split by kind in the same way. A fault is
-    named from the same text, never from the file read again. If ``parse``
-    raises ValueError, the first bad line, found by :func:`_first_fault` on
-    each kind, is a :class:`GraphFormatError`."""
-    if not text.endswith("\n"):
-        text += "\n"  # _fields counts a line feed per line
+    and each block into the runs of :func:`errors.line_runs`. A run's first
+    character names its kind, and its lines are split at once by
+    :func:`_fields`. A fault is named from the same text, never from the
+    file read again. If ``parse`` raises ValueError, the first bad line,
+    found by :func:`_first_fault` on each kind, is a
+    :class:`GraphFormatError`."""
     first = {kind[0]: kind for kind in kinds}  # no two kinds start with the same letter
-    # the line feed that ends a run of one kind's records, or the lines before a record; each
-    # search ends at a line feed, so one always matches
-    run_end = {kind: re.compile(rf"\n(?!{kind} )") for kind in kinds}
-    record_start = re.compile(rf"\n(?=(?:{'|'.join(kinds)}) |\Z)")
+    # each line's end token: a NUL, whose text splits fastest, unless the text holds one, which
+    # may be a field; then a lone surrogate, which no text decoded from UTF-8 holds
+    end = "\ud800" if "\0" in text else "\0"
     names, shared, numbers = defaultdict(count().__next__), {}, _Numbers()  # term ids in first-seen order
     # each column's blocks, the first an empty column of its type
-    parts = {kind: [[column] for column in _columns(kind, "", names, shared, numbers)] for kind in kinds}
+    parts = {kind: [[column] for column in _columns(kind, [], end, names, shared, numbers)] for kind in kinds}
     try:
         at = 0
         while at < len(text):
-            end = text.find("\n", at + _READ) + 1 or len(text)
-            kind = first.get(text[at])
-            if kind is not None and text.startswith(kind + " ", at):
-                stop = run_end[kind].search(text, at, end).end()
-                runs = {kind: text[at:stop]}
-            else:  # lines up to the next that starts with a kind's word
-                stop = record_start.search(text, at, end).end()
-                runs = defaultdict(list)
-                for char, group in groupby(map(str.strip, text[at:stop].split("\n")), _FIRST):
-                    if char in first:
-                        runs[first[char]].extend(group)
-                    elif char not in ("", "#"):  # a line of no record kind: no line after it can fail first
-                        raise ValueError("a line of no record kind")
-                runs = {kind: "\n".join(lines) + "\n" for kind, lines in runs.items()}
-            for kind, run in runs.items():
-                for part, column in zip(parts[kind], _columns(kind, run, names, shared, numbers)):
+            stop = text.find("\n", at + _READ) + 1 or len(text)
+            for _, lines in line_runs(text[at:stop]):
+                kind = first.get(lines[0][0])
+                if kind is None:  # a line of no record kind: no line after it can fail first
+                    raise ValueError("a line of no record kind")
+                for part, column in zip(parts[kind], _columns(kind, lines, end, names, shared, numbers)):
                     part.append(column)
             at = stop
-        del runs
         columns = {kind: list(map(_joined, parts[kind])) for kind in kinds}
         parsed = parse(columns, np.array(list(names), dtype=object), lambda kind: _lines_by_kind(text, kinds)[0][kind])
     except _TooManyTerms as exc:

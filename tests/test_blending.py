@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoscene import blending, hrr, ontology, records
+from holoscene import blending, errors, hrr, ontology, records
 from holoscene.blending import (
     ANCHORED,
     BLEND_HEADER,
@@ -46,11 +46,20 @@ from holoscene.blending import (
     save_blend,
     transition_probability,
 )
-from holoscene.errors import GraphFormatError, NoSharedTermError, UnknownTermError, read_lines
+from holoscene.errors import GraphFormatError, NoSharedTermError, UnknownTermError
 from holoscene.ontology import OntologyGraph, load_graph, save_graph
 from holoscene.textfilter import MentalSpace, UniversalStructure
 
-from test_ontology import BLOCK_SIZES, dk_stats, graphs, reference_graph_lines
+from test_ontology import (
+    BLOCK_SIZES,
+    SMALL_GRAPH,
+    dk_stats,
+    graphs,
+    parsed_load,
+    reference_graph_lines,
+    reference_load_graph,
+    walked_lines,
+)
 from test_parsers import reshaped, written
 
 MIX = 0.5
@@ -735,7 +744,7 @@ def reference_load_blend(path) -> BlendedSpace:
     src, dst, label, weight = edges = ([], [], [], [])  # the edge columns
     edge_lines = []
     score_lines = []
-    for line_no, line in read_lines(path):
+    for line_no, line in walked_lines(Path(path).read_bytes().decode("utf-8")):
         fields = line.split()
         try:
             if fields[0] == "node" and len(fields) == 3:
@@ -845,6 +854,35 @@ def test_blend_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.blend"
     path.write_text(text, encoding="utf-8")
     assert_blend_loads_as_reference(path)
+
+
+def blend_read(blend) -> tuple:
+    """What a blend reads as, through its public reads."""
+    return blend.scores, blend.provenance, blend.subgraph.nodes, blend.subgraph.edges()
+
+
+@pytest.mark.parametrize("name, text, load, reference", [
+    ("small.graph", SMALL_GRAPH, parsed_load, reference_load_graph),
+    ("small.blend", BLEND, load_blend, lambda path: blend_read(reference_load_blend(path))),
+], ids=["graph", "blend"])
+def test_references_read_lines_apart_from_the_readers(tmp_path, name, text, load, reference):
+    """With a line rule that drops a file's first run, its node records, the
+    reader refuses the file and the reference still reads it whole: the two
+    share no line rule, so that each checks the other's."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    rule = errors.line_runs
+
+    def dropping(text):
+        runs = rule(text)
+        next(runs, None)
+        return runs
+
+    want = reference(path)
+    with mock.patch.object(errors, "line_runs", dropping), mock.patch.object(records, "line_runs", dropping):
+        assert reference(path) == want
+        with pytest.raises(GraphFormatError, match="must be nodes"):
+            load(path)
 
 
 # -- the blend file writer against the line-by-line one ---------------------------

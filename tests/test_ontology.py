@@ -32,8 +32,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holoscene import ontology, records
-from holoscene.errors import GraphFormatError, HolosceneError, UnknownTermError, UnmappedTermError, read_lines
+from holoscene import errors, ontology, records
+from holoscene.errors import GraphFormatError, HolosceneError, UnknownTermError, UnmappedTermError
 from holoscene.lexicon import _TOKEN_RE, compile_patterns, default_lexicon, split_sentences
 from holoscene.ontology import (
     GENERIC_RELATION,
@@ -733,20 +733,40 @@ def test_refused_edge_record_is_named_by_its_index(records, index, kind, message
 # -- the graph file reader against the line-by-line one ---------------------------
 
 
+def walked_lines(text: str):
+    """``(line number, line)`` of each line of ``text``, stripped, that is
+    neither blank nor a ``#`` comment, where only a line feed ends a line:
+    the line rule walked a line at a time, so that the references read no
+    line through the rule of the readers they check."""
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from(["\n", "\r", "\t", " ", "#", "\x0c", "\x1c", "\x85", "\u2028", "\u3000", "\0",
+                                "n", "o", "d", "e"])))
+def test_line_rule_is_the_line_walk(text):
+    assert list(errors.text_lines(text)) == list(walked_lines(text))
+
+
 def reference_load_graph(path):
     """The graph file reader that split and checked each line as it read it;
     returns (nodes, edge records, k1, k3) with k3 a dict in file order, or
     (nodes, edge records, None, None) for a file without freq records. It
     checks each edge record itself, in file order."""
+    text = Path(path).read_bytes().decode("utf-8")
+
     def first_record(kind, terms):
-        for line_no, line in read_lines(path):
+        for line_no, line in walked_lines(text):
             fields = line.split()
             if fields[0] == kind and not terms.isdisjoint(fields[1:-1]):
                 return line_no
         raise AssertionError(f"no {kind} record names {sorted(terms)}")
 
     nodes, node_lines, freq, k3, edge_lines = {}, {}, {}, {}, []
-    for line_no, line in read_lines(path):
+    for line_no, line in walked_lines(text):
         fields = line.split()
         kind = fields[0]
         try:
@@ -894,13 +914,21 @@ _RUN = "# holoscene graph v1\nnode a entity\nnode b entity\nnode c entity\nedge 
     _RUN + "node node entity\nnode edge entity\nnode freq entity\nedge node edge freq 2\nedge edge a node 1\n",
     _RUN + "node d entity\n\nnode e entity\n# a comment\nnode f entity\nedge d e x 1\n\nedge e f x 1\n"
            "# a comment\nedge f d x 1\n\nedge d e y 1\n",
+    _RUN + "node d entity\n\t# a comment\nnode e entity\n",
+    # lines that begin with blanks that are no space or tab, and only a line feed ends
+    "\x0cnode a entity\nnode b entity\n\x85node c entity\n\u2028node d entity\n\u3000node e entity\n"
+    "\x1cnode f entity\n\u3000edge a b x 1\n\x0cedge b c x 1\nedge c d x 1\n\x1cedge d e x 1\n",
+    "node a entity\n\x85node b entity\n\u2028node c\n\x1cnode d entity\n",
+    _RUN + "\x0c# first\nnode d entity\n\x85# inside\nnode e entity\n\u2028# inside\n\u3000# inside\n"
+           "node f entity\n\x1c# last\nedge d e x 1\n\u2028# first\n\x85edge e f x 1\n\x0c# last\n",
 ], ids=["misaligned", "triple-short", "kind-terms", "nul-term", "blanks", "nodes", "n", "bare-freq",
         "short-edge", "tripled", "stray-terms", "skipped-lines", "skipped-then-unknown-kind",
         "skipped-then-refused-edge", "skipped-then-zero-weight", "skipped-then-node-without-freq",
         "skipped-then-undeclared-freq", "skipped-then-stray-triple", "run-indented-and-tabbed",
         "run-then-short-indented-node", "run-last-line-unended", "run-last-line-unended-short", "run-crlf",
         "run-crlf-undeclared-freq", "run-nul-field", "run-nul-token-aligned", "run-kind-terms",
-        "run-broken-by-blank-and-comment"])
+        "run-broken-by-blank-and-comment", "run-broken-by-tabbed-comment", "runs-odd-blanks",
+        "run-odd-blanks-short-node", "runs-broken-by-odd-blank-comments"])
 def test_bulk_reader_matches_line_reader_on_hard_cases(tmp_path, text):
     path = tmp_path / "hard.graph"
     path.write_text(text, encoding="utf-8")

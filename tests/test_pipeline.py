@@ -120,14 +120,6 @@ class TestConfig:
 
 
 class TestRunPipeline:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(HolosceneError):
-            run_pipeline(demo_config(), DEMO_TEXT)
-        with pytest.raises(HolosceneError):
-            run_pipeline(
-                demo_config(), DEMO_TEXT, corpus_dir=DEMO / "corpus", ontology_path=DEMO / "demo.graph"
-            )
-
     def test_empty_input_rejected(self):
         with pytest.raises(HolosceneError):
             run_pipeline(demo_config(), "   ", ontology_path=DEMO / "demo.graph")
@@ -161,13 +153,6 @@ class TestRunPipeline:
         rebuilt = tmp_path / "demo.graph"
         save_graph(graph, rebuilt, dk)
         assert rebuilt.read_bytes() == (DEMO / "demo.graph").read_bytes()
-
-    def test_corpus_dir_and_graph_file_agree(self):
-        config = demo_config()
-        via_corpus = run_pipeline(config, DEMO_TEXT, corpus_dir=DEMO / "corpus")
-        via_file = run_pipeline(config, DEMO_TEXT, ontology_path=DEMO / "demo.graph")
-        assert via_corpus[0].scores == via_file[0].scores
-        assert via_corpus[1].dumps() == via_file[1].dumps()
 
     def test_stage_errors_carry_stage_name(self, tmp_path):
         bad = tmp_path / "bad.graph"
