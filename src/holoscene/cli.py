@@ -127,7 +127,7 @@ def _cmd_inspect_memory(args) -> int:
     for node_id in sorted(mem.nodes):
         node = mem.nodes[node_id]
         newest = max((s.recorded_at for s in node.signatures), default=0)
-        intensity = max((s.intensity(mem.clock) for s in node.signatures), default=0.0)
+        intensity = max((memory.intensity(s, mem.clock) for s in node.signatures), default=0.0)
         print(
             f"  {node_id:12s} {node.level.value:9s} connections={node.connection_count} "
             f"signatures={len(node.signatures)} newest@{newest} intensity={intensity:.3f}"

@@ -6,18 +6,23 @@ in new assemblies, and vanish once every signature has faded below a
 threshold. The decay time of a signature grows with the node's assembly
 connectivity, so well-connected concepts outlive one-off noise.
 
-A snapshot (version 2) is compact JSON holding the memory's scalar
-settings, one ``"vectors"`` table and the nodes. Each node's and each
-signature's ``"vector"`` is an index into that table, which stores every
-distinct vector once, or ``null``: the ``random_vector(seed, dim, id)``
-of a sensory node, written only when the vector equals it bit for bit.
-A snapshot with a ``null`` also holds ``"stream_sha256"``, the SHA-256 of
-``random_vector(seed, dim, "")``, so a NumPy that draws another stream is
-refused instead of regenerating other vectors. A version other than 2, a
-missing key, a value of the wrong kind, an assembly link that is not the id
-of a node of the snapshot, a signature recorded after the clock, a bad
-vector reference or a stream fingerprint that does not match is a
-:class:`GraphFormatError` naming the file.
+Each fact is held once: a node's connection count is the number of its
+assembly links, and its parents are the reverse of the other nodes'
+members, kept as an index for :meth:`HolographicMemory.prune`.
+
+A snapshot (version 3) is compact JSON holding the memory's scalar
+settings and the nodes, with each node's members and signatures. A node's
+``"vector"`` is its ``dim`` floats, or ``null``: the
+``random_vector(seed, dim, id)`` of a sensory node, written only when the
+vector equals it bit for bit. A snapshot with a ``null`` also holds
+``"stream_sha256"``, the SHA-256 of ``random_vector(seed, dim, "")``, so a
+NumPy that draws another stream is refused instead of regenerating other
+vectors. The loader rebuilds every node's parents from the members. A
+version other than 3, a missing key, a value of the wrong kind, a vector
+that is not ``dim`` finite numbers, a member that repeats, names its own
+node or names no node, a signature recorded after the clock or a stream
+fingerprint that does not match is a :class:`GraphFormatError` naming the
+file.
 """
 
 from __future__ import annotations
@@ -57,13 +62,9 @@ class Level(str, Enum):
 class Signature:
     """One recorded occurrence of a concept's pattern."""
 
-    vector: hrr.Vector
     recorded_at: int
     initial_intensity: float
     decay_time: float
-
-    def intensity(self, now: int) -> float:
-        return intensity(self, now)
 
 
 def intensity(sig: Signature, now: int) -> float:
@@ -78,11 +79,13 @@ class ConceptNode:
     id: str
     level: Level
     vector: hrr.Vector
-    base_intensity: float
     signatures: list[Signature] = field(default_factory=list)
-    assembly_parents: set[str] = field(default_factory=set)
+    assembly_parents: set[str] = field(default_factory=set)  # the nodes that list it as a member
     assembly_members: list[str] = field(default_factory=list)
-    connection_count: int = 0
+
+    @property
+    def connection_count(self) -> int:
+        return len(self.assembly_members) + len(self.assembly_parents)
 
 
 class HolographicMemory:
@@ -136,22 +139,15 @@ class HolographicMemory:
             raise UnknownTermError(f"no living concept {node_id!r}", [node_id])
         return node
 
-    def _record(self, node: ConceptNode, vector: hrr.Vector, now: int) -> None:
-        node.signatures.append(
-            Signature(vector, now, node.base_intensity, self._decay_time(node))
-        )
+    def _record(self, node: ConceptNode, now: int) -> None:
+        node.signatures.append(Signature(now, self.base_intensity, self._decay_time(node)))
 
     def _sensory(self, sensory_id: str, tick: int) -> ConceptNode:
         node = self.nodes.get(sensory_id)
         if node is None:
-            node = ConceptNode(
-                id=sensory_id,
-                level=Level.SENSORY,
-                vector=hrr.random_vector(self.seed, self.dim, term=sensory_id),
-                base_intensity=self.base_intensity,
-            )
-            self.nodes[sensory_id] = node
-        self._record(node, node.vector, tick)
+            vector = hrr.random_vector(self.seed, self.dim, term=sensory_id)
+            node = self.nodes[sensory_id] = ConceptNode(sensory_id, Level.SENSORY, vector)
+        self._record(node, tick)
         return node
 
     def _best_match(self, vector: hrr.Vector, level: Level | None = None):
@@ -173,12 +169,10 @@ class HolographicMemory:
         match_id, sim = self._best_match(vector, level if members else None)
         if match_id is not None and sim >= self.match_threshold:
             return self.nodes[match_id]
-        node = ConceptNode(self._new_id(), level, vector, self.base_intensity,
-                           assembly_members=[m.id for m in members], connection_count=len(members))
+        node = ConceptNode(self._new_id(), level, vector, assembly_members=[m.id for m in members])
         self.nodes[node.id] = node
         for m in members:
             m.assembly_parents.add(node.id)
-            m.connection_count += 1
         return node
 
     # -- operations --------------------------------------------------------
@@ -219,7 +213,7 @@ class HolographicMemory:
         pattern = pattern / np.linalg.norm(pattern)
         node = self._recall_or_add(pattern, Level.above([self.nodes[s].level for s, _ in activations]))
         if node.id not in affected:  # a sensory self-match is already recorded
-            self._record(node, pattern, now)
+            self._record(node, now)
             affected.append(node.id)
         return affected
 
@@ -240,7 +234,7 @@ class HolographicMemory:
             chain = hrr.convolve(chain, m.vector)
         chain = chain / np.linalg.norm(chain)
         node = self._recall_or_add(chain, Level.above([m.level for m in members]), members)
-        self._record(node, chain, now)
+        self._record(node, now)
         for m in members:
             self.reinforce(m.id, now)
         return node.id
@@ -250,7 +244,7 @@ class HolographicMemory:
         connectivity."""
         self._advance(now)
         node = self._require(node_id)
-        self._record(node, node.vector, now)
+        self._record(node, now)
 
     def prune(self, now: int) -> list[str]:
         """Drop faded signatures, then nodes with none left."""
@@ -268,7 +262,6 @@ class HolographicMemory:
             for parent_id in node.assembly_parents:
                 parent = self.nodes.get(parent_id)
                 if parent is not None:
-                    parent.connection_count -= 1
                     parent.assembly_members = [
                         m for m in parent.assembly_members if m != node_id
                     ]
@@ -276,59 +269,37 @@ class HolographicMemory:
                 member = self.nodes.get(member_id)
                 if member is not None:
                     member.assembly_parents.discard(node_id)
-                    member.connection_count -= 1
         return removed
 
     # -- serialization -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The version 2 snapshot: the scalar settings, one table of the
-        distinct vectors that cannot be regenerated, and the nodes, whose
-        vectors are row indices into that table or ``None`` for a sensory
-        node's ``random_vector(seed, dim, id)``; beside any ``None``, the
+        """The version 3 snapshot: the scalar settings and the nodes, each
+        vector inline or ``None`` for a sensory node's
+        ``random_vector(seed, dim, id)``; beside any ``None``, the
         fingerprint of the stream that regenerates it."""
-        table: list = []
-        rows: dict[bytes, int] = {}
         regenerates = False
-
-        def ref(vector, regenerated):
-            nonlocal regenerates
-            vector = np.asarray(vector, dtype=np.float64)
-            key = vector.tobytes()
-            if key == regenerated:
-                regenerates = True
-                return None
-            index = rows.get(key)
-            if index is None:
-                index = rows[key] = len(table)
-                table.append(vector.tolist())
-            return index
-
         nodes = []
         for node_id, n in sorted(self.nodes.items()):
-            regenerated = None
-            if n.level is Level.SENSORY:
-                regenerated = hrr.random_vector(self.seed, self.dim, term=node_id).tobytes()
+            regenerated = n.level is Level.SENSORY and (
+                n.vector.tobytes() == hrr.random_vector(self.seed, self.dim, term=node_id).tobytes())
+            regenerates = regenerates or regenerated
             nodes.append({
                 "id": n.id,
                 "level": n.level.value,
-                "base_intensity": n.base_intensity,
-                "connection_count": n.connection_count,
-                "assembly_parents": sorted(n.assembly_parents),
                 "assembly_members": list(n.assembly_members),
-                "vector": ref(n.vector, regenerated),
+                "vector": None if regenerated else n.vector.tolist(),
                 "signatures": [
                     {
                         "recorded_at": s.recorded_at,
                         "initial_intensity": s.initial_intensity,
                         "decay_time": s.decay_time,
-                        "vector": ref(s.vector, regenerated),
                     }
                     for s in n.signatures
                 ],
             })
         snapshot = {
-            "version": 2,
+            "version": 3,
             "dim": self.dim,
             "seed": self.seed,
             "time_window": self.time_window,
@@ -338,7 +309,6 @@ class HolographicMemory:
             "base_intensity": self.base_intensity,
             "clock": self.clock,
             "counter": self._counter,
-            "vectors": table,
             "nodes": nodes,
         }
         if regenerates:
@@ -355,10 +325,10 @@ class HolographicMemory:
     @classmethod
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`. Text that is not UTF-8
-        or not JSON, a version other than 2, a missing key, a value of the
-        wrong kind, a node id listed twice, an assembly link that names no
-        node, a signature recorded after the clock, a bad vector reference
-        and a stream fingerprint that does not match raise
+        or not JSON, a version other than 3, a missing key, a value of the
+        wrong kind, a node id listed twice, a member that repeats, names its
+        own node or names no node, a signature recorded after the clock and
+        a stream fingerprint that does not match raise
         :class:`GraphFormatError` naming the file."""
         text = read_text(path)
         try:
@@ -378,11 +348,11 @@ class HolographicMemory:
 
     @classmethod
     def _from_snapshot(cls, data: dict) -> "HolographicMemory":
-        """The memory a version 2 snapshot describes; the version is read
+        """The memory a version 3 snapshot describes; the version is read
         before any other key. A missing key raises ``KeyError``; a value of
         the wrong kind ``TypeError`` or ``ValueError``."""
         version = data["version"]
-        if not _is_int(version) or version != 2:
+        if not _is_int(version) or version != 3:
             raise ValueError(f"unknown snapshot version {version!r}")
         mem = cls(
             dim=_int(data, "dim"),
@@ -400,41 +370,35 @@ class HolographicMemory:
         if "stream_sha256" in data and data["stream_sha256"] != _stream_sha256(mem.seed, mem.dim):
             raise ValueError("stream_sha256 does not match this NumPy's random stream, "
                              "so the sensory vectors would not regenerate")
-        table = [_row(values, mem.dim) for values in data["vectors"]]
         for rec in data["nodes"]:
-            if not isinstance(rec["id"], str):
-                raise TypeError(f"node id must be a string, not {rec['id']!r}")
-            if rec["id"] in mem.nodes:
-                raise ValueError(f"node id {rec['id']!r} is listed twice")
+            node_id = rec["id"]
+            if not isinstance(node_id, str):
+                raise TypeError(f"node id must be a string, not {node_id!r}")
+            if node_id in mem.nodes:
+                raise ValueError(f"node id {node_id!r} is listed twice")
             level = Level(rec["level"])
-            regenerated = None
-            if level is Level.SENSORY:
-                regenerated = hrr.random_vector(mem.seed, mem.dim, term=rec["id"])
-            node = ConceptNode(
-                id=rec["id"],
-                level=level,
-                vector=_lookup(rec["vector"], table, regenerated),
-                base_intensity=_number(rec, "base_intensity"),
-                assembly_parents=set(_ids(rec, "assembly_parents")),
-                assembly_members=_ids(rec, "assembly_members"),
-                connection_count=_count(rec, "connection_count"),
-            )
+            node = ConceptNode(node_id, level, _vector(rec, level, mem),
+                               assembly_members=_ids(rec, "assembly_members"))
             for s in rec["signatures"]:
                 sig = Signature(
-                    vector=_lookup(s["vector"], table, regenerated),
                     recorded_at=_int(s, "recorded_at"),
                     initial_intensity=_number(s, "initial_intensity"),
                     decay_time=_positive(s, "decay_time"),
                 )
                 if sig.recorded_at > mem.clock:
-                    raise ValueError(f"node {node.id!r} has a signature recorded at tick "
+                    raise ValueError(f"node {node_id!r} has a signature recorded at tick "
                                      f"{sig.recorded_at}, after the clock {mem.clock}")
                 node.signatures.append(sig)
-            mem.nodes[node.id] = node
+            mem.nodes[node_id] = node
         for node in mem.nodes.values():
-            for link in [*sorted(node.assembly_parents), *node.assembly_members]:
-                if link not in mem.nodes:
-                    raise ValueError(f"assembly link {link!r} of node {node.id!r} names no node")
+            if len(set(node.assembly_members)) < len(node.assembly_members):
+                raise ValueError(f"node {node.id!r} lists a member twice: {node.assembly_members}")
+            for member_id in node.assembly_members:
+                if member_id == node.id:
+                    raise ValueError(f"node {node.id!r} lists itself as a member")
+                if member_id not in mem.nodes:
+                    raise ValueError(f"assembly link {member_id!r} of node {node.id!r} names no node")
+                mem.nodes[member_id].assembly_parents.add(node.id)
         return mem
 
 
@@ -451,13 +415,6 @@ def _int(record: dict, key: str) -> int:
     value = record[key]
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-def _count(record: dict, key: str) -> int:
-    value = _int(record, key)
-    if value < 0:
-        raise ValueError(f"{key} must be a count of 0 or more, not {value!r}")
     return value
 
 
@@ -482,24 +439,17 @@ def _ids(record: dict, key: str) -> list:
     return list(value)
 
 
-def _row(values, dim: int) -> hrr.Vector:
-    """One row of the vector table: a list of ``dim`` finite numbers."""
-    if (isinstance(values, list) and len(values) == dim
+def _vector(rec: dict, level: Level, mem: HolographicMemory) -> hrr.Vector:
+    """A node record's vector: a list of ``dim`` finite numbers, or for
+    ``None`` the regenerated vector of a sensory node."""
+    values, node_id = rec["vector"], rec["id"]
+    if values is None:
+        if level is not Level.SENSORY:
+            raise ValueError(f"null vector on node {node_id!r}, which is not sensory")
+        return hrr.random_vector(mem.seed, mem.dim, term=node_id)
+    if (isinstance(values, list) and len(values) == mem.dim
             and all(type(x) in (float, int) for x in values)):
         vector = np.array(values, dtype=np.float64)
         if np.isfinite(vector).all():
             return vector
-    raise ValueError(f"vector table row is not {dim} finite numbers")
-
-
-def _lookup(ref, table: list, regenerated) -> hrr.Vector:
-    """The vector a snapshot reference names: a table row, or for ``None``
-    the regenerated vector of a sensory node (``regenerated`` is ``None``
-    on any other node)."""
-    if ref is None:
-        if regenerated is None:
-            raise ValueError("null vector reference on a node that is not sensory")
-        return regenerated
-    if not _is_int(ref) or not 0 <= ref < len(table):
-        raise ValueError(f"vector reference {ref!r} is not a row of the {len(table)}-row table")
-    return table[ref]
+    raise ValueError(f"vector of node {node_id!r} is not {mem.dim} finite numbers")

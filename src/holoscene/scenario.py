@@ -42,16 +42,19 @@ def load_actor_functions(path) -> dict:
         name, _, args = head.strip().partition(" ")
         if not name:
             raise GraphFormatError(path, line_no, f"function line lacks a name: {line!r}")
-        bound = []
-        for piece in args.split(","):
-            piece = piece.strip()
-            if piece:
-                arg_name, _, arg_type = piece.partition(":")
-                bound.append((arg_name, arg_type))
-        out_name, _, out_type = outs[0].strip().partition(":")
-        function = ActorFunction(name=name, bound_args=tuple(bound), free_output=(out_name, out_type))
+        bound = tuple(_typed(piece, path, line_no) for piece in args.split(",") if piece.strip())
+        function = ActorFunction(name=name, bound_args=bound, free_output=_typed(outs[0], path, line_no))
         add_once(functions, name, function, path, line_no)
     return functions
+
+
+def _typed(piece: str, path, line_no: int) -> tuple:
+    """A functions file's ``name:type`` pair; either side empty is a
+    :class:`GraphFormatError` at the line."""
+    name, _, kind = piece.strip().partition(":")
+    if not (name and kind):
+        raise GraphFormatError(path, line_no, f"argument or output is not name:type: {piece.strip()!r}")
+    return name, kind
 
 
 @dataclass(frozen=True)

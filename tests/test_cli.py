@@ -9,7 +9,7 @@ from holoscene import blending, cli, errors, lexicon, ontology
 from holoscene.cli import main
 from holoscene.memory import HolographicMemory
 
-from test_memory import V1_FIXTURE, fixture_memory
+from test_memory import V1_FIXTURE, V2_FIXTURE, fixture_memory
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
 
@@ -272,7 +272,7 @@ class TestInspectAndDot:
     @pytest.mark.parametrize(
         "content, where",
         [(b'{\n  "dim": 512,\n  oops\n}\n', "snap.json:3: not a JSON snapshot"),
-         (b'{"version": 2, "dim": 512}\n', "snap.json: snapshot lacks key 'seed'"),
+         (b'{"version": 3, "dim": 512}\n', "snap.json: snapshot lacks key 'seed'"),
          (b'{\n  "dim": "\xff"\n}\n', "snap.json:2: not UTF-8 text")],
         ids=["not-json", "missing-key", "not-utf8"],
     )
@@ -362,11 +362,16 @@ class TestInspectAndDot:
         assert main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
                      "-o", str(tmp_path / "s.json"), "--memory-out", str(mem)]) == 0
         snapshot = json.loads(mem.read_text())
-        refs = [ref for rec in snapshot["nodes"]
-                for ref in [rec["vector"]] + [s["vector"] for s in rec["signatures"]]]
-        assert snapshot["version"] == 2
-        assert 0 < len(snapshot["vectors"]) < len(refs)
-        assert None in refs
+        assert snapshot["version"] == 3 and "vectors" not in snapshot
+        assert not any("vector" in s for rec in snapshot["nodes"] for s in rec["signatures"])
+        assert all(rec["vector"] is None for rec in snapshot["nodes"] if rec["level"] == "sensory")
+        inline = [rec["vector"] for rec in snapshot["nodes"] if rec["level"] != "sensory"]
+        assert inline and all(len(vector) == snapshot["dim"] for vector in inline)
+
+    def test_v2_snapshot_is_refused_naming_the_file(self, capsys):
+        assert main(["inspect-memory", str(V2_FIXTURE)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {V2_FIXTURE}: bad snapshot value: unknown snapshot version 2\n"
 
     def test_export_dot_graph_and_blend(self, built_graph, tmp_path, capsys):
         blend = tmp_path / "demo.blend"

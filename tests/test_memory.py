@@ -21,10 +21,11 @@ from holoscene.memory import ConceptNode, HolographicMemory, Level, Signature, i
 from holoscene import hrr
 
 V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
+V2_FIXTURE = Path(__file__).parent / "data" / "memory_v2.json"
 
 
 def make_sig(s1=1.0, d=10.0, at=0):
-    return Signature(vector=np.ones(4), recorded_at=at, initial_intensity=s1, decay_time=d)
+    return Signature(recorded_at=at, initial_intensity=s1, decay_time=d)
 
 
 def fresh(**kwargs):
@@ -193,7 +194,7 @@ def memory_of(vectors, levels):
     added in reverse id order so that only sorting puts them in order."""
     mem = HolographicMemory(dim=len(vectors[0]) if vectors else 8)
     for i in reversed(range(len(vectors))):
-        mem.nodes[f"n{i:02d}"] = ConceptNode(f"n{i:02d}", levels[i], vectors[i], 1.0)
+        mem.nodes[f"n{i:02d}"] = ConceptNode(f"n{i:02d}", levels[i], vectors[i])
     return mem
 
 
@@ -285,7 +286,7 @@ class TestReinforce:
         node_id = "c0001"
         mem.reinforce(node_id, 4)
         last = mem.nodes[node_id].signatures[-1]
-        assert intensity(last, 4) == mem.nodes[node_id].base_intensity
+        assert intensity(last, 4) == mem.base_intensity
 
     def test_connection_count_stretches_decay(self):
         mem = fresh()
@@ -415,21 +416,17 @@ def assert_same_memory(a, b):
     assert sorted(a.nodes) == sorted(b.nodes)
     for node_id, node in a.nodes.items():
         twin = b.nodes[node_id]
-        assert (twin.id, twin.level, twin.base_intensity, twin.connection_count) == (
-            node.id, node.level, node.base_intensity, node.connection_count)
+        assert (twin.id, twin.level, twin.connection_count) == (node.id, node.level, node.connection_count)
         assert twin.assembly_parents == node.assembly_parents
         assert twin.assembly_members == node.assembly_members
-        assert np.array_equal(twin.vector, node.vector)
-        assert len(twin.signatures) == len(node.signatures)
-        for s, t in zip(node.signatures, twin.signatures):
-            assert (s.recorded_at, s.initial_intensity, s.decay_time) == (
-                t.recorded_at, t.initial_intensity, t.decay_time)
-            assert np.array_equal(s.vector, t.vector)
+        assert twin.vector.tobytes() == node.vector.tobytes()
+        assert twin.signatures == node.signatures
 
 
 def fixture_memory():
-    """The memory that ``tests/data/memory_v1.json`` holds, written there by
-    the version 1 writer; load refuses that file for its version."""
+    """The memory that ``tests/data/memory_v1.json`` and ``memory_v2.json``
+    hold, written there by the version 1 and version 2 writers; load refuses
+    those files for their versions."""
     mem = HolographicMemory(dim=16, seed=3)
     mem.observe([("a", 0), ("b", 0)])
     mem.observe([("c", 1), ("d", 1)])
@@ -531,25 +528,20 @@ class TestSnapshot:
     def test_each_vector_stored_once_and_sensory_vectors_regenerated(self):
         mem = fixture_memory()
         snapshot = mem.snapshot()
-        rows = [tuple(row) for row in snapshot["vectors"]]
-        assert len(set(rows)) == len(rows)
+        assert snapshot["version"] == 3 and "vectors" not in snapshot
         for rec in snapshot["nodes"]:
-            refs = [rec["vector"]] + [s["vector"] for s in rec["signatures"]]
+            assert set(rec) == {"id", "level", "assembly_members", "vector", "signatures"}
+            assert all(set(s) == {"recorded_at", "initial_intensity", "decay_time"} for s in rec["signatures"])
             if rec["level"] == "sensory":
-                assert refs == [None] * len(refs)
+                assert rec["vector"] is None
             else:
-                assert all(isinstance(ref, int) for ref in refs)
-        # a primary node's first signature is its pattern
-        primary = node_record(snapshot, "c0001")
-        assert primary["signatures"][0]["vector"] == primary["vector"]
+                assert rec["vector"] == mem.nodes[rec["id"]].vector.tolist()
 
-    def test_sensory_vector_that_is_not_regenerable_goes_in_the_table(self, tmp_path):
+    def test_sensory_vector_that_is_not_regenerable_is_written_inline(self, tmp_path):
         mem = fresh(dim=8)
         mem.observe([("a", 0)])
         mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
-        snapshot = mem.snapshot()
-        rec = node_record(snapshot, "a")
-        assert rec["vector"] == 0 and rec["signatures"][0]["vector"] is None
+        assert node_record(mem.snapshot(), "a")["vector"] == mem.nodes["a"].vector.tolist()
         path = tmp_path / "mem.json"
         mem.save(path)
         assert_same_memory(mem, HolographicMemory.load(path))
@@ -560,14 +552,13 @@ class TestSnapshot:
         text = path.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
-        assert json.loads(text)["version"] == 2
+        assert json.loads(text)["version"] == 3
 
     def test_stream_fingerprint_written_only_beside_a_null(self):
         assert "stream_sha256" not in fresh().snapshot()
         mem = fresh(dim=8)
         mem.observe([("a", 0)])
         mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
-        mem.nodes["a"].signatures[0].vector = mem.nodes["a"].vector
         assert "stream_sha256" not in mem.snapshot()
         assert len(fixture_memory().snapshot()["stream_sha256"]) == 64
 
@@ -579,7 +570,7 @@ class TestSnapshot:
         with pytest.raises(GraphFormatError, match=r"mem.json: bad snapshot value: stream_sha256 does not match"):
             HolographicMemory.load(path)
 
-    def test_version_2_without_the_fingerprint_still_loads(self, tmp_path):
+    def test_snapshot_without_the_fingerprint_still_loads(self, tmp_path):
         snapshot = fixture_memory().snapshot()
         del snapshot["stream_sha256"]
         assert_same_memory(fixture_memory(), HolographicMemory.load(write_snapshot(tmp_path, snapshot)))
@@ -601,74 +592,63 @@ class TestVersion1:
         assert str(info.value) == f"{V1_FIXTURE}: bad snapshot value: unknown snapshot version 1"
 
 
-def _v2_snapshot():
-    """A version 2 snapshot (dim 8): sensory a and b, primary c0001 with
-    table row 0 as its vector and its one signature."""
+class TestVersion2:
+    def test_fixture_is_refused_naming_the_file(self):
+        assert json.loads(V2_FIXTURE.read_text())["version"] == 2
+        with pytest.raises(GraphFormatError) as info:
+            HolographicMemory.load(V2_FIXTURE)
+        assert str(info.value) == f"{V2_FIXTURE}: bad snapshot value: unknown snapshot version 2"
+
+
+def _v3_snapshot():
+    """A version 3 snapshot (dim 8): sensory a and b, and primary c0001 with
+    its vector inline."""
     mem = fresh(dim=8)
     mem.observe([("a", 0), ("b", 0)])
     return mem.snapshot()
 
 
-class TestVersion2Rejections:
-    @pytest.mark.parametrize("ref", ["0", True, 0.0, [0]], ids=["str", "bool", "float", "list"])
-    @pytest.mark.parametrize("where", ["node", "signature"])
-    def test_reference_that_is_not_an_int(self, tmp_path, ref, where):
-        snapshot = _v2_snapshot()
-        rec = node_record(snapshot, "c0001")
-        (rec if where == "node" else rec["signatures"][0])["vector"] = ref
+class TestVersion3Rejections:
+    def test_null_vector_on_a_node_that_is_not_sensory(self, tmp_path):
+        snapshot = _v3_snapshot()
+        node_record(snapshot, "c0001")["vector"] = None
         path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: vector reference"):
-            HolographicMemory.load(path)
-
-    @pytest.mark.parametrize("ref", [1, -1, 10**30])
-    def test_reference_out_of_range(self, tmp_path, ref):
-        snapshot = _v2_snapshot()
-        assert len(snapshot["vectors"]) == 1
-        node_record(snapshot, "c0001")["vector"] = ref
-        path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"is not a row of the 1-row table"):
-            HolographicMemory.load(path)
-
-    @pytest.mark.parametrize("where", ["node", "signature"])
-    def test_null_reference_on_a_node_that_is_not_sensory(self, tmp_path, where):
-        snapshot = _v2_snapshot()
-        rec = node_record(snapshot, "c0001")
-        (rec if where == "node" else rec["signatures"][0])["vector"] = None
-        path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: null vector"):
+        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: null vector on node 'c0001'"):
             HolographicMemory.load(path)
 
     @pytest.mark.parametrize(
         "spoil",
         [lambda row: row.pop(), lambda row: row.append(0.5), lambda row: row.__setitem__(3, "0.5"),
          lambda row: row.__setitem__(3, float("nan")), lambda row: row.__setitem__(3, float("inf")),
-         lambda row: row.__setitem__(3, True), lambda row: row.__setitem__(3, None)],
-        ids=["short", "long", "str", "nan", "inf", "bool", "null"],
+         lambda row: row.__setitem__(3, True), lambda row: row.__setitem__(3, None),
+         lambda row: row.__delitem__(slice(1, None))],
+        ids=["short", "long", "str", "nan", "inf", "bool", "null", "one"],
     )
-    def test_table_row_that_is_not_dim_finite_numbers(self, tmp_path, spoil):
-        snapshot = _v2_snapshot()
-        spoil(snapshot["vectors"][0])
+    def test_vector_that_is_not_dim_finite_numbers(self, tmp_path, spoil):
+        snapshot = _v3_snapshot()
+        spoil(node_record(snapshot, "c0001")["vector"])
         path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"vector table row is not 8 finite numbers"):
+        with pytest.raises(GraphFormatError, match=r"vector of node 'c0001' is not 8 finite numbers"):
             HolographicMemory.load(path)
 
-    def test_table_row_that_is_not_a_list(self, tmp_path):
-        snapshot = _v2_snapshot()
-        snapshot["vectors"][0] = {"0": 0.5}
+    @pytest.mark.parametrize("value", [{"0": 0.5}, "0", 0.0, True], ids=["object", "str", "float", "bool"])
+    def test_vector_that_is_not_a_list(self, tmp_path, value):
+        snapshot = _v3_snapshot()
+        node_record(snapshot, "c0001")["vector"] = value
         path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"vector table row is not 8 finite numbers"):
+        with pytest.raises(GraphFormatError, match=r"vector of node 'c0001' is not 8 finite numbers"):
             HolographicMemory.load(path)
 
-    @pytest.mark.parametrize("version", [3, 0, "2", True, 2.0])
+    @pytest.mark.parametrize("version", [2, 0, "3", True, 2.0, 3.0])
     def test_unknown_version(self, tmp_path, version):
-        snapshot = _v2_snapshot()
+        snapshot = _v3_snapshot()
         snapshot["version"] = version
         path = write_snapshot(tmp_path, snapshot)
         with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: unknown snapshot version"):
             HolographicMemory.load(path)
 
     def test_top_level_that_is_not_an_object(self, tmp_path):
-        path = write_snapshot(tmp_path, [_v2_snapshot()])
+        path = write_snapshot(tmp_path, [_v3_snapshot()])
         with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: not a JSON object"):
             HolographicMemory.load(path)
 
@@ -677,43 +657,37 @@ def _set_top(snapshot, key, value):
     snapshot[key] = value
 
 
-def _set_node(snapshot, key, value):
-    node_record(snapshot, "c0001")[key] = value
-
-
 def _set_signature(snapshot, key, value):
     node_record(snapshot, "c0001")["signatures"][0][key] = value
 
 
 def snapshot_of(source):
-    """The fixture memory's snapshot as the ``source`` writer wrote it."""
-    return json.loads(V1_FIXTURE.read_text()) if source == "v1" else fixture_memory().snapshot()
+    """The fixture memory's snapshot as the ``source`` writer wrote it: the
+    committed version 1 or version 2 file, or the live version 3 writer."""
+    fixtures = {"v1": V1_FIXTURE, "v2": V2_FIXTURE}
+    return json.loads(fixtures[source].read_text()) if source in fixtures else fixture_memory().snapshot()
 
 
 def assert_refused(tmp_path, source, snapshot, message):
-    """Loading ``snapshot`` fails with ``message``; from the version 1
-    writer, with the version alone, because it is read before any other
-    key."""
-    if source == "v1":
-        message = "unknown snapshot version 1$"
+    """Loading ``snapshot`` fails with ``message``; from the version 1 or
+    version 2 writer, with the version alone, because it is read before any
+    other key."""
+    if source != "v3":
+        message = f"unknown snapshot version {source[1]}$"
     with pytest.raises(GraphFormatError, match=rf"snap.json: bad snapshot value: {message}"):
         HolographicMemory.load(write_snapshot(tmp_path, snapshot))
 
 
-@pytest.mark.parametrize("source", ["v1", "v2"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
 @pytest.mark.parametrize(
     "where, key, value",
     [(_set_top, "clock", "4"), (_set_top, "counter", 3.0), (_set_top, "dim", True),
      (_set_top, "base_intensity", "x"), (_set_top, "base_decay", float("inf")),
-     (_set_node, "connection_count", None), (_set_node, "base_intensity", float("nan")),
      (_set_signature, "recorded_at", "x"), (_set_signature, "recorded_at", 1.5),
      (_set_signature, "initial_intensity", [1.0]), (_set_signature, "decay_time", float("-inf")),
-     (_set_signature, "decay_time", 0.0), (_set_node, "connection_count", -1),
-     (_set_top, "base_decay", 0.0), (_set_top, "base_decay", -1.0)],
-    ids=["clock", "counter", "dim", "base_intensity", "base_decay", "connection_count",
-         "node_base_intensity", "recorded_at-str", "recorded_at-float", "initial_intensity",
-         "decay_time-inf", "decay_time-zero", "connection_count-negative", "base_decay-zero",
-         "base_decay-negative"],
+     (_set_signature, "decay_time", 0.0), (_set_top, "base_decay", 0.0), (_set_top, "base_decay", -1.0)],
+    ids=["clock", "counter", "dim", "base_intensity", "base_decay", "recorded_at-str", "recorded_at-float",
+         "initial_intensity", "decay_time-inf", "decay_time-zero", "base_decay-zero", "base_decay-negative"],
 )
 def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, value):
     snapshot = snapshot_of(source)
@@ -721,29 +695,54 @@ def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, v
     assert_refused(tmp_path, source, snapshot, f"{key} must be")
 
 
-@pytest.mark.parametrize("source", ["v1", "v2"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
 def test_node_id_listed_twice_is_rejected(tmp_path, source):
     snapshot = snapshot_of(source)
-    snapshot["nodes"].append({**node_record(snapshot, "a"), "base_intensity": 0.5})
+    snapshot["nodes"].append(dict(node_record(snapshot, "a")))
     assert_refused(tmp_path, source, snapshot, "node id 'a' is listed twice")
 
 
-@pytest.mark.parametrize("source", ["v1", "v2"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
 @pytest.mark.parametrize(
-    "node_id, key, value",
-    [("c0003", "assembly_members", "c0001"), ("c0003", "assembly_members", ["c0001", 2]),
-     ("c0001", "assembly_parents", {"c0003": 1}), ("c0003", "assembly_members", ["c0001", "c9999"]),
-     ("c0001", "assembly_parents", ["zz"])],
-    ids=["members-string", "members-number", "parents-object", "members-unknown-id",
-         "parents-unknown-id"],
+    "members, message",
+    [("c0001", "assembly_members must be a list of node ids"),
+     (["c0001", 2], "assembly_members must be a list of node ids"),
+     (["c0001", "c9999"], "assembly link 'c9999' of node 'c0003' names no node"),
+     (["c0001", "c0002", "c0001"], r"node 'c0003' lists a member twice"),
+     (["c0001", "c0003"], "node 'c0003' lists itself as a member")],
+    ids=["members-string", "members-number", "members-unknown-id", "members-repeated", "members-self"],
 )
-def test_assembly_link_that_is_not_a_node_id_is_rejected(tmp_path, source, node_id, key, value):
+def test_assembly_link_that_is_not_a_node_id_is_rejected(tmp_path, source, members, message):
     snapshot = snapshot_of(source)
-    node_record(snapshot, node_id)[key] = value
-    assert_refused(tmp_path, source, snapshot, ".*(node ids|names no node)")
+    node_record(snapshot, "c0003")["assembly_members"] = members
+    assert_refused(tmp_path, source, snapshot, message)
 
 
 def test_assembly_links_load_as_written(tmp_path):
     mem = HolographicMemory.load(write_snapshot(tmp_path, fixture_memory().snapshot()))
     assert mem.nodes["c0003"].assembly_members == ["c0001", "c0002"]
     assert mem.nodes["c0001"].assembly_parents == {"c0003"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ops=_OPS)
+@example(ops=_TO_HIGHER)
+def test_parents_load_from_members(tmp_path_factory, ops):
+    """A snapshot holds no parents or counts to disagree with its members:
+    stale copies of them in a record are not read, and every loaded node's
+    parents are the nodes that list it as a member."""
+    snapshot = replay(ops).snapshot()
+    for rec in snapshot["nodes"]:
+        rec.update(assembly_parents=["stale"], connection_count=-1, base_intensity=0.5)
+    mem = HolographicMemory.load(write_snapshot(tmp_path_factory.mktemp("snap"), snapshot))
+    assert_same_memory(replay(ops), mem)
+    for node in mem.nodes.values():
+        assert node.assembly_parents == {p.id for p in mem.nodes.values() if node.id in p.assembly_members}
+        assert node.connection_count == len(node.assembly_members) + len(node.assembly_parents)
+
+
+def test_connection_count_is_derived_and_read_only():
+    mem = fixture_memory()
+    assert [mem.nodes[n].connection_count for n in ("a", "c0001", "c0003")] == [0, 1, 2]
+    with pytest.raises(AttributeError):
+        mem.nodes["c0001"].connection_count = 5

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from holoscene.blending import BlendedSpace
-from holoscene.errors import UnmappedTermError
+from holoscene.errors import GraphFormatError, UnmappedTermError
 from holoscene.ontology import OntologyGraph, TermObjectMap, ValueMap
 from holoscene.pipeline import PipelineConfig, load_config, run_pipeline
 from holoscene.scenario import load_actor_functions, plan_scenario
@@ -160,3 +160,20 @@ class TestActorFunctions:
         bad.write_text("kick actor:human ->\n")
         with pytest.raises(ValueError):
             load_actor_functions(bad)
+
+    @pytest.mark.parametrize(
+        "line, piece",
+        [("walk actor:human -> :", "':'"), ("walk actor:human -> position", "'position'"),
+         ("walk actor:human -> position:", "'position:'"), ("walk actor:human -> :position", "':position'"),
+         ("take actor,object:prop -> hand:position", "'actor'"),
+         ("take actor:,object:prop -> hand:position", "'actor:'"),
+         ("take actor:human, :prop -> hand:position", "':prop'")],
+        ids=["output-colon", "output-bare", "output-no-type", "output-no-name", "arg-bare", "arg-no-type",
+             "arg-no-name"],
+    )
+    def test_pair_with_an_empty_side_names_line(self, tmp_path, line, piece):
+        bad = tmp_path / "f.txt"
+        bad.write_text(f"# functions\nwalk actor:human -> position:position\n{line}\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_actor_functions(bad)
+        assert str(info.value) == f"{bad}:3: argument or output is not name:type: {piece}"
