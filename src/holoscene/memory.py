@@ -8,28 +8,39 @@ connectivity, so well-connected concepts outlive one-off noise.
 
 Each fact is held once: a node's connection count is the number of its
 assembly links, and its parents are the reverse of the other nodes'
-members, kept as an index for :meth:`HolographicMemory.prune`.
+members, kept as an index for :meth:`HolographicMemory.prune`. A node's
+vector is derived from ``(seed, dim)`` and the node's recipe, the JSON
+value that says how it was made:
 
-A snapshot (version 3) is compact JSON holding the memory's scalar
-settings and the nodes, with each node's members and signatures. A node's
-``"vector"`` is its ``dim`` floats, or ``null``: the
-``random_vector(seed, dim, id)`` of a sensory node, written only when the
-vector equals it bit for bit. A snapshot with a ``null`` also holds
-``"stream_sha256"``, the SHA-256 of ``random_vector(seed, dim, "")``, so a
-NumPy that draws another stream is refused instead of regenerating other
-vectors. The loader rebuilds every node's parents from the members. A
-version other than 3, a missing key, a value of the wrong kind, a vector
-that is not ``dim`` finite numbers, a member that repeats, names its own
-node or names no node, a signature recorded after the clock or a stream
-fingerprint that does not match is a :class:`GraphFormatError` naming the
+- ``"<id>"`` is ``random_vector(seed, dim, id)``, a sensory node's draw;
+- ``{"sum": [[recipe, offset], ...]}`` is the normalised sum of the
+  vectors, each rolled by its offset (an observed pattern);
+- ``{"bind": [recipe, recipe, ...]}`` is the normalised convolution chain
+  (an assembly). It nests its members' recipes, because a member may be
+  pruned after it.
+
+A snapshot (version 4) is compact JSON holding the memory's scalar
+settings, the nodes, each with its recipe, members and signatures, and
+``"vectors_sha256"``, the SHA-256 of every node's vector bytes in sorted
+id order. The loader rebuilds each vector from its recipe with the same
+helpers that :meth:`HolographicMemory.observe` and
+:meth:`HolographicMemory.assemble` use, and each node's parents from the
+members. So a snapshot loads only where NumPy makes the same bits for the
+draw, the sum and the FFT: anywhere else the digest differs and the file
+is refused. A version other than 4, a missing key, a value of the wrong
+kind, a malformed recipe or one nested too deep, a member that repeats,
+names its own node or names no node, a signature recorded after the clock
+or a digest that does not match is a :class:`GraphFormatError` naming the
 file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,6 +90,7 @@ class ConceptNode:
     id: str
     level: Level
     vector: hrr.Vector
+    recipe: str | dict  # how ``vector`` is made; see the module docstring
     signatures: list[Signature] = field(default_factory=list)
     assembly_parents: set[str] = field(default_factory=set)  # the nodes that list it as a member
     assembly_members: list[str] = field(default_factory=list)
@@ -146,7 +158,7 @@ class HolographicMemory:
         node = self.nodes.get(sensory_id)
         if node is None:
             vector = hrr.random_vector(self.seed, self.dim, term=sensory_id)
-            node = self.nodes[sensory_id] = ConceptNode(sensory_id, Level.SENSORY, vector)
+            node = self.nodes[sensory_id] = ConceptNode(sensory_id, Level.SENSORY, vector, sensory_id)
         self._record(node, tick)
         return node
 
@@ -161,15 +173,16 @@ class HolographicMemory:
             return None, -2.0
         return hrr._nearest(vector, np.array([self.nodes[node_id].vector for node_id in ids]), ids)
 
-    def _recall_or_add(self, vector: hrr.Vector, level: Level, members=()) -> ConceptNode:
+    def _recall_or_add(self, vector: hrr.Vector, recipe: dict, level: Level, members=()) -> ConceptNode:
         """The node nearest ``vector`` if its similarity clears
-        ``match_threshold``, else a new node on ``level``. An assembly (a
-        non-empty ``members``) recalls only a node on its own level; each
-        member of a new one is linked to it as its parent."""
+        ``match_threshold``, else a new node on ``level`` made by
+        ``recipe``. An assembly (a non-empty ``members``) recalls only a
+        node on its own level; each member of a new one is linked to it as
+        its parent."""
         match_id, sim = self._best_match(vector, level if members else None)
         if match_id is not None and sim >= self.match_threshold:
             return self.nodes[match_id]
-        node = ConceptNode(self._new_id(), level, vector, assembly_members=[m.id for m in members])
+        node = ConceptNode(self._new_id(), level, vector, recipe, assembly_members=[m.id for m in members])
         self.nodes[node.id] = node
         for m in members:
             m.assembly_parents.add(node.id)
@@ -182,8 +195,9 @@ class HolographicMemory:
 
         The encoded activation pattern either recalls a matching concept
         (appending a fresh signature next to the previously stored ones) or,
-        when it differs enough from everything known, becomes a new primary
-        node. Returns the affected concept ids.
+        when it differs enough from everything known, becomes a new node
+        one level up, whose recipe sums each activation's recipe with its
+        tick offset. Returns the affected concept ids.
         """
         activations = sorted(set(activations))
         if not activations:
@@ -199,19 +213,15 @@ class HolographicMemory:
             raise StaleSignalError("negative tick")
         self._advance(now)
 
-        affected = []
-        vectors = []
         base = min(ticks)
-        for sensory_id, tick in activations:
-            node = self._sensory(sensory_id, tick)
-            affected.append(node.id)
-            # a shift encodes the firing offset, so sequences differ from
-            # pure co-occurrence while repeats of a pattern still match
-            vectors.append(np.roll(node.vector, tick - base))
-
-        pattern = hrr.superpose(vectors)
-        pattern = pattern / np.linalg.norm(pattern)
-        node = self._recall_or_add(pattern, Level.above([self.nodes[s].level for s, _ in activations]))
+        nodes = [self._sensory(sensory_id, tick) for sensory_id, tick in activations]
+        affected = [node.id for node in nodes]
+        # a shift encodes the firing offset, so sequences differ from
+        # pure co-occurrence while repeats of a pattern still match
+        offsets = [tick - base for _, tick in activations]
+        node = self._recall_or_add(_rolled_sum([n.vector for n in nodes], offsets),
+                                   {"sum": [[n.recipe, k] for n, k in zip(nodes, offsets)]},
+                                   Level.above([n.level for n in nodes]))
         if node.id not in affected:  # a sensory self-match is already recorded
             self._record(node, now)
             affected.append(node.id)
@@ -221,7 +231,8 @@ class HolographicMemory:
         """Bind living concepts into a higher-level node.
 
         Re-assembling the same members recalls the existing node instead of
-        duplicating it. Either way every member is reinforced.
+        duplicating it; a new node's recipe binds its members' recipes.
+        Either way every member is reinforced.
         """
         self._advance(now)
         unique = sorted(set(member_ids))
@@ -229,11 +240,8 @@ class HolographicMemory:
             raise ValueError("assembly requires at least two distinct members")
         members = [self._require(m) for m in unique]
 
-        chain = members[0].vector
-        for m in members[1:]:
-            chain = hrr.convolve(chain, m.vector)
-        chain = chain / np.linalg.norm(chain)
-        node = self._recall_or_add(chain, Level.above([m.level for m in members]), members)
+        node = self._recall_or_add(_bound([m.vector for m in members]), {"bind": [m.recipe for m in members]},
+                                   Level.above([m.level for m in members]), members)
         self._record(node, now)
         for m in members:
             self.reinforce(m.id, now)
@@ -274,46 +282,23 @@ class HolographicMemory:
     # -- serialization -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The version 3 snapshot: the scalar settings and the nodes, each
-        vector inline or ``None`` for a sensory node's
-        ``random_vector(seed, dim, id)``; beside any ``None``, the
-        fingerprint of the stream that regenerates it."""
-        regenerates = False
-        nodes = []
-        for node_id, n in sorted(self.nodes.items()):
-            regenerated = n.level is Level.SENSORY and (
-                n.vector.tobytes() == hrr.random_vector(self.seed, self.dim, term=node_id).tobytes())
-            regenerates = regenerates or regenerated
-            nodes.append({
-                "id": n.id,
-                "level": n.level.value,
-                "assembly_members": list(n.assembly_members),
-                "vector": None if regenerated else n.vector.tolist(),
-                "signatures": [
-                    {
-                        "recorded_at": s.recorded_at,
-                        "initial_intensity": s.initial_intensity,
-                        "decay_time": s.decay_time,
-                    }
-                    for s in n.signatures
-                ],
-            })
-        snapshot = {
-            "version": 3,
-            "dim": self.dim,
-            "seed": self.seed,
-            "time_window": self.time_window,
-            "prune_threshold": self.prune_threshold,
-            "match_threshold": self.match_threshold,
-            "base_decay": self.base_decay,
-            "base_intensity": self.base_intensity,
-            "clock": self.clock,
-            "counter": self._counter,
-            "nodes": nodes,
-        }
-        if regenerates:
-            snapshot["stream_sha256"] = _stream_sha256(self.seed, self.dim)
-        return snapshot
+        """The version 4 snapshot: the scalar settings, the nodes with their
+        recipes, and the digest of the vectors they make. The recipes are
+        the nodes' own objects, not copies: change a copy of the snapshot."""
+        nodes = [{"id": n.id, "level": n.level.value, "assembly_members": list(n.assembly_members),
+                  "recipe": n.recipe, "signatures": [dict(vars(s)) for s in n.signatures]}
+                 for _, n in sorted(self.nodes.items())]
+        return {"version": 4, "dim": self.dim, "seed": self.seed, "time_window": self.time_window,
+                "prune_threshold": self.prune_threshold, "match_threshold": self.match_threshold,
+                "base_decay": self.base_decay, "base_intensity": self.base_intensity, "clock": self.clock,
+                "counter": self._counter, "nodes": nodes, "vectors_sha256": self._vectors_sha256()}
+
+    def _vectors_sha256(self) -> str:
+        """The SHA-256 of every node's vector bytes in sorted id order."""
+        digest = hashlib.sha256()
+        for node_id in sorted(self.nodes):
+            digest.update(self.nodes[node_id].vector.tobytes())
+        return digest.hexdigest()
 
     def save(self, path) -> None:
         # json.dumps without indent runs the C encoder; json.dump would
@@ -325,10 +310,11 @@ class HolographicMemory:
     @classmethod
     def load(cls, path) -> "HolographicMemory":
         """Read a snapshot written by :meth:`save`. Text that is not UTF-8
-        or not JSON, a version other than 3, a missing key, a value of the
-        wrong kind, a node id listed twice, a member that repeats, names its
-        own node or names no node, a signature recorded after the clock and
-        a stream fingerprint that does not match raise
+        or not JSON, a version other than 4, a missing key, a value of the
+        wrong kind, a node id listed twice, a malformed recipe or one nested
+        too deep, a member that repeats, names its own node or names no
+        node, a signature recorded after the clock and a ``vectors_sha256``
+        that does not match the vectors the recipes make raise
         :class:`GraphFormatError` naming the file."""
         text = read_text(path)
         try:
@@ -348,11 +334,11 @@ class HolographicMemory:
 
     @classmethod
     def _from_snapshot(cls, data: dict) -> "HolographicMemory":
-        """The memory a version 3 snapshot describes; the version is read
+        """The memory a version 4 snapshot describes; the version is read
         before any other key. A missing key raises ``KeyError``; a value of
         the wrong kind ``TypeError`` or ``ValueError``."""
         version = data["version"]
-        if not _is_int(version) or version != 3:
+        if not _is_int(version) or version != 4:
             raise ValueError(f"unknown snapshot version {version!r}")
         mem = cls(
             dim=_int(data, "dim"),
@@ -363,22 +349,26 @@ class HolographicMemory:
             base_decay=_positive(data, "base_decay"),  # every decay time is a multiple of it
             base_intensity=_number(data, "base_intensity"),
         )
-        if not 1 <= mem.dim <= hrr._MAX_DIM:  # checked before a vector is regenerated
+        if not 1 <= mem.dim <= hrr._MAX_DIM:  # checked before a vector is made
             raise ValueError(f"dim must be in [1, {hrr._MAX_DIM}], not {mem.dim!r}")
         mem.clock = _int(data, "clock")
         mem._counter = _int(data, "counter")
-        if "stream_sha256" in data and data["stream_sha256"] != _stream_sha256(mem.seed, mem.dim):
-            raise ValueError("stream_sha256 does not match this NumPy's random stream, "
-                             "so the sensory vectors would not regenerate")
+        digest = data["vectors_sha256"]
+        draw = functools.cache(functools.partial(hrr.random_vector, mem.seed, mem.dim))
         for rec in data["nodes"]:
             node_id = rec["id"]
             if not isinstance(node_id, str):
                 raise TypeError(f"node id must be a string, not {node_id!r}")
             if node_id in mem.nodes:
                 raise ValueError(f"node id {node_id!r} is listed twice")
-            level = Level(rec["level"])
-            node = ConceptNode(node_id, level, _vector(rec, level, mem),
-                               assembly_members=_ids(rec, "assembly_members"))
+            level, recipe = Level(rec["level"]), rec["recipe"]
+            try:
+                vector = _made(recipe, draw)
+            except RecursionError:
+                raise ValueError(f"recipe of node {node_id!r} is nested too deep") from None
+            except ValueError as exc:
+                raise ValueError(f"recipe of node {node_id!r}: {exc}") from None
+            node = ConceptNode(node_id, level, vector, recipe, assembly_members=_ids(rec, "assembly_members"))
             for s in rec["signatures"]:
                 sig = Signature(
                     recorded_at=_int(s, "recorded_at"),
@@ -399,12 +389,36 @@ class HolographicMemory:
                 if member_id not in mem.nodes:
                     raise ValueError(f"assembly link {member_id!r} of node {node.id!r} names no node")
                 mem.nodes[member_id].assembly_parents.add(node.id)
+        if digest != mem._vectors_sha256():
+            raise ValueError("vectors_sha256 does not match the vectors the recipes make here "
+                             "(another random stream, sum or FFT, or a vector changed by hand)")
         return mem
 
 
-def _stream_sha256(seed: int, dim: int) -> str:
-    """Fingerprint of the random stream that regenerates sensory vectors."""
-    return hashlib.sha256(hrr.random_vector(seed, dim, term="").tobytes()).hexdigest()
+def _rolled_sum(vectors, offsets) -> hrr.Vector:
+    """The normalised sum of ``vectors``, each rolled by its offset."""
+    pattern = hrr.superpose([np.roll(v, k) for v, k in zip(vectors, offsets)])
+    return pattern / np.linalg.norm(pattern)
+
+
+def _bound(vectors) -> hrr.Vector:
+    """The normalised circular convolution chain of ``vectors``."""
+    chain = functools.reduce(hrr.convolve, vectors)
+    return chain / np.linalg.norm(chain)
+
+
+def _made(recipe, draw) -> hrr.Vector:
+    """The vector ``recipe`` makes, with ``draw(id)`` a sensory id's draw."""
+    if isinstance(recipe, str):
+        return draw(recipe)
+    if isinstance(recipe, dict) and len(recipe) == 1:
+        (kind, parts), = recipe.items()
+        if kind == "sum" and isinstance(parts, list) and parts and all(
+                isinstance(p, list) and len(p) == 2 and _is_int(p[1]) for p in parts):
+            return _rolled_sum([_made(r, draw) for r, _ in parts], [k for _, k in parts])
+        if kind == "bind" and isinstance(parts, list) and len(parts) >= 2:
+            return _bound([_made(r, draw) for r in parts])
+    raise ValueError(f"malformed recipe {reprlib.repr(recipe)}")
 
 
 def _is_int(value) -> bool:
@@ -438,18 +452,3 @@ def _ids(record: dict, key: str) -> list:
         raise TypeError(f"{key} must be a list of node ids, not {value!r}")
     return list(value)
 
-
-def _vector(rec: dict, level: Level, mem: HolographicMemory) -> hrr.Vector:
-    """A node record's vector: a list of ``dim`` finite numbers, or for
-    ``None`` the regenerated vector of a sensory node."""
-    values, node_id = rec["vector"], rec["id"]
-    if values is None:
-        if level is not Level.SENSORY:
-            raise ValueError(f"null vector on node {node_id!r}, which is not sensory")
-        return hrr.random_vector(mem.seed, mem.dim, term=node_id)
-    if (isinstance(values, list) and len(values) == mem.dim
-            and all(type(x) in (float, int) for x in values)):
-        vector = np.array(values, dtype=np.float64)
-        if np.isfinite(vector).all():
-            return vector
-    raise ValueError(f"vector of node {node_id!r} is not {mem.dim} finite numbers")

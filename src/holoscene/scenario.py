@@ -49,10 +49,10 @@ def load_actor_functions(path) -> dict:
 
 
 def _typed(piece: str, path, line_no: int) -> tuple:
-    """A functions file's ``name:type`` pair; either side empty is a
-    :class:`GraphFormatError` at the line."""
+    """A functions file's ``name:type`` pair; either side empty or holding
+    whitespace is a :class:`GraphFormatError` at the line."""
     name, _, kind = piece.strip().partition(":")
-    if not (name and kind):
+    if name.split() != [name] or kind.split() != [kind]:
         raise GraphFormatError(path, line_no, f"argument or output is not name:type: {piece.strip()!r}")
     return name, kind
 

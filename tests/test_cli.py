@@ -1,6 +1,7 @@
 """CLI tests, driving the argv entry point directly."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from holoscene import blending, cli, errors, lexicon, ontology
 from holoscene.cli import main
 from holoscene.memory import HolographicMemory
 
-from test_memory import V1_FIXTURE, V2_FIXTURE, fixture_memory
+from test_memory import V1_FIXTURE, V2_FIXTURE, V3_FIXTURE, fixture_memory
 
 DEMO = Path(__file__).parents[1] / "src" / "holoscene" / "data" / "demo"
 
@@ -272,7 +273,7 @@ class TestInspectAndDot:
     @pytest.mark.parametrize(
         "content, where",
         [(b'{\n  "dim": 512,\n  oops\n}\n', "snap.json:3: not a JSON snapshot"),
-         (b'{"version": 3, "dim": 512}\n', "snap.json: snapshot lacks key 'seed'"),
+         (b'{"version": 4, "dim": 512}\n', "snap.json: snapshot lacks key 'seed'"),
          (b'{\n  "dim": "\xff"\n}\n', "snap.json:2: not UTF-8 text")],
         ids=["not-json", "missing-key", "not-utf8"],
     )
@@ -286,8 +287,8 @@ class TestInspectAndDot:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("level", "bogus"), ("vector", ["x"]), ("nodes", 3)],
-        ids=["level", "vector", "nodes"],
+        [("level", "bogus"), ("recipe", ["x"]), ("recipe", "man"), ("nodes", 3)],
+        ids=["level", "recipe", "recipe-of-another-vector", "nodes"],
     )
     def test_snapshot_value_of_wrong_kind_reports_file(self, tmp_path, capsys, field, value):
         mem = HolographicMemory(dim=8)
@@ -362,16 +363,22 @@ class TestInspectAndDot:
         assert main(["imagine", str(DEMO / "demo.txt"), "--ontology", str(DEMO / "demo.graph"),
                      "-o", str(tmp_path / "s.json"), "--memory-out", str(mem)]) == 0
         snapshot = json.loads(mem.read_text())
-        assert snapshot["version"] == 3 and "vectors" not in snapshot
-        assert not any("vector" in s for rec in snapshot["nodes"] for s in rec["signatures"])
-        assert all(rec["vector"] is None for rec in snapshot["nodes"] if rec["level"] == "sensory")
-        inline = [rec["vector"] for rec in snapshot["nodes"] if rec["level"] != "sensory"]
-        assert inline and all(len(vector) == snapshot["dim"] for vector in inline)
+        assert snapshot["version"] == 4 and "vectors" not in snapshot
+        assert not any("vector" in rec or any("vector" in s for s in rec["signatures"]) for rec in snapshot["nodes"])
+        assert all(rec["recipe"] == rec["id"] for rec in snapshot["nodes"] if rec["level"] == "sensory")
+        made = [rec["recipe"] for rec in snapshot["nodes"] if rec["level"] != "sensory"]
+        assert made and all(set(recipe) == {"sum"} for recipe in made)
+        assert re.fullmatch("[0-9a-f]{64}", snapshot["vectors_sha256"])
 
     def test_v2_snapshot_is_refused_naming_the_file(self, capsys):
         assert main(["inspect-memory", str(V2_FIXTURE)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {V2_FIXTURE}: bad snapshot value: unknown snapshot version 2\n"
+
+    def test_v3_snapshot_is_refused_naming_the_file(self, capsys):
+        assert main(["inspect-memory", str(V3_FIXTURE)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {V3_FIXTURE}: bad snapshot value: unknown snapshot version 3\n"
 
     def test_export_dot_graph_and_blend(self, built_graph, tmp_path, capsys):
         blend = tmp_path / "demo.blend"

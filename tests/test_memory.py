@@ -3,6 +3,7 @@ pruning and snapshot round-trips."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from holoscene import hrr
 
 V1_FIXTURE = Path(__file__).parent / "data" / "memory_v1.json"
 V2_FIXTURE = Path(__file__).parent / "data" / "memory_v2.json"
+V3_FIXTURE = Path(__file__).parent / "data" / "memory_v3.json"
 
 
 def make_sig(s1=1.0, d=10.0, at=0):
@@ -194,7 +196,7 @@ def memory_of(vectors, levels):
     added in reverse id order so that only sorting puts them in order."""
     mem = HolographicMemory(dim=len(vectors[0]) if vectors else 8)
     for i in reversed(range(len(vectors))):
-        mem.nodes[f"n{i:02d}"] = ConceptNode(f"n{i:02d}", levels[i], vectors[i])
+        mem.nodes[f"n{i:02d}"] = ConceptNode(f"n{i:02d}", levels[i], vectors[i], f"n{i:02d}")
     return mem
 
 
@@ -409,7 +411,8 @@ class TestPrune:
 
 
 def assert_same_memory(a, b):
-    """Every setting, node field and signature equal; vectors bit for bit."""
+    """Every setting, node field, recipe and signature equal; vectors bit
+    for bit."""
     settings_ = ("dim", "seed", "time_window", "prune_threshold", "match_threshold",
                  "base_decay", "base_intensity", "clock", "_counter")
     assert [getattr(a, k) for k in settings_] == [getattr(b, k) for k in settings_]
@@ -420,13 +423,14 @@ def assert_same_memory(a, b):
         assert twin.assembly_parents == node.assembly_parents
         assert twin.assembly_members == node.assembly_members
         assert twin.vector.tobytes() == node.vector.tobytes()
+        assert twin.recipe == node.recipe
         assert twin.signatures == node.signatures
 
 
 def fixture_memory():
-    """The memory that ``tests/data/memory_v1.json`` and ``memory_v2.json``
-    hold, written there by the version 1 and version 2 writers; load refuses
-    those files for their versions."""
+    """The memory that ``tests/data/memory_v1.json``, ``memory_v2.json``
+    and ``memory_v3.json`` hold, written there by the version 1, 2 and 3
+    writers; load refuses those files for their versions."""
     mem = HolographicMemory(dim=16, seed=3)
     mem.observe([("a", 0), ("b", 0)])
     mem.observe([("c", 1), ("d", 1)])
@@ -528,23 +532,47 @@ class TestSnapshot:
     def test_each_vector_stored_once_and_sensory_vectors_regenerated(self):
         mem = fixture_memory()
         snapshot = mem.snapshot()
-        assert snapshot["version"] == 3 and "vectors" not in snapshot
+        assert snapshot["version"] == 4 and "vectors" not in snapshot
+        assert len(snapshot["vectors_sha256"]) == 64
         for rec in snapshot["nodes"]:
-            assert set(rec) == {"id", "level", "assembly_members", "vector", "signatures"}
+            assert set(rec) == {"id", "level", "assembly_members", "recipe", "signatures"}
             assert all(set(s) == {"recorded_at", "initial_intensity", "decay_time"} for s in rec["signatures"])
-            if rec["level"] == "sensory":
-                assert rec["vector"] is None
-            else:
-                assert rec["vector"] == mem.nodes[rec["id"]].vector.tolist()
+        recipes = {rec["id"]: rec["recipe"] for rec in snapshot["nodes"]}
+        assert recipes == {
+            "a": "a", "b": "b", "c": "c", "d": "d",
+            "c0001": {"sum": [["a", 0], ["b", 0]]},
+            "c0002": {"sum": [["c", 0], ["d", 0]]},
+            "c0003": {"bind": [{"sum": [["a", 0], ["b", 0]]}, {"sum": [["c", 0], ["d", 0]]}]},
+        }
 
-    def test_sensory_vector_that_is_not_regenerable_is_written_inline(self, tmp_path):
-        mem = fresh(dim=8)
-        mem.observe([("a", 0)])
-        mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
-        assert node_record(mem.snapshot(), "a")["vector"] == mem.nodes["a"].vector.tolist()
+    def test_observed_offsets_and_nested_concepts_are_recorded(self):
+        mem = fresh()
+        mem.observe([("a", 0), ("b", 2)])
+        mem.observe([("c0001", 3), ("c", 4)])  # an activation may name a concept
+        assert mem.nodes["c0001"].recipe == {"sum": [["a", 0], ["b", 2]]}
+        assert mem.nodes["c0002"].recipe == {"sum": [["c", 1], [{"sum": [["a", 0], ["b", 2]]}, 0]]}
+
+    def test_assembly_outlives_its_members_and_reloads(self, tmp_path):
+        mem = fresh()
+        mem.observe([("a", 0), ("b", 0)])
+        mem.observe([("c", 0), ("d", 0)])
+        sec = mem.assemble(["c0001", "c0002"], 1)
+        mem.reinforce(sec, 20)
+        mem.prune(50)  # as in test_removal_cascades_to_parent_connections
+        assert set(mem.nodes) == {sec} and mem.nodes[sec].assembly_members == []
+        assert mem.nodes[sec].recipe == {"bind": [{"sum": [["a", 0], ["b", 0]]}, {"sum": [["c", 0], ["d", 0]]}]}
         path = tmp_path / "mem.json"
         mem.save(path)
         assert_same_memory(mem, HolographicMemory.load(path))
+
+    def test_vector_changed_by_hand_is_refused(self, tmp_path):
+        mem = fresh(dim=8)
+        mem.observe([("a", 0)])
+        mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
+        path = tmp_path / "mem.json"
+        mem.save(path)
+        with pytest.raises(GraphFormatError, match=r"mem.json: bad snapshot value: vectors_sha256 does not match"):
+            HolographicMemory.load(path)
 
     def test_save_writes_compact_json(self, tmp_path):
         path = tmp_path / "mem.json"
@@ -552,28 +580,21 @@ class TestSnapshot:
         text = path.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
         assert ", " not in text and ": " not in text
-        assert json.loads(text)["version"] == 3
-
-    def test_stream_fingerprint_written_only_beside_a_null(self):
-        assert "stream_sha256" not in fresh().snapshot()
-        mem = fresh(dim=8)
-        mem.observe([("a", 0)])
-        mem.nodes["a"].vector = mem.nodes["a"].vector * 2.0
-        assert "stream_sha256" not in mem.snapshot()
-        assert len(fixture_memory().snapshot()["stream_sha256"]) == 64
+        assert json.loads(text)["version"] == 4
 
     def test_changed_random_stream_is_refused(self, tmp_path, monkeypatch):
         path = tmp_path / "mem.json"
         fixture_memory().save(path)
         seed_for = hrr._seed_for
         monkeypatch.setattr(hrr, "_seed_for", lambda seed, dim, term=None: seed_for(seed + 1, dim, term))
-        with pytest.raises(GraphFormatError, match=r"mem.json: bad snapshot value: stream_sha256 does not match"):
+        with pytest.raises(GraphFormatError, match=r"mem.json: bad snapshot value: vectors_sha256 does not match"):
             HolographicMemory.load(path)
 
-    def test_snapshot_without_the_fingerprint_still_loads(self, tmp_path):
+    def test_missing_fingerprint_is_refused(self, tmp_path):
         snapshot = fixture_memory().snapshot()
-        del snapshot["stream_sha256"]
-        assert_same_memory(fixture_memory(), HolographicMemory.load(write_snapshot(tmp_path, snapshot)))
+        del snapshot["vectors_sha256"]
+        with pytest.raises(GraphFormatError, match=r"snap.json: snapshot lacks key 'vectors_sha256'"):
+            HolographicMemory.load(write_snapshot(tmp_path, snapshot))
 
     def test_signature_recorded_after_the_clock_is_refused(self, tmp_path):
         snapshot = fixture_memory().snapshot()
@@ -600,55 +621,67 @@ class TestVersion2:
         assert str(info.value) == f"{V2_FIXTURE}: bad snapshot value: unknown snapshot version 2"
 
 
-def _v3_snapshot():
-    """A version 3 snapshot (dim 8): sensory a and b, and primary c0001 with
-    its vector inline."""
+class TestVersion3:
+    def test_fixture_is_refused_naming_the_file(self):
+        assert json.loads(V3_FIXTURE.read_text())["version"] == 3
+        with pytest.raises(GraphFormatError) as info:
+            HolographicMemory.load(V3_FIXTURE)
+        assert str(info.value) == f"{V3_FIXTURE}: bad snapshot value: unknown snapshot version 3"
+
+
+def _v4_snapshot():
+    """A version 4 snapshot (dim 8): sensory a and b, and primary c0001
+    made of them."""
     mem = fresh(dim=8)
     mem.observe([("a", 0), ("b", 0)])
     return mem.snapshot()
 
 
-class TestVersion3Rejections:
-    def test_null_vector_on_a_node_that_is_not_sensory(self, tmp_path):
-        snapshot = _v3_snapshot()
-        node_record(snapshot, "c0001")["vector"] = None
-        path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: null vector on node 'c0001'"):
-            HolographicMemory.load(path)
-
+class TestVersion4Rejections:
     @pytest.mark.parametrize(
-        "spoil",
-        [lambda row: row.pop(), lambda row: row.append(0.5), lambda row: row.__setitem__(3, "0.5"),
-         lambda row: row.__setitem__(3, float("nan")), lambda row: row.__setitem__(3, float("inf")),
-         lambda row: row.__setitem__(3, True), lambda row: row.__setitem__(3, None),
-         lambda row: row.__delitem__(slice(1, None))],
-        ids=["short", "long", "str", "nan", "inf", "bool", "null", "one"],
+        "recipe",
+        [5, None, True, 0.5, ["a"], {"sum": [["a", 0]], "bind": ["a", "b"]}, {"roll": ["a", "b"]},
+         {"sum": []}, {"sum": "a"}, {"sum": [["a", True]]}, {"sum": [["a", 0.0]]}, {"sum": [["a"]]},
+         {"sum": [["a", 0, 1]]}, {"bind": ["a"]}, {"bind": "ab"}, {"bind": ["a", 5]},
+         {"sum": [[{"bind": ["a"]}, 0]]}],
+        ids=["int", "null", "bool", "float", "list", "two-keys", "unknown-key", "empty-sum", "sum-not-list",
+             "bool-offset", "float-offset", "short-pair", "long-pair", "bind-of-one",
+             "bind-not-list", "nested-int", "nested-bind-of-one"],
     )
-    def test_vector_that_is_not_dim_finite_numbers(self, tmp_path, spoil):
-        snapshot = _v3_snapshot()
-        spoil(node_record(snapshot, "c0001")["vector"])
+    def test_malformed_recipe(self, tmp_path, recipe):
+        snapshot = _v4_snapshot()
+        node_record(snapshot, "c0001")["recipe"] = recipe
         path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"vector of node 'c0001' is not 8 finite numbers"):
+        with pytest.raises(GraphFormatError,
+                           match=r"snap.json: bad snapshot value: recipe of node 'c0001': malformed recipe"):
             HolographicMemory.load(path)
 
-    @pytest.mark.parametrize("value", [{"0": 0.5}, "0", 0.0, True], ids=["object", "str", "float", "bool"])
-    def test_vector_that_is_not_a_list(self, tmp_path, value):
-        snapshot = _v3_snapshot()
-        node_record(snapshot, "c0001")["vector"] = value
-        path = write_snapshot(tmp_path, snapshot)
-        with pytest.raises(GraphFormatError, match=r"vector of node 'c0001' is not 8 finite numbers"):
+    def test_recipe_nested_past_the_recursion_limit(self, tmp_path, monkeypatch):
+        # this deep, the JSON reader of some Pythons refuses the text first,
+        # so the parsed value is handed to the loader as it would be by one
+        # that reads it
+        recipe = "a"
+        for _ in range(sys.getrecursionlimit()):
+            recipe = {"bind": [recipe, "b"]}
+        snapshot = _v4_snapshot()
+        node_record(snapshot, "c0001")["recipe"] = recipe
+        path = tmp_path / "snap.json"
+        path.write_text("{}")
+        monkeypatch.setattr(json, "loads", lambda text: snapshot)
+        with pytest.raises(GraphFormatError,
+                           match=r"snap.json: bad snapshot value: recipe of node 'c0001' is nested too deep"):
             HolographicMemory.load(path)
 
-    @pytest.mark.parametrize("version", [2, 0, "3", True, 2.0, 3.0])
+    @pytest.mark.parametrize("version", [3, 0, "4", True, 3.0, 4.0])
     def test_unknown_version(self, tmp_path, version):
-        snapshot = _v3_snapshot()
+        snapshot = _v4_snapshot()
         snapshot["version"] = version
         path = write_snapshot(tmp_path, snapshot)
         with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: unknown snapshot version"):
             HolographicMemory.load(path)
 
     def test_top_level_that_is_not_an_object(self, tmp_path):
-        path = write_snapshot(tmp_path, [_v3_snapshot()])
+        path = write_snapshot(tmp_path, [_v4_snapshot()])
         with pytest.raises(GraphFormatError, match=r"snap.json: bad snapshot value: not a JSON object"):
             HolographicMemory.load(path)
 
@@ -663,22 +696,22 @@ def _set_signature(snapshot, key, value):
 
 def snapshot_of(source):
     """The fixture memory's snapshot as the ``source`` writer wrote it: the
-    committed version 1 or version 2 file, or the live version 3 writer."""
-    fixtures = {"v1": V1_FIXTURE, "v2": V2_FIXTURE}
+    committed version 1, 2 or 3 file, or the live version 4 writer."""
+    fixtures = {"v1": V1_FIXTURE, "v2": V2_FIXTURE, "v3": V3_FIXTURE}
     return json.loads(fixtures[source].read_text()) if source in fixtures else fixture_memory().snapshot()
 
 
 def assert_refused(tmp_path, source, snapshot, message):
-    """Loading ``snapshot`` fails with ``message``; from the version 1 or
-    version 2 writer, with the version alone, because it is read before any
+    """Loading ``snapshot`` fails with ``message``; from the version 1, 2
+    or 3 writer, with the version alone, because it is read before any
     other key."""
-    if source != "v3":
+    if source != "v4":
         message = f"unknown snapshot version {source[1]}$"
     with pytest.raises(GraphFormatError, match=rf"snap.json: bad snapshot value: {message}"):
         HolographicMemory.load(write_snapshot(tmp_path, snapshot))
 
 
-@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3", "v4"])
 @pytest.mark.parametrize(
     "where, key, value",
     [(_set_top, "clock", "4"), (_set_top, "counter", 3.0), (_set_top, "dim", True),
@@ -695,14 +728,14 @@ def test_numeric_field_of_wrong_kind_is_rejected(tmp_path, source, where, key, v
     assert_refused(tmp_path, source, snapshot, f"{key} must be")
 
 
-@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3", "v4"])
 def test_node_id_listed_twice_is_rejected(tmp_path, source):
     snapshot = snapshot_of(source)
     snapshot["nodes"].append(dict(node_record(snapshot, "a")))
     assert_refused(tmp_path, source, snapshot, "node id 'a' is listed twice")
 
 
-@pytest.mark.parametrize("source", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("source", ["v1", "v2", "v3", "v4"])
 @pytest.mark.parametrize(
     "members, message",
     [("c0001", "assembly_members must be a list of node ids"),

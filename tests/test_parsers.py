@@ -349,14 +349,14 @@ def test_imagine_on_any_story_fails_only_with_typed_errors(text):
                  "-o", str(path.with_name("s.json"))], refused=False)
 
 
-def _snapshot_v2():
+def _snapshot():
     mem = HolographicMemory(dim=4)
     mem.observe({("woman", 0), ("ball", 0)})
     mem.observe({("woman", 1)})
     return mem.snapshot()
 
 
-SNAPSHOT = _snapshot_v2()
+SNAPSHOT = _snapshot()
 _JSON_VALUES = st.sampled_from(
     [None, True, False, -1, 0, 1, 2, 1.5, 2 ** 40, -(2 ** 40), float("nan"), float("inf"),
      "x", "", "sensory", "woman", [], {}, [None], [0.5, 0.5, 0.5, 0.5], {"id": "x"}]

@@ -177,3 +177,16 @@ class TestActorFunctions:
         with pytest.raises(GraphFormatError) as info:
             load_actor_functions(bad)
         assert str(info.value) == f"{bad}:3: argument or output is not name:type: {piece}"
+
+    @pytest.mark.parametrize(
+        "line, piece",
+        [("walk actor:human -> position:position junk", "'position:position junk'"),
+         ("take actor human:x,object:prop -> hand:position", "'actor human:x'")],
+        ids=["output-type", "arg-name"],
+    )
+    def test_pair_with_whitespace_inside_names_line(self, tmp_path, line, piece):
+        bad = tmp_path / "f.txt"
+        bad.write_text(f"# functions\nwalk actor:human -> position:position\n{line}\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_actor_functions(bad)
+        assert str(info.value) == f"{bad}:3: argument or output is not name:type: {piece}"
