@@ -11,16 +11,17 @@ observed. Scores are normalized by the maximum so the acceptance threshold
 is scale-free, and scaling every frequency by a positive constant provably
 leaves the ranking unchanged.
 
-The walk reads the graph's CSR rows, less any self-loop. Once per
-``candidate_scores`` call, for every generic source, it builds only what
-depends on the statistics and ``mix``: one step weight per directed edge,
-the subtree bounds, and the statistics' triple counts over the graph's
-terms (only when ``max_path >= 2``), which ``TripleCounts.count`` looks up
-by term ids a whole level of steps at a time. Paths grow one level at a
-time as one array of node ids per step, and a step onto a node already on
-the path is dropped. Consecutive first steps are walked together in
-chunks; a chunk holds at most ``_CHUNK_PATHS`` paths plus one first step's
-subtree, so memory does not grow with the degree of the source.
+The walk reads the graph's CSR rows, less any self-loop, and their edges'
+pair counts. Once per ``candidate_scores`` call, for every generic source,
+it builds only what depends on the statistics and ``mix``: one step weight
+per directed edge, the subtree bounds, and the statistics' triple counts
+over the graph's terms (only when ``max_path >= 2``), which
+``TripleCounts.count`` looks up by term ids a whole level of steps at a
+time. Paths grow one level at a time as one array of node ids per step,
+and a step onto a node already on the path is dropped. Consecutive first
+steps are walked together in chunks; a chunk holds at most
+``_CHUNK_PATHS`` paths plus one first step's subtree, so memory does not
+grow with the degree of the source.
 
 Scores are bit-identical to a recursive depth-first walk over sorted
 neighbours, not just close to it. Each path's score is built in the same
@@ -142,8 +143,8 @@ class _WalkIndex:
     self-loops, so array order is the order the walk takes neighbours in.
     Every directed edge carries its pair count, the graph's edge weight, and
     its step weight. ``triples`` are the statistics' triple counts over the
-    graph's terms, read only when a path can take two steps. ``paths``
-    counts the simple paths scored so far.
+    graph's terms, built and read only when a path can take two steps.
+    ``paths`` counts the simple paths scored so far.
     """
 
     def __init__(self, graph: OntologyGraph, dk: DkStatistics, max_path: int, mix: float):
@@ -163,7 +164,7 @@ class _WalkIndex:
 
         rows = np.repeat(np.arange(len(self.terms)), np.diff(graph.indptr))
         steps = rows != graph.indices  # a self-loop never steps off its path
-        src, dst, self.pair = rows[steps], graph.indices[steps], graph.weight[steps]
+        src, dst, self.pair = rows[steps], graph.indices[steps], graph.weight[graph.edge_of[steps]]
         self.indptr, self.indices = np.searchsorted(src, np.arange(len(self.terms) + 1)), dst
         self.weight = mix * (self.pair / freq[src]) + (1.0 - mix) * (freq[dst] / dk.total_frequency)
 
@@ -173,7 +174,7 @@ class _WalkIndex:
             walks = np.bincount(src, weights=walks[dst], minlength=len(self.terms))
             self.subtree = self.subtree + walks
 
-        self.triples = dk.k3.over(self.terms)
+        self.triples = dk.k3.over(self.terms) if max_path >= 2 else None
 
     def _extend(self, columns, score, pair):
         """Every simple path one step longer than a path of ``columns`` (its

@@ -283,10 +283,10 @@ class HolographicMemory:
 
     def snapshot(self) -> dict:
         """The version 4 snapshot: the scalar settings, the nodes with their
-        recipes, and the digest of the vectors they make. The recipes are
-        the nodes' own objects, not copies: change a copy of the snapshot."""
+        recipes, and the digest of the vectors they make. It shares no list
+        or dict with the memory, so a change to it leaves the memory as is."""
         nodes = [{"id": n.id, "level": n.level.value, "assembly_members": list(n.assembly_members),
-                  "recipe": n.recipe, "signatures": [dict(vars(s)) for s in n.signatures]}
+                  "recipe": _copied(n.recipe), "signatures": [dict(vars(s)) for s in n.signatures]}
                  for _, n in sorted(self.nodes.items())]
         return {"version": 4, "dim": self.dim, "seed": self.seed, "time_window": self.time_window,
                 "prune_threshold": self.prune_threshold, "match_threshold": self.match_threshold,
@@ -419,6 +419,14 @@ def _made(recipe, draw) -> hrr.Vector:
         if kind == "bind" and isinstance(parts, list) and len(parts) >= 2:
             return _bound([_made(r, draw) for r in parts])
     raise ValueError(f"malformed recipe {reprlib.repr(recipe)}")
+
+
+def _copied(recipe):
+    """A copy of the well-formed ``recipe`` that shares no list or dict."""
+    if isinstance(recipe, str):
+        return recipe
+    (kind, parts), = recipe.items()
+    return {kind: [[_copied(r), k] for r, k in parts] if kind == "sum" else list(map(_copied, parts))}
 
 
 def _is_int(value) -> bool:

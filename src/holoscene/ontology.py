@@ -7,10 +7,11 @@ appears between two terms, the pair's edge carries that label instead of
 the generic "related-to".
 
 A graph (:class:`OntologyGraph`) is built once from its nodes and four
-edge columns (source, target, label and weight), which it checks in bulk,
-and held in one form: CSR rows over the sorted terms. Its reads, its
-induced subgraphs, the graph and blend file writers and the walk in
-``blending`` read those arrays; no edge is held as a tuple.
+edge columns (source, target, label and weight), which it checks in bulk.
+It holds each edge once, in an edge list in sorted term pair order, and
+CSR rows over the sorted terms point into it. ``edges()``, the induced
+subgraphs and the file writers read the list as it is; ``neighbors`` and
+the walk in ``blending`` read the rows. No edge is held as a tuple.
 
 The word statistics that drive the confabulation scoring come at four
 orders. Per-word frequency (order 1) and triple frequency over 3-sentence
@@ -118,14 +119,15 @@ class OntologyGraph:
     """Undirected term graph; labeled edges keep their source direction.
 
     Built once, from a ``{term: type}`` mapping and the edge columns
-    ``src``, ``dst``, ``label`` and ``weight`` (row ``i`` is one edge),
-    into CSR rows over the ids of the sorted ``terms`` (Saad, *Iterative
-    Methods for Sparse Linear Systems*, §3.4). Row ``i`` is
-    ``indptr[i]:indptr[i + 1]``: one entry per edge at term ``i`` (a
-    self-loop once), in neighbour order, each with its neighbour id, its
-    edge's weight and label id (into ``labels``), and whether term ``i`` is
-    the edge's source. ``_edges`` holds each edge's row and entry, in sorted
-    pair order. An edge with an end that is not a node, a weight that is not
+    ``src``, ``dst``, ``label`` and ``weight`` (row ``i`` is one edge).
+    Each edge is held once, in sorted term pair order: ``_edges`` holds its
+    source and target ids into the sorted ``terms``, one row per edge,
+    ``label`` its label id (into ``labels``) and ``weight`` its weight. CSR
+    rows point into that list (Saad, *Iterative Methods for Sparse Linear
+    Systems*, §3.4): row ``i`` is ``indptr[i]:indptr[i + 1]``, one entry
+    per edge at term ``i`` (a self-loop once), in neighbour order, each
+    with its neighbour id in ``indices`` and its edge's row of the list in
+    ``edge_of``. An edge with an end that is not a node, a weight that is not
     finite and non-negative, or a pair already given raises
     :class:`UnknownTermError` or ValueError, its ``record`` the index of the
     first such edge.
@@ -152,7 +154,7 @@ class OntologyGraph:
         order = np.argsort(pair, kind="stable")  # a pair's first edge comes first
         second = np.zeros(m, dtype=bool)
         second[order[1:][np.diff(pair[order]) == 0]] = True
-        del pair, order
+        del pair
         refused = (a < 0) | (b < 0) | ~((weight >= 0.0) & (weight < math.inf)) | second
         if positive:
             refused |= weight == 0.0
@@ -164,33 +166,31 @@ class OntologyGraph:
         del second, refused
         labels = sorted(set(label))
         label_id = dict(zip(labels, range(len(labels))))
-        label = np.fromiter(map(label_id.__getitem__, label), dtype=np.int64, count=m)
-        self._build(nodes, terms, ids, labels, a, b, label, weight)
+        label = np.fromiter(map(label_id.__getitem__, label), dtype=np.int64, count=m)[order]
+        ends, weight = np.column_stack([a, b])[order], weight[order]
+        del order
+        self._build(nodes, terms, ids, labels, ends, label, weight)
 
-    def _build(self, nodes, terms, ids, labels, a, b, label, weight) -> None:
-        """Set every attribute from the node tables and the checked edges
-        from term id ``a[i]`` to ``b[i]``, with label ids ``label``. Each
-        temporary is dropped once used, so that few are alive at once. The
-        graph is read-only: its arrays are not writeable, ``terms`` and
-        ``labels`` are tuples, and ``nodes`` and ``ids`` are read-only."""
+    def _build(self, nodes, terms, ids, labels, ends, label, weight) -> None:
+        """Set every attribute from the node tables and the checked edges,
+        which arrive in sorted pair order: ``ends``, their (source, target)
+        term ids, one row each, and their label ids ``label``. The graph is
+        read-only: its arrays are not writeable, ``terms`` and ``labels``
+        are tuples, and ``nodes`` and ``ids`` are read-only."""
         self.nodes: Mapping[str, str] = ReadOnlyDict(nodes)
         self.terms, self.ids, self.labels = tuple(terms), ReadOnlyDict(ids), tuple(labels)
-        n, m = len(terms), len(a)
-        back = np.flatnonzero(a != b)  # a self-loop has one entry, forward
-        rows, cols = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
-        order = np.argsort(rows * n + cols)
-        rows, self.indices = rows[order], cols[order]
-        del cols
-        record = np.concatenate([np.arange(m), back])[order]
-        del back
-        self.weight, self.label = weight[record], label[record]
-        del record
-        self.forward = order < m
-        del order
-        self.indptr = np.searchsorted(rows, np.arange(n + 1))
-        upper = np.flatnonzero(self.indices >= rows)
-        self._edges = np.column_stack([rows[upper], upper])
-        for array in (self.indices, self.weight, self.label, self.forward, self.indptr, self._edges):
+        self._edges, self.label, self.weight = ends, label, weight
+        # an entry is one end of an edge: its row is that end, its neighbour
+        # the other end, and its edge the end's slot in ``ends`` halved
+        once = np.ones(ends.shape, dtype=bool)
+        once[:, 1] = ends[:, 0] != ends[:, 1]  # a self-loop has one entry
+        slots, ends = np.flatnonzero(once), ends.ravel()
+        # in pair order a term's edges to lower terms come before its others,
+        # each in neighbour order, so a stable sort by row is the CSR order
+        slots = slots[np.argsort(ends[slots], kind="stable")]
+        self.edge_of, self.indices = slots >> 1, ends[slots ^ 1]
+        self.indptr = np.searchsorted(ends[slots], np.arange(len(terms) + 1))
+        for array in (self._edges, self.label, self.weight, self.indices, self.edge_of, self.indptr):
             array.flags.writeable = False
 
     def __contains__(self, term: str) -> bool:
@@ -205,12 +205,8 @@ class OntologyGraph:
 
     def edges(self) -> list:
         """Every edge, as an :class:`EdgeRec`, in sorted term pair order."""
-        rows, at = self._edges.T
-        terms = np.array(self.terms, dtype=object)
-        here, there, forward = terms[rows], terms[self.indices[at]], self.forward[at]
-        labels = np.array(self.labels, dtype=object)[self.label[at]]
-        records = zip(np.where(forward, here, there).tolist(), np.where(forward, there, here).tolist(),
-                      labels.tolist(), self.weight[at].tolist())
+        src, dst = np.array(self.terms, dtype=object)[self._edges].T.tolist()
+        records = zip(src, dst, np.array(self.labels, dtype=object)[self.label].tolist(), self.weight.tolist())
         return list(map(tuple.__new__, repeat(EdgeRec), records))  # not EdgeRec's Python __new__
 
     def neighbors(self, term: str, relations=None) -> list:
@@ -219,26 +215,22 @@ class OntologyGraph:
         i = self.ids.get(term)
         at = np.arange(0) if i is None else np.arange(self.indptr[i], self.indptr[i + 1])
         if relations is not None:
-            at = at[[self.labels[label] in relations for label in self.label[at].tolist()]]
+            at = at[[self.labels[label] in relations for label in self.label[self.edge_of[at]].tolist()]]
         return [self.terms[j] for j in self.indices[at].tolist()]
 
     def induced(self, terms) -> "OntologyGraph":
         """The kept terms that are nodes, in sorted order, and the edges
-        among them, taken from this graph's arrays as they are: they were
-        checked when it was built."""
+        among them, taken from this graph's edge list as it is: checked when
+        it was built, and in pair order, as kept terms keep their order."""
         keep = sorted(set(terms) & self.nodes.keys())
         number = np.full(len(self.terms), -1, dtype=np.int64)  # the id of each kept term in the subgraph
         number[[self.ids[term] for term in keep]] = np.arange(len(keep))
-        rows, at = self._edges.T
-        rows, cols = number[rows], number[self.indices[at]]
-        inside = (rows >= 0) & (cols >= 0)
-        rows, cols, at = rows[inside], cols[inside], at[inside]
-        forward = self.forward[at]
-        used, label = np.unique(self.label[at], return_inverse=True)
+        ends = number[self._edges]
+        inside = np.flatnonzero(np.logical_and(*(ends.T >= 0)))
+        used, label = np.unique(self.label[inside], return_inverse=True)
         sub = object.__new__(OntologyGraph)
         sub._build({term: self.nodes[term] for term in keep}, keep, dict(zip(keep, range(len(keep)))),
-                   [self.labels[i] for i in used.tolist()], np.where(forward, rows, cols),
-                   np.where(forward, cols, rows), label, self.weight[at])
+                   [self.labels[i] for i in used.tolist()], ends[inside], label, self.weight[inside])
         return sub
 
 
@@ -659,12 +651,10 @@ def _graph_records(graph: OntologyGraph):
     """The text blocks of the ``node`` and ``edge`` records of ``graph``,
     shared by the graph and blend files; the columns come from its arrays."""
     terms = graph.terms
-    rows, at = graph._edges.T
-    there, forward = graph.indices[at], graph.forward[at]
     return chain(
         _record_text("node", (terms, np.arange(len(terms))), _text_column([graph.nodes[t] for t in terms])),
-        _record_text("edge", (terms, np.where(forward, rows, there)), (terms, np.where(forward, there, rows)),
-                     (graph.labels, graph.label[at]), _number_column(graph.weight[at])))
+        _record_text("edge", *((terms, ends) for ends in graph._edges.T), (graph.labels, graph.label),
+                     _number_column(graph.weight)))
 
 
 def save_graph(graph: OntologyGraph, path, dk: DkStatistics | None = None) -> None:

@@ -636,6 +636,19 @@ def test_walk_renumbers_triples_over_the_graph_terms():
     assert_walks_match_reference(graph, wider, sorted(graph.nodes), frozenset({"a", "d"}), max_path=3)
 
 
+def test_a_one_step_walk_renumbers_no_triples(monkeypatch):
+    # a one-step path holds no triple, so the statistics' triples over other
+    # terms are never renumbered onto the graph's
+    graph, dk = toy_six()
+    wider = dk_stats({**dk.k1, "aa": 2, "zz": 3}, {**dict(dk.k3.items()), ("aa", "b", "c"): 2})
+
+    def refuse(self, terms):
+        raise AssertionError("a one-step walk renumbered the triple counts")
+
+    monkeypatch.setattr(ontology.TripleCounts, "over", refuse)
+    assert_walks_match_reference(graph, wider, sorted(graph.nodes), frozenset({"a", "d"}), max_path=1)
+
+
 def test_a_self_loop_is_one_edge_the_walk_never_steps(tmp_path):
     path = tmp_path / "loop.graph"
     path.write_text("\n".join([

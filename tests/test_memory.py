@@ -757,6 +757,35 @@ def test_assembly_links_load_as_written(tmp_path):
     assert mem.nodes["c0001"].assembly_parents == {"c0003"}
 
 
+def test_editing_a_snapshot_leaves_the_memory_as_it_was(tmp_path):
+    """A snapshot's recipes share no list or dict with the memory, nor with
+    the member recipes an assembly's recipe nests: editing every one of them
+    changes neither the memory's next snapshot nor what it saves."""
+    mem, want = fixture_memory(), fixture_memory().snapshot()
+    assert node_record(want, "c0003")["level"] == "secondary"  # an assembly over two patterns
+    edited = []
+
+    def edit(value):  # every list gains an item and every dict a key, innermost first
+        if isinstance(value, list):
+            for inner in value:
+                edit(inner)
+            value.append(7)
+            edited.append(value)
+        elif isinstance(value, dict):
+            for inner in value.values():
+                edit(inner)
+            value["edited"] = True
+            edited.append(value)
+
+    for rec in mem.snapshot()["nodes"]:
+        edit(rec["recipe"])
+    assert len(edited) == 18  # 4 per pattern (a dict, its list, 2 pairs); c0003 nests both in a dict and list
+    assert mem.snapshot() == want
+    path = tmp_path / "mem.json"
+    mem.save(path)
+    assert HolographicMemory.load(path).snapshot() == want
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ops=_OPS)
 @example(ops=_TO_HIGHER)

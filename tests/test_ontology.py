@@ -675,14 +675,22 @@ def assert_reads_match_model(graph, nodes, records, strangers=("zzz",)):
     and the edge ``records``, which name no term pair twice: the nodes in
     order, ``edges()`` in sorted pair order, ``neighbors`` of every node
     (all of them and by each label), and no neighbour for the
-    ``strangers``, which are not nodes."""
+    ``strangers``, which are not nodes. The edge list has one row per edge,
+    and each CSR entry of row ``r`` with neighbour ``c`` points, through
+    ``edge_of``, at the edge whose ends are ``{r, c}``."""
     edges = {tuple(sorted(record[:2])): EdgeRec(*record) for record in records}
     rows = {term: {} for term in nodes}
     for (a, b), rec in edges.items():
         rows[a][b] = rows[b][a] = rec
     assert list(graph.nodes.items()) == list(nodes.items())
-    assert graph.edges() == [edges[pair] for pair in sorted(edges)]
-    assert graph.edge_count == len(edges)
+    listed = graph.edges()
+    assert listed == [edges[pair] for pair in sorted(edges)]
+    assert graph.edge_count == len(edges) == len(graph.weight) == len(graph.label)
+    for r, term in enumerate(graph.terms):
+        for at in range(graph.indptr[r], graph.indptr[r + 1]):
+            c = graph.indices[at]
+            assert sorted(graph._edges[graph.edge_of[at]].tolist()) == sorted([r, c])
+            assert listed[graph.edge_of[at]] == edges[tuple(sorted((term, graph.terms[c])))]
     labels = {rec.label for rec in edges.values()} | {"no-such-label"}
     for term, row in rows.items():
         assert graph.neighbors(term) == sorted(row)
